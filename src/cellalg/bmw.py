@@ -31,6 +31,7 @@ from .combin import (
 )
 from .exactring import BMW_VARS, CoeffFraction, bmw_z
 from .hecke import HeckeElement, hk_to_murphy, row_stabilizer
+from .linalg import identity_matrix, invert_fraction_free, mat_mul
 
 
 def _const(c) -> CoeffFraction:
@@ -397,34 +398,12 @@ def _bmw_gen_matrix_compute(lam, n: int, kind: str, i: int):
     return rows
 
 
-def _mat_mul(a, b):
-    k, m = len(a), len(b[0])
-    inner = len(b)
-    out = []
-    for i in range(k):
-        row = []
-        for j in range(m):
-            acc = None
-            for t in range(inner):
-                if a[i][t].is_zero() or b[t][j].is_zero():
-                    continue
-                term = a[i][t] * b[t][j]
-                acc = term if acc is None else acc + term
-            row.append(acc if acc is not None else _const(0))
-        out.append(row)
-    return out
-
-
-def _identity_mat(k):
-    return [[_const(1 if i == j else 0) for j in range(k)] for i in range(k)]
-
-
 def bmw_word_matrix(lam, n: int, word):
     """Matrix of a product of generators on S^lambda."""
     lam = check_partition(lam)
-    out = _identity_mat(len(bmw_index(lam, n)))
+    out = identity_matrix(len(bmw_index(lam, n)), BMW_VARS)
     for kind, i in word:
-        out = _mat_mul(out, bmw_gen_matrix(lam, n, kind, i))
+        out = mat_mul(out, bmw_gen_matrix(lam, n, kind, i))
     return out
 
 
@@ -433,60 +412,6 @@ def perm_word(w: Permutation, inverse: bool = False):
     if inverse:
         word = tuple(reversed(word))
     return [("T", i) for i in word]
-
-
-def m_lambda_word_matrices(lam, n: int, target):
-    """Matrix of right multiplication by m_lambda on the module S^target."""
-    lam = check_partition(lam)
-    f = (n - sum(lam)) // 2
-    k = len(bmw_index(check_partition(target), n))
-    out = _identity_mat(k)
-    for i in range(1, 2 * f, 2):
-        out = _mat_mul(out, bmw_gen_matrix(target, n, "E", i))
-    acc = None
-    for w in _row_stabilizer_perms(lam, n):
-        piece = _mat_mul(out, bmw_word_matrix(target, n, perm_word(w)))
-        coeff = _q_power(w.length())
-        piece = [[cell * coeff for cell in row] for row in piece]
-        if acc is None:
-            acc = piece
-        else:
-            acc = [[a + b for a, b in zip(ra, rb)]
-                   for ra, rb in zip(acc, piece)]
-    return acc
-
-
-# -- Gram matrices ------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def bmw_gram(lam, n: int):
-    """Gram matrix of the cellular bilinear form on S^lambda."""
-    lam = check_partition(lam)
-    index = bmw_index(lam, n)
-    k = len(index)
-    t_lam = superstandard(lam, n)
-    one = Permutation.identity(n)
-    e1 = index.index((t_lam, one))
-    m_mat = m_lambda_word_matrices(lam, n, lam)
-    rows = []
-    for a in range(k):
-        row = [None] * k
-        rows.append(row)
-    for b, (t, u) in enumerate(index):
-        # right multiplication by (T_{d(t)} T_u)^* then by m_lambda
-        word = perm_word(u, inverse=True) + perm_word(tab_perm(t),
-                                                      inverse=True)
-        mat = bmw_word_matrix(lam, n, word)
-        mat = _mat_mul(mat, m_mat)
-        for a in range(k):
-            for j in range(k):
-                if j == e1:
-                    continue
-                if not mat[a][j].is_zero():
-                    raise AssertionError(
-                        "bilinear form value must be a multiple of m_lambda")
-            rows[a][b] = mat[a][e1]
-    return rows
 
 
 # -- Jucys-Murphy operators -----------------------------------------------------------
@@ -498,9 +423,9 @@ def bmw_jm_matrix(lam, n: int, k: int):
     if not 1 <= k <= n:
         raise ValueError("index out of range")
     if k == 1:
-        return _identity_mat(len(bmw_index(lam, n)))
+        return identity_matrix(len(bmw_index(lam, n)), BMW_VARS)
     t = bmw_gen_matrix(lam, n, "T", k - 1)
-    return _mat_mul(_mat_mul(t, bmw_jm_matrix(lam, n, k - 1)), t)
+    return mat_mul(mat_mul(t, bmw_jm_matrix(lam, n, k - 1)), t)
 
 
 # -- the full algebra on cellular coordinates ------------------------------------------
@@ -523,7 +448,7 @@ def _rho_word(n: int, word):
 
 
 def _rho_mul(a, b):
-    return {lam: _mat_mul(a[lam], b[lam]) for lam in a}
+    return {lam: mat_mul(a[lam], b[lam]) for lam in a}
 
 
 def _rho_scale(a, c):
@@ -536,7 +461,7 @@ def _rho_add(a, b):
 
 
 def rho_identity(n: int):
-    return {lam: _identity_mat(len(bmw_index(lam, n)))
+    return {lam: identity_matrix(len(bmw_index(lam, n)), BMW_VARS)
             for lam in layers_of(n)}
 
 
@@ -548,15 +473,8 @@ def rho_of_word(n: int, word):
 
 
 def _rho_m_lambda(lam, n: int):
-    lam = check_partition(lam)
-    f = (n - sum(lam)) // 2
-    out = rho_of_word(n, [("E", i) for i in range(1, 2 * f, 2)])
-    acc = None
-    for w in _row_stabilizer_perms(lam, n):
-        piece = _rho_scale(_rho_mul(out, rho_of_word(n, perm_word(w))),
-                           _q_power(w.length()))
-        acc = piece if acc is None else _rho_add(acc, piece)
-    return acc
+    from .towers import m_lambda_matrix
+    return {mu: m_lambda_matrix("bmw", lam, n, mu) for mu in layers_of(n)}
 
 
 @lru_cache(maxsize=None)
@@ -573,8 +491,8 @@ def _monomial_rho(n: int, monomial):
 
 @lru_cache(maxsize=None)
 def _gram_inverse(lam, n: int):
-    from .linalg import invert_fraction_free
-    return invert_fraction_free(bmw_gram(lam, n))
+    from .towers import gram_matrix
+    return invert_fraction_free(gram_matrix("bmw", lam, n))
 
 
 class BmwElement:
@@ -649,7 +567,7 @@ def bmw_to_cellular(n: int, rho) -> BmwElement:
     residual = {lam: [list(row) for row in rho[lam]] for lam in rho}
     terms = {}
     for lam in sorted(layers_of(n), key=dominance_key, reverse=True):
-        coeffs = _mat_mul(_gram_inverse(lam, n), residual[lam])
+        coeffs = mat_mul(_gram_inverse(lam, n), residual[lam])
         index = bmw_index(lam, n)
         for a, sv in enumerate(index):
             for b, tu in enumerate(index):

@@ -374,24 +374,6 @@ def br_gen_matrix(lam, n: int, kind: str, i: int):
     return br_module_matrix(lam, n, g)
 
 
-def br_gram(lam, n: int):
-    """Gram matrix of the cellular bilinear form on S^lambda."""
-    lam = check_partition(lam)
-    index, _, _, _ = _layer_data(lam, n)
-    t_lam = superstandard(lam, n)
-    one = Permutation.identity(n)
-    elements = [br_basis_element(lam, n, t, u) for t, u in index]
-    rows = []
-    for a, ea in enumerate(elements):
-        row = []
-        for eb in elements:
-            x = ea * br_star(eb)
-            coords = br_to_cell_coords(lam, n, x)
-            row.append(coords.get((t_lam, one), _const(0)))
-        rows.append(row)
-    return rows
-
-
 # -- full cellular coordinates (desk scale) -----------------------------------------
 
 @lru_cache(maxsize=None)

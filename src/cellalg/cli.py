@@ -33,6 +33,7 @@ from .specsim import (
 )
 from .towers import (
     build_path_basis,
+    gram_matrix,
     jm_triangularity,
     ordered_paths,
     restriction_filtration_check,
@@ -159,15 +160,22 @@ def _load_cache(path, algebra, n):
                 or tuple(data.get("vars", ())) != _VARS[algebra]):
             raise ValueError("header mismatch")
         vars = _VARS[algebra]
+        shapes = set(_layer_shapes(n))
+        index = _bmw.bmw_index if algebra == "bmw" else _brauer.br_index
         overrides = {}
         for key, rows in data["matrices"].items():
             lam, kind, i = _parse_matrix_key(key)
-            parsed = [[parse_fraction(x, vars) for x in row] for row in rows]
-            if any(len(row) != len(parsed) for row in parsed):
-                raise ValueError("non-square matrix for {}".format(key))
-            overrides[(lam, n, kind, i)] = parsed
+            if (lam not in shapes or kind not in _GEN_KINDS[algebra]
+                    or not 1 <= i < n):
+                raise ValueError("invalid matrix key {!r}".format(key))
+            dim = len(index(lam, n))
+            if len(rows) != dim or any(len(row) != dim for row in rows):
+                raise ValueError("matrix for {} is not {} x {}".format(
+                    key, dim, dim))
+            overrides[(lam, n, kind, i)] = [
+                [parse_fraction(x, vars) for x in row] for row in rows]
         return overrides
-    except (OSError, ValueError, KeyError, AttributeError,
+    except (OSError, ValueError, KeyError, AttributeError, TypeError,
             json.JSONDecodeError) as exc:
         print("warning: ignoring unusable cache file {}: {}".format(path, exc),
               file=sys.stderr)
@@ -254,8 +262,8 @@ def _cmd_basis(args):
 
 
 def _cmd_gram(args):
-    gram = _bmw.bmw_gram if args.algebra == "bmw" else _brauer.br_gram
-    g = _specialized(gram(args.shape, args.n), args.spec)
+    g = _specialized(gram_matrix(args.algebra, args.shape, args.n),
+                     args.spec)
     det = _det(g)
     payload = {
         "shape": list(args.shape),

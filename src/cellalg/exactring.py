@@ -634,7 +634,10 @@ class _Parser:
 
 
 def parse_fraction(text: str, vars: tuple) -> CoeffFraction:
-    return _Parser(text, vars).parse()
+    try:
+        return _Parser(text, vars).parse()
+    except ZeroDivisionError:
+        raise ValueError(f"division by zero in {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +703,10 @@ class Specialization:
             if "=" not in part:
                 raise ValueError(f"malformed specialization part {part!r}")
             name, value = part.split("=", 1)
-            raw[name.strip()] = value.strip()
+            name = name.strip()
+            if name in raw:
+                raise ValueError(f"variable {name!r} assigned twice")
+            raw[name] = value.strip()
         assigned = set(raw)
         if not assigned.issubset(set(source_vars)):
             raise ValueError(f"unknown variables in specialization: "

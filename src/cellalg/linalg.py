@@ -1,12 +1,16 @@
 """Exact linear algebra over the fraction fields of :mod:`cellalg.exactring`.
 
 Matrices are lists of lists of :class:`~cellalg.exactring.CoeffFraction`.
-Everything here is plain fraction-based Gaussian elimination; sizes in this
-package stay small (a few hundred rows at most), so exactness is preferred
-over sparsity tricks.
+Rank, determinant and fraction-free inversion share one Bareiss kernel over
+the cleared polynomial rows; solving and the solver classes use fraction
+Gauss-Jordan.  Sizes in this package stay small (a few hundred rows at
+most), so exactness is preferred over sparsity tricks.
 """
 
-from .exactring import CoeffFraction
+from functools import reduce
+
+from .exactring import (CoeffFraction, poly_const, poly_divexact, poly_gcd,
+                        poly_mul, poly_neg, poly_sub)
 
 
 class SingularMatrixError(ArithmeticError):
@@ -27,22 +31,8 @@ def identity_matrix(n: int, vars: tuple):
 
 
 def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = None
-            for k in range(inner):
-                if a[i][k].is_zero() or b[k][j].is_zero():
-                    continue
-                term = a[i][k] * b[k][j]
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = a[i][0] - a[i][0]
-            row.append(acc)
-        out.append(row)
-    return out
+    columns = list(zip(*b))
+    return [[_dot(row, col) for col in columns] for row in a]
 
 
 def _echelon(matrix):
@@ -75,10 +65,24 @@ def _echelon(matrix):
 
 
 def rank(matrix) -> int:
-    if not matrix:
+    if not matrix or not matrix[0]:
         return 0
-    _, pivots = _echelon(matrix)
-    return len(pivots)
+    rows, _ = _cleared(matrix)
+    return _bareiss_forward(rows, len(matrix[0][0].vars))[0]
+
+
+def det(matrix) -> CoeffFraction:
+    """Determinant of a square matrix by fraction-free elimination."""
+    n = len(matrix)
+    if not n or any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square and nonempty")
+    vars = matrix[0][0].vars
+    rows, dens = _cleared(matrix)
+    found, sign, last = _bareiss_forward(rows, len(vars))
+    if found < n:
+        return CoeffFraction.const(0, vars)
+    return CoeffFraction(vars, last if sign > 0 else poly_neg(last),
+                         reduce(poly_mul, dens))
 
 
 def solve(matrix, rhs):
@@ -111,29 +115,15 @@ def invert_fraction_free(matrix):
     only once at the very end.  This avoids the polynomial-gcd blowup of
     naive fraction elimination on multivariate entries.
     """
-    from .exactring import (CoeffFraction, poly_const, poly_divexact,
-                            poly_mul, poly_sub)
-
     n = len(matrix)
     vars = matrix[0][0].vars
     nv = len(vars)
-    one = poly_const(1, nv)
-    work = []
-    for row in matrix:
-        den = one
-        for cell in row:
-            den = poly_mul(den, cell.den)
-        prow = [poly_mul(cell.num, poly_divexact(den, cell.den, nv))
-                for cell in row]
-        # augment with diag(row denominator): the elimination then solves
-        # (cleared matrix) X = diag(dens), whose solution is the inverse
-        work.append((prow, den))
-    aug = []
-    for i, (prow, den) in enumerate(work):
-        arow = [dict(c) for c in prow]
-        arow += [den if j == i else {} for j in range(n)]
-        aug.append(arow)
-    prev = one
+    rows, dens = _cleared(matrix)
+    # augment with diag(row denominator): the elimination then solves
+    # (cleared matrix) X = diag(dens), whose solution is the inverse
+    aug = [row + [dens[i] if j == i else {} for j in range(n)]
+           for i, row in enumerate(rows)]
+    prev = poly_const(1, nv)
     for k in range(n):
         if not aug[k][k]:
             for r in range(k + 1, n):
@@ -142,22 +132,74 @@ def invert_fraction_free(matrix):
                     break
             else:
                 raise SingularMatrixError("matrix is singular")
-        pivot = aug[k][k]
         for i in range(n):
-            if i == k:
-                continue
-            lead = aug[i][k]
-            for j in range(2 * n):
-                if j == k:
-                    continue
-                val = poly_sub(poly_mul(pivot, aug[i][j]),
-                               poly_mul(lead, aug[k][j]))
-                aug[i][j] = poly_divexact(val, prev, nv) if val else {}
-            aug[i][k] = {}
-        prev = pivot
+            if i != k:
+                _bareiss_step(aug[i], aug[k], k, prev, nv)
+        prev = aug[k][k]
     det_like = aug[n - 1][n - 1]
     return [[CoeffFraction(vars, aug[i][n + j], det_like)
              for j in range(n)] for i in range(n)]
+
+
+# -- the fraction-free kernel shared by rank, det and invert_fraction_free ----------
+
+def _cleared(matrix):
+    """Polynomial rows of ``matrix``, each scaled by the lcm of its
+    denominators; returns (rows, row denominators)."""
+    nv = len(matrix[0][0].vars)
+    one = poly_const(1, nv)
+    rows, dens = [], []
+    for row in matrix:
+        den = one
+        for cell in row:
+            if cell.den != one and cell.den != den:
+                g = poly_gcd(den, cell.den, nv)
+                den = poly_mul(den, poly_divexact(cell.den, g, nv))
+        rows.append([poly_mul(cell.num, poly_divexact(den, cell.den, nv))
+                     if cell.num else {} for cell in row])
+        dens.append(den)
+    return rows, dens
+
+
+def _bareiss_step(row, pivot_row, col, prev, nv):
+    """Clear ``row`` at ``col`` against ``pivot_row`` in place.
+
+    Every other entry x becomes (pivot * x - lead * p) / prev, with p the
+    pivot row's entry in that column and prev the pivot of the step before;
+    Sylvester's identity makes the division exact (Bareiss 1968).
+    """
+    pivot, lead = pivot_row[col], row[col]
+    for j, (x, p) in enumerate(zip(row, pivot_row)):
+        if j == col or not (x or lead and p):
+            continue
+        val = poly_sub(poly_mul(pivot, x), poly_mul(lead, p))
+        row[j] = poly_divexact(val, prev, nv) if val else {}
+    row[col] = {}
+
+
+def _bareiss_forward(rows, nv):
+    """Fraction-free forward elimination of polynomial rows, in place.
+
+    Returns (rank, sign of the row permutation, last pivot); for a square
+    matrix of full rank, sign times the last pivot is its determinant.
+    """
+    nrows = len(rows)
+    prev = poly_const(1, nv)
+    sign, r = 1, 0
+    for c in range(len(rows[0]) if rows else 0):
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            sign = -sign
+        for i in range(r + 1, nrows):
+            _bareiss_step(rows[i], rows[r], c, prev, nv)
+        prev = rows[r][c]
+        r += 1
+        if r == nrows:
+            break
+    return r, sign, prev
 
 
 class ColumnSolver:
@@ -180,32 +222,9 @@ class ColumnSolver:
             raise SingularMatrixError("columns are linearly dependent")
 
     def solve_vector(self, rhs):
-        k = len(self._cols)
         proj = [_dot(col, rhs) for col in self._cols]
-        x = []
-        for i in range(k):
-            acc = None
-            for j in range(k):
-                if self._gram_inv[i][j].is_zero() or proj[j].is_zero():
-                    continue
-                term = self._gram_inv[i][j] * proj[j]
-                acc = term if acc is None else acc + term
-            x.append(acc if acc is not None else
-                     self._gram_inv[i][0] - self._gram_inv[i][0])
-        # residual check: the system must be consistent
-        m = len(rhs)
-        for row in range(m):
-            acc = None
-            for j in range(k):
-                cell = self._cols[j][row]
-                if cell.is_zero() or x[j].is_zero():
-                    continue
-                term = cell * x[j]
-                acc = term if acc is None else acc + term
-            lhs = acc if acc is not None else rhs[row] - rhs[row]
-            if lhs != rhs[row]:
-                raise SingularMatrixError(
-                    "right-hand side outside the column span")
+        x = [_dot(row, proj) for row in self._gram_inv]
+        _check_residual(self._cols, x, rhs)
         return x
 
 
@@ -255,31 +274,18 @@ class TallSolver:
         self._sub_inv = invert([rows[i] for i in pivot_rows])
 
     def solve_vector(self, rhs):
-        k = len(self._cols)
-        x = []
-        for i in range(k):
-            acc = None
-            for j, row in enumerate(self._pivot_rows):
-                cell = self._sub_inv[i][j]
-                if cell.is_zero() or rhs[row].is_zero():
-                    continue
-                term = cell * rhs[row]
-                acc = term if acc is None else acc + term
-            x.append(acc if acc is not None else
-                     self._sub_inv[i][0] - self._sub_inv[i][0])
-        for row in range(len(rhs)):
-            acc = None
-            for j in range(k):
-                cell = self._cols[j][row]
-                if cell.is_zero() or x[j].is_zero():
-                    continue
-                term = cell * x[j]
-                acc = term if acc is None else acc + term
-            lhs = acc if acc is not None else rhs[row] - rhs[row]
-            if lhs != rhs[row]:
-                raise SingularMatrixError(
-                    "right-hand side outside the column span")
+        x = [_dot(row, [rhs[i] for i in self._pivot_rows])
+             for row in self._sub_inv]
+        _check_residual(self._cols, x, rhs)
         return x
+
+
+def _check_residual(columns, x, rhs):
+    """Raise unless sum_j x_j columns[j] == rhs: the system is consistent."""
+    for i, target in enumerate(rhs):
+        if _dot([col[i] for col in columns], x) != target:
+            raise SingularMatrixError(
+                "right-hand side outside the column span")
 
 
 def _dot(a, b):
@@ -308,15 +314,4 @@ class LinearSolver:
     def solve_vector(self, rhs):
         if len(rhs) != self._n:
             raise ValueError("bad right-hand side length")
-        out = []
-        for i in range(self._n):
-            acc = None
-            for k in range(self._n):
-                if self._inv[i][k].is_zero() or rhs[k].is_zero():
-                    continue
-                term = self._inv[i][k] * rhs[k]
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = self._inv[i][0] - self._inv[i][0]
-            out.append(acc)
-        return out
+        return [_dot(row, rhs) for row in self._inv]

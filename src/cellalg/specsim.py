@@ -10,8 +10,6 @@ a definite negative answer only ever comes from Gram-rank computations.
 from fractions import Fraction
 from functools import lru_cache
 
-from . import bmw as _bmw
-from . import brauer as _brauer
 from .combin import dominance, dominance_key, partitions_of, path_key
 from .exactring import (
     BMW_VARS,
@@ -19,8 +17,8 @@ from .exactring import (
     CoeffFraction,
     Specialization,
 )
-from .linalg import rank
-from .towers import ordered_paths, path_content
+from .linalg import det, rank
+from .towers import gram_matrix, ordered_paths, path_content
 
 CERTIFIED_SEMISIMPLE = "CertifiedSemisimple"
 CERTIFIED_NOT_SEMISIMPLE = "CertifiedNotSemisimple"
@@ -92,11 +90,10 @@ def gram_rank_certify(algebra, n, spec=None):
     """Rank criterion: semisimple iff every specialized Gram matrix has full
     rank; a rank drop certifies non-semisimplicity (witness: shape, rank,
     dimension, radical dimension)."""
-    gram = _bmw.bmw_gram if algebra == "bmw" else _brauer.br_gram
     drops = []
     report = []
     for lam in _layer_shapes(n):
-        g = gram(lam, n)
+        g = gram_matrix(algebra, lam, n)
         if spec is not None:
             g = [[spec.apply(x) for x in row] for row in g]
         dim = len(g)
@@ -221,28 +218,8 @@ def conjecture_poly(i):
     return p
 
 
-def _det(matrix):
-    """Determinant over the fraction field by elimination with pivoting."""
-    m = [list(row) for row in matrix]
-    k = len(m)
-    vars = m[0][0].vars if k else BRAUER_VARS
-    det = CoeffFraction.const(1, vars)
-    for col in range(k):
-        pivot = next((a for a in range(col, k) if not m[a][col].is_zero()),
-                     None)
-        if pivot is None:
-            return CoeffFraction.const(0, vars)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det = det * m[col][col]
-        inv = m[col][col].inverse()
-        for a in range(col + 1, k):
-            if m[a][col].is_zero():
-                continue
-            factor = m[a][col] * inv
-            m[a] = [x - factor * y for x, y in zip(m[a], m[col])]
-    return det
+# bound under this name for the CLI, the tests and span tracing
+_det = det
 
 
 def _poly_coeffs(x):
@@ -323,8 +300,8 @@ def conjecture_evidence(n):
         raise ValueError("need n >= 2")
     k = (n - 1) // 2 if n % 2 else n // 2
     lam = (1,) if n % 2 else ()
-    det = _det(_brauer.br_gram(lam, n))
-    roots, remainder = _linear_roots(_poly_coeffs(det))
+    roots, remainder = _linear_roots(
+        _poly_coeffs(det(gram_matrix("brauer", lam, n))))
     expected, _ = _linear_roots(_poly_coeffs(conjecture_poly(k)))
     expected = set(expected)
     if n % 2 == 0:

@@ -24,6 +24,7 @@ from .combin import (
     up_neighbor_data,
 )
 from .exactring import BMW_VARS, BRAUER_VARS, CoeffFraction
+from .hecke import row_stabilizer
 from .linalg import identity_matrix, invert_fraction_free, mat_mul
 
 ALGEBRAS = ("bmw", "brauer")
@@ -220,21 +221,11 @@ def _unit_vector(ops, lam, n, key):
     return [one if tu == key else zero for tu in index]
 
 
-def _apply_letters(ops, vec, lam, n, letters):
+def _apply_letters(ops, rows, lam, n, letters):
+    """Right action of a generator word on each row vector of S^lambda."""
     for kind, i in letters:
-        mat = ops.gen_matrix(lam, n, kind, i)
-        vec = [_dot_col(vec, mat, j) for j in range(len(vec))]
-    return vec
-
-
-def _dot_col(vec, mat, j):
-    acc = None
-    for a, c in enumerate(vec):
-        if c.is_zero() or mat[a][j].is_zero():
-            continue
-        term = c * mat[a][j]
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else vec[0] - vec[0]
+        rows = mat_mul(rows, ops.gen_matrix(lam, n, kind, i))
+    return rows
 
 
 def y_element(algebra: str, lam, mu, n: int) -> YElement:
@@ -261,12 +252,14 @@ def y_element(algebra: str, lam, mu, n: int) -> YElement:
     if not added:
         raise AssertionError("expected an added box")
     seed = _unit_vector(ops, lam, n, (superstandard(lam, n), one))
-    base = _apply_letters(ops, seed, lam, n, ops.inverse_letters(w_word))
+    base = _apply_letters(ops, [seed], lam, n,
+                          ops.inverse_letters(w_word))[0]
     depth = lam[row - 1] if row - 1 < len(lam) else 0
     acc = list(base)
     cur = base
     for i in range(1, depth + 1):
-        cur = _apply_letters(ops, cur, lam, n, [(ops.gen_kinds[0], a - i)])
+        cur = _apply_letters(ops, [cur], lam, n,
+                             [(ops.gen_kinds[0], a - i)])[0]
         coeff = ops.step_coeff(i)
         acc = [x + y * coeff for x, y in zip(acc, cur)]
     return YElement(algebra, n, lam, mu, acc)
@@ -307,8 +300,7 @@ class PathBasis:
 
     def to_path_coords(self, vec):
         """Coordinates of a cell-basis vector over the path basis."""
-        return [_dot_col(vec, self._inverse, j)
-                for j in range(len(self.paths))]
+        return mat_mul([vec], self._inverse)[0]
 
     def conjugate(self, matrix):
         """Rewrite a cell-basis action matrix in the path basis."""
@@ -339,8 +331,8 @@ def build_path_basis(algebra: str, lam, n: int) -> PathBasis:
             acc = None
             for w, c in sub.b_words[u].items():
                 lifted = Permutation(w.img + (n,))
-                piece = _apply_letters(ops, list(y), lam, n,
-                                       ops.perm_letters(lifted))
+                piece = _apply_letters(ops, [list(y)], lam, n,
+                                       ops.perm_letters(lifted))[0]
                 piece = [x * c for x in piece]
                 acc = piece if acc is None else \
                     [x + yv for x, yv in zip(acc, piece)]
@@ -353,6 +345,57 @@ def build_path_basis(algebra: str, lam, n: int) -> PathBasis:
     rows = [list(vectors[t]) for t in paths]
     inverse = invert_fraction_free(rows)  # also certifies independence
     return PathBasis(algebra, n, lam, paths, index, vectors, b_words, inverse)
+
+
+# -- the cellular bilinear form ------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def m_lambda_matrix(algebra: str, lam, n: int, target):
+    """Right action of m_lambda = E_1 E_3 ... E_{2f-1} sum_w c(l(w)) w on
+    the cell module S^target, w over the row stabilizer of the superstandard
+    lambda-tableau, with c(l) = q^l for BMW and 1 for Brauer."""
+    ops = _ops(algebra)
+    lam, target = check_partition(lam), check_partition(target)
+    f = (n - sum(lam)) // 2
+    units = identity_matrix(len(ops.index(target, n)), ops.vars)
+    chain = _apply_letters(ops, units, target, n,
+                           [("E", i) for i in range(1, 2 * f, 2)])
+    acc = None
+    for w in row_stabilizer(lam, n):
+        coeff = ops.step_coeff(w.length())
+        piece = [[x * coeff for x in row] for row in _apply_letters(
+            ops, chain, target, n, ops.perm_letters(w))]
+        acc = piece if acc is None else \
+            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(acc, piece)]
+    return acc
+
+
+@lru_cache(maxsize=None)
+def gram_matrix(algebra: str, lam, n: int):
+    """Gram matrix of the cellular bilinear form on S^lambda.
+
+    Entry (a, b) is the coefficient phi with m_a (d(t)u)^* m_lambda =
+    phi m_lambda in S^lambda, where m_b = m_lambda d(t)u; the star of a
+    permutation word is the reversed word.
+    """
+    ops = _ops(algebra)
+    lam = check_partition(lam)
+    index = ops.index(lam, n)
+    k = len(index)
+    e1 = index.index((superstandard(lam, n), Permutation.identity(n)))
+    m_mat = m_lambda_matrix(algebra, lam, n, lam)
+    units = identity_matrix(k, ops.vars)
+    rows = [[None] * k for _ in range(k)]
+    for b, (t, u) in enumerate(index):
+        star = (ops.perm_letters(u)[::-1]
+                + ops.perm_letters(tab_perm(t))[::-1])
+        mat = mat_mul(_apply_letters(ops, units, lam, n, star), m_mat)
+        for a in range(k):
+            if any(not mat[a][j].is_zero() for j in range(k) if j != e1):
+                raise AssertionError(
+                    "bilinear form value must be a multiple of m_lambda")
+            rows[a][b] = mat[a][e1]
+    return rows
 
 
 # -- restriction filtration ----------------------------------------------------------

@@ -15,7 +15,6 @@ from cellalg.bmw import (
     BmwElement,
     bmw_cell_index,
     bmw_gen_matrix,
-    bmw_gram,
     bmw_word,
     layers_of as bmw_layers,
     _monomial_rho,
@@ -24,7 +23,6 @@ from cellalg.bmw import (
 from cellalg.brauer import (
     BrauerElement,
     all_diagrams,
-    br_gram,
     partitions_of_all_layers as br_layers,
 )
 from cellalg.combin import (
@@ -64,6 +62,7 @@ from cellalg.specsim import (
 from cellalg.towers import (
     build_path_basis,
     central_scalar,
+    gram_matrix,
     jm_triangularity,
     ordered_paths,
 )
@@ -97,7 +96,7 @@ def double_factorial(n):
 
 def test_bmw_gram_three_strands_closed_form():
     with budget(10):
-        g = bmw_gram((1,), 3)
+        g = gram_matrix("bmw", (1,), 3)
         z = bmw_z()
         expected = [
             [z, bqr("r"), bqr("1")],
@@ -113,7 +112,7 @@ def test_bmw_gram_three_strands_closed_form():
 
 def test_brauer_gram_three_strands_closed_form():
     with budget(5):
-        g = br_gram((1,), 3)
+        g = gram_matrix("brauer", (1,), 3)
         z = bz("z")
         one = bz("1")
         assert g == [[z, one, one], [one, z, one], [one, one, z]]

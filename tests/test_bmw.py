@@ -13,7 +13,6 @@ from cellalg.bmw import (
     bmw_cell_index,
     bmw_content,
     bmw_gen_matrix,
-    bmw_gram,
     bmw_index,
     bmw_jm,
     bmw_jm_matrix,
@@ -28,6 +27,7 @@ from cellalg.bmw import (
     layers_of,
     rho_of_word,
 )
+from cellalg.towers import gram_matrix
 
 
 def frac(text):
@@ -342,7 +342,7 @@ def test_cell_action_cubic_n3():
 # -- Gram matrices ------------------------------------------------------------------
 
 def test_gram_n3_lambda1():
-    g = bmw_gram((1,), 3)
+    g = gram_matrix("bmw", (1,), 3)
     z = bmw_z()
     expected = [[z, frac("r"), const(1)],
                 [frac("r"), z + frac("(q-q^-1)(r-r^-1)"), frac("r^-1")],
@@ -351,7 +351,7 @@ def test_gram_n3_lambda1():
 
 
 def test_gram_det_n3_lambda1():
-    g = bmw_gram((1,), 3)
+    g = gram_matrix("bmw", (1,), 3)
     det = (g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
            - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
            + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0]))
@@ -361,13 +361,13 @@ def test_gram_det_n3_lambda1():
 
 
 def test_gram_n2_empty():
-    g = bmw_gram((), 2)
+    g = gram_matrix("bmw", (), 2)
     assert len(g) == 1 and g[0][0] == bmw_z()
 
 
 def test_gram_symmetric():
     for lam, n in [((1,), 3), ((2,), 4), ((1, 1), 4), ((), 4), ((2, 1), 3)]:
-        g = bmw_gram(lam, n)
+        g = gram_matrix("bmw", lam, n)
         for i in range(len(g)):
             for j in range(len(g)):
                 assert g[i][j] == g[j][i]

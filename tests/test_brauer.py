@@ -17,7 +17,6 @@ from cellalg.brauer import (
     BrauerElement,
     all_diagrams,
     br_compose,
-    br_gram,
     br_index,
     br_jm,
     br_m_lambda,
@@ -34,6 +33,7 @@ from cellalg.brauer import (
     perm_diagram,
     s_diagram,
 )
+from cellalg.towers import gram_matrix
 
 
 def const(c):
@@ -171,7 +171,7 @@ def test_transposition_action_squares_to_identity():
 # -- Gram matrices -----------------------------------------------------------------
 
 def test_gram_n3_lambda1():
-    g = br_gram((1,), 3)
+    g = gram_matrix("brauer", (1,), 3)
     z = brauer_frac("z")
     expected = [[z, const(1), const(1)],
                 [const(1), z, const(1)],
@@ -180,7 +180,7 @@ def test_gram_n3_lambda1():
 
 
 def test_gram_det_n3_lambda1():
-    g = br_gram((1,), 3)
+    g = gram_matrix("brauer", (1,), 3)
     det = (g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
            - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
            + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0]))
@@ -189,14 +189,14 @@ def test_gram_det_n3_lambda1():
 
 def test_gram_full_row():
     for n in (2, 3):
-        g = br_gram((n,), n)
+        g = gram_matrix("brauer", (n,), n)
         assert len(g) == 1
         assert g[0][0] == const(factorial(n))
 
 
 def test_gram_symmetric():
     for lam, n in [((1,), 3), ((2,), 4), ((1, 1), 4), ((), 2), ((), 4)]:
-        g = br_gram(lam, n)
+        g = gram_matrix("brauer", lam, n)
         for i in range(len(g)):
             for j in range(len(g)):
                 assert g[i][j] == g[j][i]

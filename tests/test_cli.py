@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from cellalg import cli
+from cellalg import cli, towers
 from cellalg import bmw as _bmw
 from cellalg import brauer as _brauer
 from cellalg.exactring import (
@@ -136,7 +136,13 @@ def test_exit_2_on_bad_specialization(capsys):
     # q = 1 is rejected: the half-twist difference must stay a unit
     assert cli.run(["certify", "--algebra", "bmw", "--n", "2",
                     "--spec", "q=1,r=2"]) == 2
-    capsys.readouterr()
+    assert cli.run(["gram", "--algebra", "brauer", "--n", "3",
+                    "--lambda", "1", "--spec", "z=1/0"]) == 2
+    assert cli.run(["certify", "--algebra", "bmw", "--n", "2",
+                    "--spec", "q=2,q=3"]) == 2
+    err = capsys.readouterr().err
+    assert "division by zero" in err and "assigned twice" in err
+    assert "Traceback" not in err
 
 
 def test_exit_3_on_pole(capsys, monkeypatch):
@@ -144,10 +150,10 @@ def test_exit_3_on_pole(capsys, monkeypatch):
     r = CoeffFraction.var("r", BMW_VARS)
     trap = (q + r).inverse()  # vanishes under r = -q
 
-    def fake_gram(lam, n):
+    def fake_gram(algebra, lam, n):
         return [[trap]]
 
-    monkeypatch.setattr(cli._bmw, "bmw_gram", fake_gram)
+    monkeypatch.setattr(cli, "gram_matrix", fake_gram)
     assert cli.run(["gram", "--algebra", "bmw", "--n", "3",
                     "--lambda", "1", "--spec", "r=-q"]) == 3
     assert "pole" in capsys.readouterr().err
@@ -218,6 +224,31 @@ def test_cache_corrupt_file_warns_and_recomputes(tmp_path, capsys):
     report = run_json(capsys, ["cache", "--algebra", "bmw", "--n", "2",
                                "--cache-dir", cache_dir, "--json"])
     assert report["result"]["status"] == "reused"
+
+
+def test_cache_with_wrong_dimension_warns_and_recomputes(tmp_path, capsys):
+    argv = ["gram", "--algebra", "brauer", "--n", "3", "--lambda", "1",
+            "--json"]
+    cache_dir = str(tmp_path)
+    run_json(capsys, ["cache", "--algebra", "brauer", "--n", "3",
+                      "--cache-dir", cache_dir, "--json"])
+    path = cli._cache_path(cache_dir, "brauer", 3)
+    data = json.load(open(path))
+    data["matrices"]["1|s|1"] = [["1", "0"], ["0", "1"]]  # square, but 2 x 2
+    with open(path, "w") as handle:
+        json.dump(data, handle)
+    _brauer._gen_matrix_overrides.clear()
+    towers.gram_matrix.cache_clear()
+    code = cli.run(argv + ["--cache-dir", cache_dir])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "warning" in captured.err and "1|s|1" in captured.err
+    cached = without_timing(json.loads(captured.out))
+    _brauer._gen_matrix_overrides.clear()
+    towers.gram_matrix.cache_clear()
+    assert cached == without_timing(run_json(capsys, argv))
+    assert json.load(open(path))["matrices"]["1|s|1"] != \
+        data["matrices"]["1|s|1"]
 
 
 @pytest.mark.parametrize("algebra,n", [("bmw", 2), ("bmw", 3),

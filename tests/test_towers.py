@@ -39,7 +39,9 @@ from cellalg.brauer import (
     br_jm_matrix,
     br_m_lambda,
     br_module_matrix,
+    br_basis_element,
     br_star,
+    br_to_cell_coords,
     br_to_cellular,
     diagram_arcs,
     partitions_of_all_layers,
@@ -50,6 +52,7 @@ from cellalg.towers import (
     build_path_basis,
     central_scalar,
     down_tableau,
+    gram_matrix,
     jm_triangularity,
     ordered_paths,
     path_content,
@@ -91,6 +94,25 @@ def test_fast_jm_matches_element_route(n):
         for k in range(1, n + 1):
             assert br_jm_matrix(lam, n, k) == \
                 br_module_matrix(lam, n, br_jm(k, n))
+
+
+def _diagram_gram(lam, n):
+    """The bilinear form read off the diagram basis: entry (a, b) is the
+    m_lambda coefficient of m_a m_b^*, solved through the dense solver."""
+    index = br_index(lam, n)
+    seed = (superstandard(lam, n), Permutation.identity(n))
+    elements = [br_basis_element(lam, n, t, u) for t, u in index]
+    return [[br_to_cell_coords(lam, n, ea * br_star(eb)).get(seed, bz("0"))
+             for eb in elements] for ea in elements]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gram_matches_diagram_form(n):
+    for lam in br_layers(n):
+        fast = gram_matrix("brauer", lam, n)
+        slow = _diagram_gram(lam, n)
+        assert [[str(x) for x in row] for row in fast] == \
+            [[str(x) for x in row] for row in slow]
 
 
 def _word_matrix(lam, n, word):
