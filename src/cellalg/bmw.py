@@ -5,9 +5,9 @@ E_1 E_3 ... E_{2f-1} T_x with x an arbitrary permutation, and the engine
 knows how to multiply a chain word by T_i, T_i^{-1} or E_i modulo the next
 filtration layer, and how to normalize a chain word into the canonical
 shape E-chain * T_u * T_v with u in the upper subgroup <s_i : 2f < i < n>
-and v a distinguished coset representative.  Converting the upper part
-through the Hecke-algebra cellular basis then yields the action of the
-algebra on each cell module.
+and v a distinguished coset representative.  Projecting the upper part
+onto its Murphy-basis layer (``hecke.cell_row``, shared with the Brauer
+tower) then yields the action of the algebra on each cell module.
 
 Exact coordinates on the full cellular basis are recovered by a linear
 solve against the faithful direct sum of all cell-module representations;
@@ -20,17 +20,14 @@ from functools import lru_cache
 from .combin import (
     Permutation,
     StdTableau,
+    cell_index,
     check_partition,
-    coset_reps,
-    dominance,
-    dominance_key,
-    enumerate_std,
-    partitions_of,
+    layer_shapes,
     superstandard,
     tab_perm,
 )
 from .exactring import BMW_VARS, CoeffFraction, bmw_z
-from .hecke import HeckeElement, hk_to_murphy, row_stabilizer
+from .hecke import HeckeElement, cell_row, hk_to_murphy, row_stabilizer
 from .linalg import identity_matrix, invert_fraction_free, mat_mul
 
 
@@ -52,13 +49,6 @@ def _r_power(k: int) -> CoeffFraction:
 def _delta() -> CoeffFraction:
     q = CoeffFraction.var("q", BMW_VARS)
     return q - q.inverse()
-
-
-def layers_of(n: int):
-    out = []
-    for f in range(n // 2 + 1):
-        out.extend(partitions_of(n - 2 * f))
-    return out
 
 
 # -- the chain-word engine -------------------------------------------------------
@@ -274,16 +264,6 @@ def _normalize(x: Permutation, n: int, f: int):
 # -- cell modules ------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def bmw_index(lam, n: int):
-    """The ordered index I_n(lambda): pairs (t, u), u sorted by image tuple."""
-    lam = check_partition(lam)
-    f = (n - sum(lam)) // 2
-    tabs = enumerate_std(lam, n)
-    cosets = sorted(coset_reps(f, n), key=lambda p: p.img)
-    return tuple((t, u) for t in tabs for u in cosets)
-
-
-@lru_cache(maxsize=None)
 def _row_stabilizer_perms(lam, n: int):
     return tuple(row_stabilizer(check_partition(lam), n))
 
@@ -295,60 +275,25 @@ def _seed_terms(lam, n: int, t: StdTableau, u: Permutation):
                  for w in _row_stabilizer_perms(lam, n))
 
 
-@lru_cache(maxsize=None)
-def _shift_lookup(lam, n: int):
-    """Map from relabelled tableaux (entries 1..n-2f) to module tableaux."""
-    return {t.hat(): t for t in enumerate_std(check_partition(lam), n)}
-
-
 def _hat_perm(u: Permutation, f: int, m: int) -> Permutation:
     """Restrict an upper-subgroup permutation to letters 1..m (shift by 2f)."""
     return Permutation([u(i + 2 * f) - 2 * f for i in range(1, m + 1)])
 
 
-def _terms_to_cell(terms, lam, n: int):
-    """Convert chain-word terms into cell-module coordinates on bmw_index."""
-    lam = check_partition(lam)
-    f = (n - sum(lam)) // 2
+def _upper_terms(terms, n: int, f: int) -> dict:
+    """Normalized chain-word terms as {(upper part on 1..m, coset rep): c}."""
     m = n - 2 * f
-    by_v = {}
+    out = {}
     for x, c in terms:
         for (u, v), d in _normalize(x, n, f):
-            key = v
-            by_v.setdefault(key, []).append((u, c * d))
-    coords = {}
-    t_hat = superstandard(lam, n).hat() if m else None
-    for v, pairs in by_v.items():
-        if m <= 1:
-            # trivial upper group: every u is the identity
-            total = None
-            for u, c in pairs:
-                if not u.is_identity():
-                    raise AssertionError("nontrivial upper part at m<=1")
-                total = c if total is None else total + c
-            if total is not None and not total.is_zero():
-                t = enumerate_std(lam, n)[0]
-                coords[(t, v)] = total
-            continue
-        h = HeckeElement.zero(m)
-        for u, c in pairs:
-            h = h + HeckeElement.x(_hat_perm(u, f, m)).scale(c)
-        if h.is_zero():
-            continue
-        lookup = _shift_lookup(lam, n)
-        for (mu, s, t), c in hk_to_murphy(h).items():
-            rel = dominance(mu, lam)
-            if rel == "dominates":
-                continue  # lies in the more-dominant part of the filtration
-            if rel != "equal":
-                raise AssertionError(
-                    "cell expansion escaped below the filtration layer")
-            if s != t_hat:
-                raise AssertionError(
-                    "left tableau must stay maximal in the cell layer")
-            key = (lookup[t], v)
-            coords[key] = coords[key] + c if key in coords else c
-    return {k: c for k, c in coords.items() if not c.is_zero()}
+            key = (_hat_perm(u, f, m), v)
+            out[key] = out[key] + c * d if key in out else c * d
+    return {key: c for key, c in out.items() if not c.is_zero()}
+
+
+def _hecke_to_murphy(m: int, part: dict) -> dict:
+    """Murphy coordinates of sum c * T_u over permutations u of 1..m."""
+    return hk_to_murphy(HeckeElement(m, part))
 
 
 def _apply_gen_terms(terms, gen, n: int, f: int):
@@ -385,23 +330,19 @@ def bmw_gen_matrix(lam, n: int, kind: str, i: int):
 @lru_cache(maxsize=None)
 def _bmw_gen_matrix_compute(lam, n: int, kind: str, i: int):
     f = (n - sum(lam)) // 2
-    index = bmw_index(lam, n)
-    col_of = {tu: j for j, tu in enumerate(index)}
     zero = _const(0)
     rows = []
-    for t, u in index:
+    for t, u in cell_index(lam, n):
         terms = _apply_gen_terms(_seed_terms(lam, n, t, u), (kind, i), n, f)
-        row = [zero] * len(index)
-        for tu, c in _terms_to_cell(terms, lam, n).items():
-            row[col_of[tu]] = c
-        rows.append(row)
+        rows.append(cell_row(_upper_terms(terms, n, f), lam, n,
+                             _hecke_to_murphy, zero))
     return rows
 
 
 def bmw_word_matrix(lam, n: int, word):
     """Matrix of a product of generators on S^lambda."""
     lam = check_partition(lam)
-    out = identity_matrix(len(bmw_index(lam, n)), BMW_VARS)
+    out = identity_matrix(len(cell_index(lam, n)), BMW_VARS)
     for kind, i in word:
         out = mat_mul(out, bmw_gen_matrix(lam, n, kind, i))
     return out
@@ -423,7 +364,7 @@ def bmw_jm_matrix(lam, n: int, k: int):
     if not 1 <= k <= n:
         raise ValueError("index out of range")
     if k == 1:
-        return identity_matrix(len(bmw_index(lam, n)), BMW_VARS)
+        return identity_matrix(len(cell_index(lam, n)), BMW_VARS)
     t = bmw_gen_matrix(lam, n, "T", k - 1)
     return mat_mul(mat_mul(t, bmw_jm_matrix(lam, n, k - 1)), t)
 
@@ -433,8 +374,8 @@ def bmw_jm_matrix(lam, n: int, k: int):
 @lru_cache(maxsize=None)
 def bmw_cell_index(n: int):
     out = []
-    for lam in sorted(layers_of(n), key=dominance_key):
-        idx = bmw_index(lam, n)
+    for lam in layer_shapes(n):
+        idx = cell_index(lam, n)
         for sv in idx:
             for tu in idx:
                 out.append((lam, sv, tu))
@@ -444,7 +385,7 @@ def bmw_cell_index(n: int):
 def _rho_word(n: int, word):
     """Block-diagonal matrices of a generator word on all cell modules."""
     return {lam: bmw_word_matrix(lam, n, word)
-            for lam in layers_of(n)}
+            for lam in layer_shapes(n)}
 
 
 def _rho_mul(a, b):
@@ -461,8 +402,8 @@ def _rho_add(a, b):
 
 
 def rho_identity(n: int):
-    return {lam: identity_matrix(len(bmw_index(lam, n)), BMW_VARS)
-            for lam in layers_of(n)}
+    return {lam: identity_matrix(len(cell_index(lam, n)), BMW_VARS)
+            for lam in layer_shapes(n)}
 
 
 def rho_of_word(n: int, word):
@@ -474,7 +415,7 @@ def rho_of_word(n: int, word):
 
 def _rho_m_lambda(lam, n: int):
     from .towers import m_lambda_matrix
-    return {mu: m_lambda_matrix("bmw", lam, n, mu) for mu in layers_of(n)}
+    return {mu: m_lambda_matrix("bmw", lam, n, mu) for mu in layer_shapes(n)}
 
 
 @lru_cache(maxsize=None)
@@ -566,9 +507,9 @@ def bmw_to_cellular(n: int, rho) -> BmwElement:
     """
     residual = {lam: [list(row) for row in rho[lam]] for lam in rho}
     terms = {}
-    for lam in sorted(layers_of(n), key=dominance_key, reverse=True):
+    for lam in reversed(layer_shapes(n)):
         coeffs = mat_mul(_gram_inverse(lam, n), residual[lam])
-        index = bmw_index(lam, n)
+        index = cell_index(lam, n)
         for a, sv in enumerate(index):
             for b, tu in enumerate(index):
                 c = coeffs[a][b]
@@ -625,9 +566,9 @@ def bmw_m_lambda(lam, n: int) -> BmwElement:
 
 
 def bmw_cell_action(vec: dict, lam, n: int, kind: str, i: int) -> dict:
-    """Action of a generator on a cell-module vector over bmw_index."""
+    """Action of a generator on a cell-module vector over cell_index."""
     lam = check_partition(lam)
-    index = bmw_index(lam, n)
+    index = cell_index(lam, n)
     pos = {tu: j for j, tu in enumerate(index)}
     mat = bmw_gen_matrix(lam, n, kind, i)
     out = {}

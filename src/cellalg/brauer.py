@@ -13,17 +13,15 @@ from itertools import permutations as _iter_perms
 from .combin import (
     Permutation,
     StdTableau,
+    cell_index,
     check_partition,
-    coset_reps,
     dominance,
-    dominance_key,
-    enumerate_std,
-    partitions_of,
+    layer_shapes,
     superstandard,
     tab_perm,
 )
 from .exactring import BRAUER_VARS, CoeffFraction
-from .hecke import murphy_index, row_stabilizer
+from .hecke import cell_row, murphy_index, row_stabilizer
 from .linalg import ColumnSolver, mat_mul
 
 BR_VARS = BRAUER_VARS
@@ -277,16 +275,6 @@ def br_m_lambda(lam, n: int) -> BrauerElement:
     return out * br_x_lambda(lam, n)
 
 
-@lru_cache(maxsize=None)
-def br_index(lam, n: int):
-    """The ordered index I_n(lambda): pairs (t, u), u sorted by image tuple."""
-    lam = check_partition(lam)
-    f = (n - sum(lam)) // 2
-    tabs = enumerate_std(lam, n)
-    cosets = sorted(coset_reps(f, n), key=lambda p: p.img)
-    return tuple((t, u) for t in tabs for u in cosets)
-
-
 def br_basis_element(lam, n: int, t: StdTableau, u: Permutation,
                      left=None) -> BrauerElement:
     """(d(s)v)^{-1} m_lambda d(t)u; left defaults to (t^lambda, identity)."""
@@ -305,12 +293,12 @@ def _layer_data(lam, n: int):
     spanning set: the lambda-layer vectors m_lambda d(t)u plus the full
     cellular basis of every layer mu with mu dominating lambda."""
     lam = check_partition(lam)
-    index = br_index(lam, n)
+    index = cell_index(lam, n)
     columns_elements = [br_basis_element(lam, n, t, u) for t, u in index]
-    for mu in sorted(partitions_of_all_layers(n), key=dominance_key):
+    for mu in layer_shapes(n):
         if dominance(mu, lam) != "dominates":
             continue
-        idx_mu = br_index(mu, n)
+        idx_mu = cell_index(mu, n)
         for s, v in idx_mu:
             for t, u in idx_mu:
                 columns_elements.append(
@@ -328,13 +316,6 @@ def _layer_data(lam, n: int):
 
     solver = ColumnSolver([vec(e) for e in columns_elements])
     return index, diagrams, dpos, solver
-
-
-def partitions_of_all_layers(n: int):
-    out = []
-    for f in range(n // 2 + 1):
-        out.extend(partitions_of(n - 2 * f))
-    return out
 
 
 def br_to_cell_coords(lam, n: int, e: BrauerElement) -> dict:
@@ -383,8 +364,8 @@ def _full_solver(n: int):
     zero = _const(0)
     index = []
     columns = []
-    for lam in sorted(partitions_of_all_layers(n), key=dominance_key):
-        idx = br_index(lam, n)
+    for lam in layer_shapes(n):
+        idx = cell_index(lam, n)
         for s, v in idx:
             for t, u in idx:
                 e = br_basis_element(lam, n, t, u, left=(s, v))
@@ -439,9 +420,9 @@ def br_jm(i: int, n: int) -> BrauerElement:
 # element of m_lambda B_n is a combination of diagrams whose top arcs sit at
 # the standard positions {1,2},{3,4},...,{2f-1,2f}; such a diagram is coded
 # by a pair (upper permutation, distinguished coset representative).  The
-# residual quotient by the more dominant equal-size layers is handled by a
-# symmetric-group Murphy transform on the upper part, exactly as in the
-# two-parameter algebra, but with rational instead of polynomial arithmetic.
+# residual quotient by the more dominant equal-size layers is taken by
+# ``hecke.cell_row``, as in the two-parameter algebra, with the Murphy
+# transform of the symmetric group (q = 1) in rational arithmetic.
 
 def _encode_chain(w: Permutation, f: int):
     """Diagram of E_1 E_3 ... E_{2f-1} w for a permutation w."""
@@ -457,7 +438,7 @@ def _encode_chain(w: Permutation, f: int):
 
 def _decode_chain(d, f: int, n: int):
     """Inverse of :func:`_encode_chain` up to the left stabilizer of the
-    arc chain: returns (upper permutation on 1..n-2f or None, coset rep)."""
+    arc chain: returns (upper permutation on 1..n-2f, coset rep)."""
     bottom_arcs = []
     through = {}
     tops = []
@@ -482,21 +463,16 @@ def _decode_chain(d, f: int, n: int):
     free = sorted(set(range(1, n + 1)) - used)
     for k, x in enumerate(free):
         img[2 * f + k] = x
-    v = Permutation(img)
-    m = n - 2 * f
-    if m == 0:
-        return (None, v)
     pos = {x: p for p, x in enumerate(img, start=1)}
     u = Permutation(pos[through[j]] - 2 * f for j in range(2 * f + 1, n + 1))
-    return (u, v)
+    return (u, Permutation(img))
 
 
 def _lift_chain(key, f: int, n: int) -> Permutation:
     """Canonical permutation representative of a decoded (upper, coset) key."""
     u, v = key
     img = [v(p) for p in range(1, 2 * f + 1)]
-    img += [v(u(p) + 2 * f) for p in range(1, n - 2 * f + 1)] if u else \
-        [v(p) for p in range(2 * f + 1, n + 1)]
+    img += [v(u(p) + 2 * f) for p in range(1, n - 2 * f + 1)]
     return Permutation(img)
 
 
@@ -569,61 +545,23 @@ def _frac_const(numerator: int, denominator: int) -> CoeffFraction:
     return _const(numerator) * _const(denominator).inverse()
 
 
-@lru_cache(maxsize=None)
-def _br_shift_lookup(lam, n: int):
-    return {t.hat(): t for t in enumerate_std(check_partition(lam), n)}
-
-
-def _fast_to_cell(terms: dict, lam, n: int) -> dict:
-    """Convert coded arc-chain terms into cell-module coordinates."""
-    lam = check_partition(lam)
-    f = (n - sum(lam)) // 2
-    m = n - 2 * f
-    by_v = {}
-    for (u, v), c in terms.items():
-        by_v.setdefault(v, []).append((u, c))
-    coords = {}
-    if m <= 1:
-        only = enumerate_std(lam, n)[0]
-        for v, pairs in by_v.items():
-            total = None
-            for u, c in pairs:
-                if u is not None and not u.is_identity():
-                    raise AssertionError("nontrivial upper part at m<=1")
-                total = c if total is None else total + c
-            if total is not None and not total.is_zero():
-                coords[(only, v)] = total
-        return coords
+def _q1_to_murphy(m: int, part: dict) -> dict:
+    """Murphy coordinates at q = 1 of sum c * u over permutations u of 1..m,
+    through the rational inverse of the Murphy basis matrix."""
     index, pos, inverse = _q1_murphy_inverse(m)
-    t_hat = superstandard(lam, n).hat()
-    lookup = _br_shift_lookup(lam, n)
-    for v, pairs in by_v.items():
-        rhs = {}
-        for u, c in pairs:
-            j = pos[u]
-            rhs[j] = rhs[j] + c if j in rhs else c
-        for i, (mu, s, t) in enumerate(index):
-            acc = None
-            for j, c in rhs.items():
-                fr = inverse[i][j]
-                if not fr:
-                    continue
-                term = c * _frac_const(fr.numerator, fr.denominator)
-                acc = term if acc is None else acc + term
-            if acc is None or acc.is_zero():
+    rhs = {pos[u]: c for u, c in part.items()}
+    out = {}
+    for i, key in enumerate(index):
+        acc = None
+        for j, c in rhs.items():
+            fr = inverse[i][j]
+            if not fr:
                 continue
-            rel = dominance(mu, lam)
-            if rel == "dominates":
-                continue  # lies in the more-dominant part of the filtration
-            if rel != "equal":
-                raise AssertionError(
-                    "cell expansion escaped below the filtration layer")
-            if s != t_hat:
-                raise AssertionError(
-                    "left tableau must stay maximal in the cell layer")
-            key = (lookup[t], v)
-            coords[key] = coords[key] + acc if key in coords else acc
-    return {k: c for k, c in coords.items() if not c.is_zero()}
+            term = c * _frac_const(fr.numerator, fr.denominator)
+            acc = term if acc is None else acc + term
+        if acc is not None and not acc.is_zero():
+            out[key] = acc
+    return out
 
 
 # precomputed action matrices may be installed here (keyed by
@@ -648,17 +586,10 @@ def br_cell_matrix(lam, n: int, kind: str, i: int):
 @lru_cache(maxsize=None)
 def _br_cell_matrix_compute(lam, n: int, kind: str, i: int):
     f = (n - sum(lam)) // 2
-    index = br_index(lam, n)
-    col_of = {tu: j for j, tu in enumerate(index)}
     zero = _const(0)
-    rows = []
-    for t, u in index:
-        terms = _fast_apply(_fast_seed(lam, n, t, u), kind, i, f, n)
-        row = [zero] * len(index)
-        for tu, c in _fast_to_cell(terms, lam, n).items():
-            row[col_of[tu]] = c
-        rows.append(row)
-    return rows
+    return [cell_row(_fast_apply(_fast_seed(lam, n, t, u), kind, i, f, n),
+                     lam, n, _q1_to_murphy, zero)
+            for t, u in cell_index(lam, n)]
 
 
 @lru_cache(maxsize=None)
@@ -668,7 +599,7 @@ def br_jm_matrix(lam, n: int, k: int):
     lam = check_partition(lam)
     if not 1 <= k <= n:
         raise ValueError("index out of range")
-    dim = len(br_index(lam, n))
+    dim = len(cell_index(lam, n))
     if k == 1:
         return [[_const(0)] * dim for _ in range(dim)]
     s = br_cell_matrix(lam, n, "s", k - 1)

@@ -13,25 +13,17 @@ import sys
 import tempfile
 import time
 
-from . import bmw as _bmw
-from . import brauer as _brauer
-from .combin import check_partition
-from .exactring import (
-    BMW_VARS,
-    BRAUER_VARS,
-    PoleError,
-    Specialization,
-    parse_fraction,
-)
+from .combin import cell_index, check_partition, layer_shapes
+from .exactring import PoleError, Specialization, parse_fraction
 from .specsim import (
     _det,
-    _layer_shapes,
     certify,
     conjecture_evidence,
     gram_rank_certify,
     hom_obstruction,
 )
 from .towers import (
+    _ops,
     build_path_basis,
     gram_matrix,
     jm_triangularity,
@@ -39,10 +31,19 @@ from .towers import (
     restriction_filtration_check,
 )
 
-CACHE_VERSION = 1
+try:
+    # the builtin SHA-256, as random.py does for sha512: importing hashlib
+    # loads OpenSSL, about 3.5 MB of resident memory in every CLI process
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
+CACHE_VERSION = 2
 
 _GEN_KINDS = {"bmw": ("T", "Tinv", "E"), "brauer": ("s", "E")}
-_VARS = {"bmw": BMW_VARS, "brauer": BRAUER_VARS}
 
 
 class CliError(Exception):
@@ -116,22 +117,31 @@ def _parse_matrix_key(key):
 
 
 def _compute_cache_body(algebra, n):
-    gen = _bmw.bmw_gen_matrix if algebra == "bmw" else _brauer.br_cell_matrix
+    gen_matrix = _ops(algebra).gen_matrix
     body = {}
-    for lam in _layer_shapes(n):
+    for lam in layer_shapes(n):
         for kind in _GEN_KINDS[algebra]:
             for i in range(1, n):
                 body[_matrix_key(lam, kind, i)] = _fmt_matrix(
-                    gen(lam, n, kind, i))
+                    gen_matrix(lam, n, kind, i))
     return body
 
 
+def _feed_digest(digest, key, rows):
+    """Add one matrix to the SHA-256 of a cache body (keys in sorted order)."""
+    digest.update(json.dumps([key, rows]).encode())
+
+
 def _write_cache(path, algebra, n, body):
+    digest = sha256()
+    for key in sorted(body):
+        _feed_digest(digest, key, body[key])
     data = {
         "version": CACHE_VERSION,
         "algebra": algebra,
         "n": n,
-        "vars": list(_VARS[algebra]),
+        "vars": list(_ops(algebra).vars),
+        "sha256": digest.hexdigest(),
         "matrices": body,
     }
     text = json.dumps(data, indent=2, sort_keys=True) + "\n"
@@ -154,26 +164,29 @@ def _load_cache(path, algebra, n):
     try:
         with open(path) as handle:
             data = json.load(handle)
+        vars = _ops(algebra).vars
         if (data.get("version") != CACHE_VERSION
                 or data.get("algebra") != algebra
                 or data.get("n") != n
-                or tuple(data.get("vars", ())) != _VARS[algebra]):
+                or tuple(data.get("vars", ())) != vars):
             raise ValueError("header mismatch")
-        vars = _VARS[algebra]
-        shapes = set(_layer_shapes(n))
-        index = _bmw.bmw_index if algebra == "bmw" else _brauer.br_index
+        shapes = set(layer_shapes(n))
+        digest = sha256()
         overrides = {}
-        for key, rows in data["matrices"].items():
+        for key, rows in sorted(data["matrices"].items()):
             lam, kind, i = _parse_matrix_key(key)
             if (lam not in shapes or kind not in _GEN_KINDS[algebra]
                     or not 1 <= i < n):
                 raise ValueError("invalid matrix key {!r}".format(key))
-            dim = len(index(lam, n))
+            dim = len(cell_index(lam, n))
             if len(rows) != dim or any(len(row) != dim for row in rows):
                 raise ValueError("matrix for {} is not {} x {}".format(
                     key, dim, dim))
+            _feed_digest(digest, key, rows)
             overrides[(lam, n, kind, i)] = [
                 [parse_fraction(x, vars) for x in row] for row in rows]
+        if digest.hexdigest() != data.get("sha256"):
+            raise ValueError("matrix digest mismatch")
         return overrides
     except (OSError, ValueError, KeyError, AttributeError, TypeError,
             json.JSONDecodeError) as exc:
@@ -197,9 +210,7 @@ def ensure_cache(cache_dir, algebra, n):
             raise AssertionError("freshly written cache failed to load")
     else:
         status = "reused"
-    target = (_bmw._gen_matrix_overrides if algebra == "bmw"
-              else _brauer._gen_matrix_overrides)
-    target.update(overrides)
+    _ops(algebra).gen_matrix_overrides.update(overrides)
     return {"path": path, "status": status, "entries": len(overrides)}
 
 
@@ -216,7 +227,7 @@ def _double_factorial(n):
 def _cmd_dim(args):
     shapes = []
     total = 0
-    for lam in _layer_shapes(args.n):
+    for lam in layer_shapes(args.n):
         count = len(ordered_paths(lam, args.n))
         shapes.append({"shape": list(lam), "paths": count})
         total += count * count
@@ -497,7 +508,7 @@ def _validate(args):
             raise CliError("{} does not accept --spec".format(cmd))
         try:
             args.spec = Specialization.parse(args.spec_text,
-                                             _VARS[args.algebra])
+                                             _ops(args.algebra).vars)
         except ValueError as exc:
             raise CliError("bad specialization: {}".format(exc))
 

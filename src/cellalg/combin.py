@@ -116,13 +116,9 @@ def remove_node(lam, node):
     return tuple(lam)
 
 
-def nodes_of(lam):
-    return [(i + 1, j + 1) for i, p in enumerate(lam) for j in range(p)]
-
-
 def content_sum(lam) -> int:
     """Sum of j - i over the nodes of the diagram."""
-    return sum(j - i for i, j in nodes_of(lam))
+    return sum(p * (p - 1) // 2 - i * p for i, p in enumerate(lam))
 
 
 def conjugate(lam) -> tuple:
@@ -442,6 +438,29 @@ def is_coset_rep(v: Permutation, f: int) -> bool:
         if not v(i) < v(i + 1):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Cell-module indices (shared by both towers)
+# ---------------------------------------------------------------------------
+
+def layer_shapes(n: int) -> list:
+    """The shapes lam with |lam| = n - 2f, f = 0..n//2, that index the cell
+    modules at level n, sorted by ``dominance_key`` (most dominant first)."""
+    return sorted((lam for f in range(n // 2 + 1)
+                   for lam in partitions_of(n - 2 * f)), key=dominance_key)
+
+
+@lru_cache(maxsize=None)
+def cell_index(lam, n: int):
+    """The ordered index I_n(lambda) of the cell module S^lambda: pairs
+    (t, u) with t standard of shape lambda and u in D_{f,n}, u sorted by
+    image tuple."""
+    lam = check_partition(lam)
+    f = (n - sum(lam)) // 2
+    tabs = enumerate_std(lam, n)
+    cosets = sorted(coset_reps(f, n), key=lambda p: p.img)
+    return tuple((t, u) for t in tabs for u in cosets)
 
 
 # ---------------------------------------------------------------------------

@@ -422,12 +422,24 @@ class CoeffFraction:
         return CoeffFraction(self.vars, self.den, self.num)
 
     def __pow__(self, e: int) -> "CoeffFraction":
+        """Power by repeated squaring."""
         base = self.inverse() if e < 0 else self
         e = abs(e)
-        out = CoeffFraction.const(1, self.vars)
-        for _ in range(e):
-            out = out * base
-        return out
+        out = None
+        while e:
+            if e & 1:
+                out = base if out is None else out * base
+            e >>= 1
+            if e:
+                base = base * base
+        return CoeffFraction.const(1, self.vars) if out is None else out
+
+    def size(self) -> int:
+        """Total degree plus coefficient bit length, summed over numerator
+        and denominator: a measure of how fast powers of self grow."""
+        return sum(max(sum(e) for e in p) + max(abs(c).bit_length()
+                                                 for c in p.values())
+                   for p in (self.num, self.den) if p)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoeffFraction):
@@ -534,6 +546,13 @@ def poly_str(p: dict, vars: tuple) -> str:
 # Expression parsing (canonical fraction strings, --spec values, tests)
 # ---------------------------------------------------------------------------
 
+# Bound on |e| * base.size() for a power in parsed text (a variable has
+# size 3, so q^170 is the largest power of q).  Printed generator matrices
+# and the specializations in use stay far below it; the bound keeps a short
+# string such as "q^99999999" from asking for unbounded work.
+MAX_POWER_SIZE = 512
+
+
 class _Parser:
     """Recursive-descent parser for +,-,*,/,^,(), integers and variables."""
 
@@ -594,6 +613,8 @@ class _Parser:
         if self._peek() == "^":
             self.pos += 1
             e = self._int()
+            if abs(e) * base.size() > MAX_POWER_SIZE:
+                raise ValueError(f"power too large: ({base})^{e}")
             base = base ** e
         return base
 

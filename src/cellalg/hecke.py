@@ -17,6 +17,7 @@ from itertools import permutations as _iter_perms
 from .combin import (
     Permutation,
     StdTableau,
+    cell_index,
     check_partition,
     dominance,
     dominance_key,
@@ -258,6 +259,56 @@ def murphy_to_hk(coords: dict, n: int) -> HeckeElement:
     for (lam, u, v), c in coords.items():
         out = out + murphy_element(lam, u, v).scale(c)
     return out
+
+
+# -- Murphy-layer projection for the cell modules of both towers --------------
+
+@lru_cache(maxsize=None)
+def _cell_columns(lam, n: int) -> dict:
+    """Column of (t.hat(), u) in the row over cell_index(lam, n)."""
+    return {(t.hat(), u): j for j, (t, u) in enumerate(cell_index(lam, n))}
+
+
+def cell_row(upper: dict, lam, n: int, to_murphy, zero) -> list:
+    """One row of a generator matrix on the cell module S^lambda.
+
+    ``upper`` is the image of one basis vector modulo the next filtration
+    layer, as the nonzero coefficients {(u, v): c} of the chain words
+    E_1 E_3 ... E_{2f-1} u v: u permutes the m = |lambda| upper letters
+    (relabelled 1..m) and v is a distinguished coset representative.  The
+    upper part of each coset is expanded in the Murphy basis of H_m by
+    ``to_murphy(m, {u: c})``, which returns the nonzero coordinates
+    {(mu, s, t): c}.  Coordinates on more dominant shapes lie deeper in the
+    filtration and are dropped; the lambda-layer coordinate c_{t^lambda t}
+    is the entry at (t, v) of the row over cell_index(lam, n).
+    """
+    lam = check_partition(lam)
+    m = sum(lam)
+    cols = _cell_columns(lam, n)
+    t_hat = superstandard(lam, n).hat()
+    by_v = {}
+    for (u, v), c in upper.items():
+        by_v.setdefault(v, {})[u] = c
+    row = [zero] * len(cols)
+    for v, part in by_v.items():
+        if m <= 1:
+            # trivial upper group: every u is the identity
+            if any(not u.is_identity() for u in part):
+                raise AssertionError("nontrivial upper part at m<=1")
+            row[cols[(t_hat, v)]] = next(iter(part.values()))
+            continue
+        for (mu, s, t), c in to_murphy(m, part).items():
+            rel = dominance(mu, lam)
+            if rel == "dominates":
+                continue  # lies in the more-dominant part of the filtration
+            if rel != "equal":
+                raise AssertionError(
+                    "cell expansion escaped below the filtration layer")
+            if s != t_hat:
+                raise AssertionError(
+                    "left tableau must stay maximal in the cell layer")
+            row[cols[(t, v)]] = c
+    return row
 
 
 # -- Specht (cell) modules ----------------------------------------------------

@@ -9,16 +9,12 @@ a definite negative answer only ever comes from Gram-rank computations.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
-from .combin import dominance, dominance_key, partitions_of, path_key
-from .exactring import (
-    BMW_VARS,
-    BRAUER_VARS,
-    CoeffFraction,
-    Specialization,
-)
+from .combin import content_sum, dominance, layer_shapes, path_key
+from .exactring import BMW_VARS, BRAUER_VARS, CoeffFraction
 from .linalg import det, rank
-from .towers import gram_matrix, ordered_paths, path_content
+from .towers import _ops, gram_matrix, ordered_paths, path_content
 
 CERTIFIED_SEMISIMPLE = "CertifiedSemisimple"
 CERTIFIED_NOT_SEMISIMPLE = "CertifiedNotSemisimple"
@@ -39,21 +35,6 @@ class Verdict:
                                                   len(self.evidence))
 
 
-def _source_vars(algebra):
-    if algebra == "bmw":
-        return BMW_VARS
-    if algebra == "brauer":
-        return BRAUER_VARS
-    raise ValueError("unknown algebra {!r}".format(algebra))
-
-
-def _layer_shapes(n):
-    out = []
-    for f in range(n // 2 + 1):
-        out.extend(partitions_of(n - 2 * f))
-    return sorted(out, key=dominance_key)
-
-
 def content_vector(algebra, path, spec=None):
     """The tuple (P_t(1), ..., P_t(n)), optionally specialized."""
     values = [path_content(algebra, path, k) for k in range(1, len(path))]
@@ -66,7 +47,7 @@ def certify(algebra, n, spec=None):
     """Eigenvalue-vector criterion: semisimple if no two paths of distinct
     comparable shapes share a content vector.  Never certifies the negative;
     collisions are reported as Inconclusive with the colliding path pairs."""
-    shapes = _layer_shapes(n)
+    shapes = layer_shapes(n)
     vectors = {
         lam: [(t, content_vector(algebra, t, spec))
               for t in ordered_paths(lam, n)]
@@ -92,7 +73,7 @@ def gram_rank_certify(algebra, n, spec=None):
     dimension, radical dimension)."""
     drops = []
     report = []
-    for lam in _layer_shapes(n):
+    for lam in layer_shapes(n):
         g = gram_matrix(algebra, lam, n)
         if spec is not None:
             g = [[spec.apply(x) for x in row] for row in g]
@@ -106,8 +87,29 @@ def gram_rank_certify(algebra, n, spec=None):
     return Verdict(CERTIFIED_SEMISIMPLE, report)
 
 
-def _content_sum(lam):
-    return sum(j - i for i, row in enumerate(lam) for j in range(row))
+def _power_identity(x, a, y, b):
+    """Whether x^a == y^b for nonzero fractions x, y, without forming large
+    powers.
+
+    Modulo +-1 the multiplicative group is free abelian, and c^k has size at
+    least |k| when c is not +-1.  With g = gcd(a, b), x^a = y^b forces
+    x^(a/g) = +-y^(b/g), and as a/g and b/g are coprime, x and y are then
+    +-c^(b/g) and +-c^(a/g) for one c: the identity fails outright once
+    |b/g| > size(x) or |a/g| > size(y), and otherwise the powers are small.
+    """
+    one = CoeffFraction.const(1, x.vars)
+    units = (one, -one)
+    if x in units or y in units or a == 0 or b == 0:
+        # x^a is +-1 exactly when x is +-1 or a is 0; then parity decides
+        if (a and x not in units) or (b and y not in units):
+            return False
+        return x ** (a % 2) == y ** (b % 2)
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if abs(b) > x.size() or abs(a) > y.size():
+        return False
+    lhs, rhs = x ** a, y ** b
+    return lhs == rhs or (g % 2 == 0 and lhs == -rhs)
 
 
 def hom_obstruction(algebra, lam, mu, spec=None):
@@ -118,16 +120,18 @@ def hom_obstruction(algebra, lam, mu, spec=None):
     if diff < 0 or diff % 2:
         raise ValueError("need |lam| >= |mu| with matching parity")
     f = diff // 2
-    vars = _source_vars(algebra)
+    vars = _ops(algebra).vars
     if algebra == "bmw":
+        # r^{2f} q^{2c(lam)} = q^{2c(mu)}, with c the content sum
         r = CoeffFraction.var("r", vars)
         q = CoeffFraction.var("q", vars)
-        lhs = r ** (2 * f) * q ** (2 * _content_sum(lam))
-        rhs = q ** (2 * _content_sum(mu))
-    else:
-        z = CoeffFraction.var("z", vars)
-        lhs = CoeffFraction.const(_content_sum(lam) - _content_sum(mu), vars)
-        rhs = (CoeffFraction.const(1, vars) - z) * CoeffFraction.const(f, vars)
+        if spec is not None:
+            r, q = spec.apply(r), spec.apply(q)
+        return _power_identity(r, 2 * f,
+                               q, 2 * (content_sum(mu) - content_sum(lam)))
+    z = CoeffFraction.var("z", vars)
+    lhs = CoeffFraction.const(content_sum(lam) - content_sum(mu), vars)
+    rhs = (CoeffFraction.const(1, vars) - z) * CoeffFraction.const(f, vars)
     if spec is not None:
         lhs, rhs = spec.apply(lhs), spec.apply(rhs)
     return lhs == rhs

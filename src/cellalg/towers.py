@@ -14,8 +14,8 @@ from . import brauer as _brauer
 from .combin import (
     Permutation,
     StdTableau,
+    cell_index,
     check_partition,
-    enumerate_paths,
     maximal_path,
     neighbors,
     path_dominance,
@@ -36,10 +36,7 @@ class _BmwOps:
     name = "bmw"
     vars = BMW_VARS
     gen_kinds = ("T", "E")
-
-    @staticmethod
-    def index(lam, n):
-        return _bmw.bmw_index(lam, n)
+    gen_matrix_overrides = _bmw._gen_matrix_overrides
 
     @staticmethod
     def gen_matrix(lam, n, kind, i):
@@ -79,10 +76,7 @@ class _BrauerOps:
     name = "brauer"
     vars = BRAUER_VARS
     gen_kinds = ("s", "E")
-
-    @staticmethod
-    def index(lam, n):
-        return _brauer.br_index(lam, n)
+    gen_matrix_overrides = _brauer._gen_matrix_overrides
 
     @staticmethod
     def gen_matrix(lam, n, kind, i):
@@ -215,7 +209,7 @@ def down_tableau(lam, mu, n: int) -> StdTableau:
 
 
 def _unit_vector(ops, lam, n, key):
-    index = ops.index(lam, n)
+    index = cell_index(lam, n)
     zero = CoeffFraction.const(0, ops.vars)
     one = CoeffFraction.const(1, ops.vars)
     return [one if tu == key else zero for tu in index]
@@ -312,7 +306,7 @@ def build_path_basis(algebra: str, lam, n: int) -> PathBasis:
     """Lift bases through the tower: m_t = y^lambda_mu b_u for t|_{n-1} = u."""
     ops = _ops(algebra)
     lam = check_partition(lam)
-    index = ops.index(lam, n)
+    index = cell_index(lam, n)
     one_c = CoeffFraction.const(1, ops.vars)
     if n == 1:
         path = ((), lam)
@@ -357,7 +351,7 @@ def m_lambda_matrix(algebra: str, lam, n: int, target):
     ops = _ops(algebra)
     lam, target = check_partition(lam), check_partition(target)
     f = (n - sum(lam)) // 2
-    units = identity_matrix(len(ops.index(target, n)), ops.vars)
+    units = identity_matrix(len(cell_index(target, n)), ops.vars)
     chain = _apply_letters(ops, units, target, n,
                            [("E", i) for i in range(1, 2 * f, 2)])
     acc = None
@@ -380,7 +374,7 @@ def gram_matrix(algebra: str, lam, n: int):
     """
     ops = _ops(algebra)
     lam = check_partition(lam)
-    index = ops.index(lam, n)
+    index = cell_index(lam, n)
     k = len(index)
     e1 = index.index((superstandard(lam, n), Permutation.identity(n)))
     m_mat = m_lambda_matrix(algebra, lam, n, lam)
@@ -493,7 +487,7 @@ def central_scalar(algebra: str, lam, n: int) -> CoeffFraction:
     acts on S^lambda; raises if the action is not scalar."""
     ops = _ops(algebra)
     lam = check_partition(lam)
-    dim = len(ops.index(lam, n))
+    dim = len(cell_index(lam, n))
     acc = None
     for k in range(2, n + 1):
         mat = ops.jm_matrix(lam, n, k)

@@ -16,19 +16,15 @@ from cellalg.bmw import (
     bmw_cell_index,
     bmw_gen_matrix,
     bmw_word,
-    layers_of as bmw_layers,
     _monomial_rho,
     _rho_mul,
 )
-from cellalg.brauer import (
-    BrauerElement,
-    all_diagrams,
-    partitions_of_all_layers as br_layers,
-)
+from cellalg.brauer import BrauerElement, all_diagrams
 from cellalg.combin import (
     Permutation,
     coset_reps,
     enumerate_std,
+    layer_shapes,
     partitions_of,
 )
 from cellalg.exactring import (
@@ -156,10 +152,10 @@ def test_transition_matrices_frozen_values():
 
 def test_dimension_counts_both_towers():
     with budget(5):
-        for algebra, layers in (("bmw", bmw_layers), ("brauer", br_layers)):
+        for algebra in ("bmw", "brauer"):
             for n in (2, 3, 4):
                 total = 0
-                for lam in layers(n):
+                for lam in layer_shapes(n):
                     count = len(ordered_paths(lam, n))
                     f = (n - sum(lam)) // 2
                     assert count == (len(enumerate_std(lam, n))
@@ -273,7 +269,7 @@ def test_relation_suite_and_associativity():
         for n in (2, 3):
             _bmw_element_relation_suite(n)
         for n in (2, 3, 4):
-            for lam in bmw_layers(n):
+            for lam in layer_shapes(n):
                 _bmw_matrix_relation_suite(lam, n)
         # one-parameter tower: straightened diagram elements up to n = 6
         for n in (2, 3, 4, 5, 6):
@@ -304,10 +300,9 @@ def test_relation_suite_and_associativity():
 
 def test_jm_triangular_with_content_diagonal():
     with budget(600):
-        for algebra, layers, nmax in (("bmw", bmw_layers, 4),
-                                      ("brauer", br_layers, 5)):
+        for algebra, nmax in (("bmw", 4), ("brauer", 5)):
             for n in range(1, nmax + 1):
-                for lam in layers(n):
+                for lam in layer_shapes(n):
                     report = jm_triangularity(algebra, lam, n)
                     assert report["ok"], report["failures"]
 
@@ -316,9 +311,9 @@ def test_jm_triangular_with_content_diagonal():
 
 def test_central_combinations_are_scalar():
     with budget(300):
-        for algebra, layers in (("bmw", bmw_layers), ("brauer", br_layers)):
+        for algebra in ("bmw", "brauer"):
             for n in range(1, 5):
-                for lam in layers(n):
+                for lam in layer_shapes(n):
                     central_scalar(algebra, lam, n)  # raises if not scalar
         assert central_scalar("brauer", (), 2) == bz("1-z")
         assert central_scalar("brauer", (1,), 3) == bz("1-z")

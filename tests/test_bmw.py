@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from cellalg.combin import Permutation, dominance, superstandard, tab_perm
+from cellalg.combin import (
+    Permutation,
+    cell_index,
+    dominance,
+    layer_shapes,
+    superstandard,
+    tab_perm,
+)
 from cellalg.exactring import BMW_VARS, CoeffFraction, bmw_z, parse_fraction
 from cellalg.hecke import HeckeElement, hk_c_mu, hk_to_murphy
 from cellalg.bmw import (
@@ -13,7 +20,6 @@ from cellalg.bmw import (
     bmw_cell_index,
     bmw_content,
     bmw_gen_matrix,
-    bmw_index,
     bmw_jm,
     bmw_jm_matrix,
     bmw_m_lambda,
@@ -24,7 +30,6 @@ from cellalg.bmw import (
     bmw_word,
     bmw_word_matrix,
     bmw_element_rho,
-    layers_of,
     rho_of_word,
 )
 from cellalg.towers import gram_matrix
@@ -87,7 +92,7 @@ def double_factorial(n):
 
 def check_relations(lam, n):
     T, Ti, E = gen_mats(lam, n)
-    k = len(bmw_index(lam, n))
+    k = len(cell_index(lam, n))
     one = identity_mat(k)
     zero = zero_mat(k)
     z = bmw_z()
@@ -130,7 +135,7 @@ def check_relations(lam, n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_defining_relations_all_modules(n):
-    for lam in layers_of(n):
+    for lam in layer_shapes(n):
         check_relations(lam, n)
 
 
@@ -317,7 +322,7 @@ def test_cell_action_t2_on_first_vector():
 def test_cell_action_inverse_roundtrip():
     n = 3
     lam = (1,)
-    index = bmw_index(lam, n)
+    index = cell_index(lam, n)
     for tu in index:
         vec = {tu: const(1)}
         for i in (1, 2):
@@ -328,7 +333,7 @@ def test_cell_action_inverse_roundtrip():
 
 def test_cell_action_cubic_n3():
     lam, n = (1,), 3
-    k = len(bmw_index(lam, n))
+    k = len(cell_index(lam, n))
     one = identity_mat(k)
     zero = zero_mat(k)
     for i in (1, 2):
@@ -401,7 +406,7 @@ def test_jm_product_central_n3():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_jm_matrices_commute(n):
-    for lam in layers_of(n):
+    for lam in layer_shapes(n):
         mats = [bmw_jm_matrix(lam, n, k) for k in range(1, n + 1)]
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
@@ -413,8 +418,8 @@ def test_jm_matrices_commute(n):
 def test_jm_eigenvector_property(n):
     # the row of L_k at (t^lambda, 1) is P_{t^lambda}(k) times the unit vector
     one = Permutation.identity(n)
-    for lam in layers_of(n):
-        index = bmw_index(lam, n)
+    for lam in layer_shapes(n):
+        index = cell_index(lam, n)
         t = superstandard(lam, n)
         a = index.index((t, one))
         for k in range(1, n + 1):
@@ -433,12 +438,12 @@ def test_upper_action_matches_hecke_straightening(n):
     # acting by an upper-letter generator T_i (2f < i < n) on a vector
     # (t, 1) of S^lambda agrees with the Hecke cellular straightening of
     # c_lambda X_{d(t)} X_{i-2f} on the shifted letters
-    for lam in layers_of(n):
+    for lam in layer_shapes(n):
         m = sum(lam)
         if m < 2:
             continue
         f = (n - m) // 2
-        index = bmw_index(lam, n)
+        index = cell_index(lam, n)
         one = Permutation.identity(n)
         t_hat_top = superstandard(lam, n).hat()
         lookup = {tt.hat(): tt for tt, uu in index if uu == one}
@@ -471,10 +476,10 @@ def test_upper_times_e_falls_into_next_layer(n):
             for i in range(2 * f + 1, n):
                 word = chain + ([b] if b else []) + [("E", i)]
                 rho = rho_of_word(n, word)
-                for lam in layers_of(n):
+                for lam in layer_shapes(n):
                     if (n - sum(lam)) // 2 <= f:
                         assert mat_eq(rho[lam],
-                                      zero_mat(len(bmw_index(lam, n))))
+                                      zero_mat(len(cell_index(lam, n))))
 
 
 # -- full-algebra coordinates -------------------------------------------------------

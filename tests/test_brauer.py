@@ -7,7 +7,9 @@ import pytest
 
 from cellalg.combin import (
     Permutation,
+    cell_index,
     coset_reps,
+    layer_shapes,
     maximal_path,
     partitions_of,
     superstandard,
@@ -17,7 +19,6 @@ from cellalg.brauer import (
     BrauerElement,
     all_diagrams,
     br_compose,
-    br_index,
     br_jm,
     br_m_lambda,
     br_module_matrix,
@@ -29,7 +30,6 @@ from cellalg.brauer import (
     br_word,
     e_diagram,
     identity_diagram,
-    partitions_of_all_layers,
     perm_diagram,
     s_diagram,
 )
@@ -206,8 +206,8 @@ def test_gram_symmetric():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_cellular_count_is_diagram_count(n):
-    total = sum(len(br_index(lam, n)) ** 2
-                for lam in partitions_of_all_layers(n))
+    total = sum(len(cell_index(lam, n)) ** 2
+                for lam in layer_shapes(n))
     assert total == double_factorial(2 * n - 1)
 
 
@@ -281,7 +281,7 @@ def path_content(path, k):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_maximal_vector_is_jm_eigenvector(n):
-    for lam in partitions_of_all_layers(n):
+    for lam in layer_shapes(n):
         path = maximal_path(lam, n)
         m = br_m_lambda(lam, n)
         t = superstandard(lam, n)

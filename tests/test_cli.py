@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellalg import cli, towers
 from cellalg import bmw as _bmw
@@ -140,8 +144,14 @@ def test_exit_2_on_bad_specialization(capsys):
                     "--lambda", "1", "--spec", "z=1/0"]) == 2
     assert cli.run(["certify", "--algebra", "bmw", "--n", "2",
                     "--spec", "q=2,q=3"]) == 2
+    # oversize powers are refused before any work
+    assert cli.run(["certify", "--algebra", "bmw", "--n", "3",
+                    "--spec", "r=q^99999999"]) == 2
+    assert cli.run(["certify", "--algebra", "brauer", "--n", "3",
+                    "--spec", "z=((2^999)^999)^999"]) == 2
     err = capsys.readouterr().err
     assert "division by zero" in err and "assigned twice" in err
+    assert err.count("power too large") == 2
     assert "Traceback" not in err
 
 
@@ -251,6 +261,32 @@ def test_cache_with_wrong_dimension_warns_and_recomputes(tmp_path, capsys):
         data["matrices"]["1|s|1"]
 
 
+def test_cache_with_changed_cell_warns_and_recomputes(tmp_path, capsys):
+    argv = ["gram", "--algebra", "bmw", "--n", "3", "--lambda", "1",
+            "--json"]
+    cache_dir = str(tmp_path)
+    run_json(capsys, ["cache", "--algebra", "bmw", "--n", "3",
+                      "--cache-dir", cache_dir, "--json"])
+    path = cli._cache_path(cache_dir, "bmw", 3)
+    data = json.load(open(path))
+    rows = data["matrices"]["1|T|1"]
+    assert rows[0][0] != "q"
+    rows[0][0] = "q"  # a valid fraction, in a valid key and dimension
+    with open(path, "w") as handle:
+        json.dump(data, handle)
+    _bmw._gen_matrix_overrides.clear()
+    towers.gram_matrix.cache_clear()
+    code = cli.run(argv + ["--cache-dir", cache_dir])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "warning" in captured.err and "digest" in captured.err
+    cached = without_timing(json.loads(captured.out))
+    _bmw._gen_matrix_overrides.clear()
+    towers.gram_matrix.cache_clear()
+    assert cached == without_timing(run_json(capsys, argv))
+    assert json.load(open(path))["matrices"]["1|T|1"][0][0] != "q"
+
+
 @pytest.mark.parametrize("algebra,n", [("bmw", 2), ("bmw", 3),
                                        ("brauer", 2), ("brauer", 3)])
 def test_cache_presence_never_changes_output(tmp_path, capsys, algebra, n):
@@ -277,3 +313,32 @@ def test_cached_matrices_match_computed(tmp_path, capsys):
     assert overrides
     for (lam, n, kind, i), rows in overrides.items():
         assert rows == _bmw._bmw_gen_matrix_compute(lam, n, kind, i)
+
+
+# -- fuzz ----------------------------------------------------------------------------
+
+SHAPE_TEXT = st.one_of(st.sampled_from(["()", "1", "2", "1,1", "3", "2,1"]),
+                       st.text(alphabet="0123456789,()- x", max_size=6))
+SPEC_TEXT = st.one_of(
+    st.sampled_from(["z=4", "z=1/2", "z=-3", "r=q", "r=-q^-3", "q=2,r=3"]),
+    st.text(alphabet="qrz0123456789+-*/^()=, ", max_size=10),
+    st.builds("{}={}".format, st.sampled_from("qrz"),
+              st.text(alphabet="qrz0123456789+-*/^()", min_size=1,
+                      max_size=8)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(command=st.sampled_from(sorted(cli._HANDLERS)),
+       algebra=st.sampled_from(["bmw", "brauer"]),
+       n=st.sampled_from([0, 1, 2, 3]),
+       shape=SHAPE_TEXT, mu=SHAPE_TEXT, spec=st.none() | SPEC_TEXT)
+def test_cli_fuzz_exit_codes(command, algebra, n, shape, mu, spec):
+    argv = [command, "--algebra", algebra, "--n", str(n),
+            "--lambda=" + shape, "--mu=" + mu]
+    if spec is not None:
+        argv.append("--spec=" + spec)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

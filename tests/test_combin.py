@@ -8,6 +8,7 @@ from cellalg.combin import (
     Permutation,
     StdTableau,
     box_steps,
+    content_sum,
     coset_reps,
     dominance,
     dominance_key,
@@ -281,3 +282,11 @@ def test_neighbors_ordering():
     # neighbors of (1) one level down at n=3 (f=1): removal () then
     # additions (2), (1,1)
     assert neighbors((1,), 3) == [(), (2,), (1, 1)]
+
+
+def test_content_sum_matches_node_sum():
+    for k in range(8):
+        for lam in partitions_of(k):
+            nodes = [(i, j) for i, p in enumerate(lam) for j in range(p)]
+            assert content_sum(lam) == sum(j - i for i, j in nodes)
+    assert content_sum((4, 1)) == 5

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cellalg.exactring import (
     BMW_VARS,
@@ -130,3 +132,50 @@ def test_string_form_examples():
 def test_rational_specialization_values():
     s = Specialization.parse("q=2,r=3", BMW_VARS)
     assert specialize(bmw_z(), s).as_rational() == Fraction(25, 9)
+
+
+# -- properties ----------------------------------------------------------------------
+
+@st.composite
+def fractions_over(draw, vars, degree=4):
+    """Random reduced fractions with small integer polynomials, times a
+    Laurent monomial."""
+    exps = st.tuples(*[st.integers(0, degree)] * len(vars))
+    coeffs = st.integers(-30, 30).filter(bool)
+    num = draw(st.dictionaries(exps, coeffs, max_size=4))
+    den = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=3))
+    shift = draw(st.tuples(*[st.integers(-degree, degree)] * len(vars)))
+    return (CoeffFraction(vars, num, den)
+            * CoeffFraction.monomial(vars, **dict(zip(vars, shift))))
+
+
+@pytest.mark.parametrize("vars", [BMW_VARS, BRAUER_VARS])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_printed_fraction_parses_back(vars, data):
+    # the disk cache stores matrices as printed strings
+    x = data.draw(fractions_over(vars))
+    assert parse_fraction(str(x), vars) == x
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=fractions_over(BMW_VARS, degree=1), e=st.integers(-5, 5))
+def test_power_matches_repeated_product(x, e):
+    assume(e >= 0 or not x.is_zero())
+    base = x if e >= 0 else x.inverse()
+    expected = CoeffFraction.const(1, BMW_VARS)
+    for _ in range(abs(e)):
+        expected = expected * base
+    assert x ** e == expected
+
+
+def test_oversize_power_is_rejected():
+    for text, vars in (("q^99999999", BMW_VARS),
+                       ("((2^999)^999)^999", BRAUER_VARS),
+                       ("(q^9+r)^-99", BMW_VARS)):
+        with pytest.raises(ValueError, match="power too large"):
+            parse_fraction(text, vars)
+    assert parse_fraction("q^170", BMW_VARS) == \
+        CoeffFraction.monomial(BMW_VARS, q=170)
+    with pytest.raises(ValueError, match="power too large"):
+        parse_fraction("q^171", BMW_VARS)

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellalg.combin import maximal_path
 from cellalg.exactring import (
     BMW_VARS,
     BRAUER_VARS,
+    CoeffFraction,
     Specialization,
     parse_fraction,
 )
@@ -19,6 +22,7 @@ from cellalg.specsim import (
     conjecture_poly,
     content_vector,
     gram_rank_certify,
+    _power_identity,
     hom_obstruction,
     necessary_condition_note,
 )
@@ -158,6 +162,34 @@ def test_hom_obstruction_equal_shapes():
 def test_hom_obstruction_bmw_example():
     assert hom_obstruction("bmw", (3,), (1,), SPEC_R_Q3) is True
     assert hom_obstruction("bmw", (3,), (1,)) is False
+
+
+def test_hom_obstruction_large_shapes():
+    # r^2 = q^(2(c(98) - c(100))) = q^(6 - 4*100) holds at r = q^-197
+    spec = Specialization(
+        BMW_VARS, {"r": CoeffFraction.monomial(("q",), q=-197)}, ("q",))
+    assert hom_obstruction("bmw", (100,), (98,), spec) is True
+    assert hom_obstruction("bmw", (100,), (96,), spec) is False
+    # exponents near 10^12 are decided without forming the powers
+    big = (999999,)
+    assert hom_obstruction("bmw", big, (1,)) is False
+    assert hom_obstruction("bmw", big, (1,),
+                           Specialization.parse("r=q+1", BMW_VARS)) is False
+    assert hom_obstruction("brauer", big, (1,), SPEC_Z4) is False
+
+
+# x^a == y^b needs x and y to be powers of one element; the pool mixes
+# powers of q, of 2 and of q+1 with both signs
+POWER_POOL = [parse_fraction("{}({})^{}".format(sign, base, k), ("q",))
+              for sign in ("", "-") for base in ("q", "2", "q+1")
+              for k in (-3, -2, -1, 0, 1, 2, 4)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.sampled_from(POWER_POOL), a=st.integers(-6, 6),
+       y=st.sampled_from(POWER_POOL), b=st.integers(-6, 6))
+def test_power_identity_matches_direct_powers(x, a, y, b):
+    assert _power_identity(x, a, y, b) == (x ** a == y ** b)
 
 
 def test_hom_obstruction_parity_error():

@@ -2,11 +2,12 @@ import pytest
 
 from cellalg.combin import (
     Permutation,
+    cell_index,
     dominance,
-    dominance_key,
     enumerate_paths,
     enumerate_std,
     coset_reps,
+    layer_shapes,
     maximal_path,
     neighbors,
     partitions_of,
@@ -19,11 +20,9 @@ from cellalg.combin import (
 from cellalg.exactring import BMW_VARS, BRAUER_VARS, CoeffFraction, parse_fraction
 from cellalg.bmw import (
     bmw_gen_matrix,
-    bmw_index,
     bmw_m_lambda,
     bmw_element_rho,
     bmw_to_cellular,
-    layers_of,
     perm_word,
     rho_of_word,
     _rho_mul,
@@ -34,7 +33,6 @@ from cellalg.brauer import (
     BrauerElement,
     br_cell_matrix,
     br_gen_matrix,
-    br_index,
     br_jm,
     br_jm_matrix,
     br_m_lambda,
@@ -44,7 +42,6 @@ from cellalg.brauer import (
     br_to_cell_coords,
     br_to_cellular,
     diagram_arcs,
-    partitions_of_all_layers,
 )
 from cellalg.towers import (
     PathBasis,
@@ -69,19 +66,11 @@ def bz(s):
     return parse_fraction(s, BRAUER_VARS)
 
 
-def bmw_layers(n):
-    return sorted(layers_of(n), key=dominance_key)
-
-
-def br_layers(n):
-    return sorted(partitions_of_all_layers(n), key=dominance_key)
-
-
 # -- the fast Brauer cell-module engine ----------------------------------------------
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_fast_engine_matches_solver_route(n):
-    for lam in br_layers(n):
+    for lam in layer_shapes(n):
         for i in range(1, n):
             for kind in ("s", "E"):
                 assert br_cell_matrix(lam, n, kind, i) == \
@@ -90,7 +79,7 @@ def test_fast_engine_matches_solver_route(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_fast_jm_matches_element_route(n):
-    for lam in br_layers(n):
+    for lam in layer_shapes(n):
         for k in range(1, n + 1):
             assert br_jm_matrix(lam, n, k) == \
                 br_module_matrix(lam, n, br_jm(k, n))
@@ -99,7 +88,7 @@ def test_fast_jm_matches_element_route(n):
 def _diagram_gram(lam, n):
     """The bilinear form read off the diagram basis: entry (a, b) is the
     m_lambda coefficient of m_a m_b^*, solved through the dense solver."""
-    index = br_index(lam, n)
+    index = cell_index(lam, n)
     seed = (superstandard(lam, n), Permutation.identity(n))
     elements = [br_basis_element(lam, n, t, u) for t, u in index]
     return [[br_to_cell_coords(lam, n, ea * br_star(eb)).get(seed, bz("0"))
@@ -108,7 +97,7 @@ def _diagram_gram(lam, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_gram_matches_diagram_form(n):
-    for lam in br_layers(n):
+    for lam in layer_shapes(n):
         fast = gram_matrix("brauer", lam, n)
         slow = _diagram_gram(lam, n)
         assert [[str(x) for x in row] for row in fast] == \
@@ -128,8 +117,8 @@ def _word_matrix(lam, n, word):
 def test_fast_engine_defining_relations_n5():
     n = 5
     z = bz("z")
-    for lam in br_layers(n):
-        dim = len(br_index(lam, n))
+    for lam in layer_shapes(n):
+        dim = len(cell_index(lam, n))
         ident = [[bz("1") if a == b else bz("0") for b in range(dim)]
                  for a in range(dim)]
         for i in range(1, n):
@@ -166,7 +155,7 @@ def test_fast_engine_defining_relations_n5():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_ordered_paths_enumeration(n):
-    for lam in br_layers(n):
+    for lam in layer_shapes(n):
         ps = ordered_paths(lam, n)
         assert set(ps) == set(enumerate_paths(lam, n))
         assert len(ps) == len(set(ps))
@@ -177,7 +166,7 @@ def test_ordered_paths_enumeration(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_ordered_paths_linear_extension(n):
-    for lam in br_layers(n):
+    for lam in layer_shapes(n):
         ps = ordered_paths(lam, n)
         for a, t in enumerate(ps):
             for u in ps[a + 1:]:
@@ -211,15 +200,13 @@ def test_down_tableau_large_shapes():
 
 def test_y_down_greatest_neighbor_is_seed():
     for algebra, nmax in (("bmw", 4), ("brauer", 4)):
-        layers = bmw_layers if algebra == "bmw" else br_layers
-        index = bmw_index if algebra == "bmw" else br_index
         for n in range(2, nmax + 1):
-            for lam in layers(n):
+            for lam in layer_shapes(n):
                 mu = neighbors(lam, n)[0]
                 if sum(mu) != sum(lam) - 1:
                     continue
                 y = y_element(algebra, lam, mu, n)
-                idx = index(lam, n)
+                idx = cell_index(lam, n)
                 key = (superstandard(lam, n), Permutation.identity(n))
                 one = bqr("1") if algebra == "bmw" else bz("1")
                 for tu, c in zip(idx, y.vector):
@@ -239,7 +226,7 @@ def test_y_element_requires_neighbor():
 def test_y_up_two_box_column_example():
     # m T_2^{-1} T_1^{-1} T_3^{-1} (1 + q T_1) on the pair layer at n = 4
     lam, n = (1, 1), 4
-    idx = bmw_index(lam, n)
+    idx = cell_index(lam, n)
     key = (superstandard(lam, n), Permutation.identity(n))
     vec = [bqr("1") if tu == key else bqr("0") for tu in idx]
     for i in (2, 1, 3):
@@ -280,7 +267,7 @@ def _bmw_rho_element(n, terms):
 def test_y_up_matches_defining_product_bmw(n):
     # y for an added box must equal E_{2f-1} T_w^{-1} m_mu modulo the span of
     # the more dominant layers, with all coefficients on the seed left index
-    for lam in bmw_layers(n):
+    for lam in layer_shapes(n):
         f = (n - sum(lam)) // 2
         if f == 0:
             continue
@@ -292,7 +279,7 @@ def test_y_up_matches_defining_product_bmw(n):
             word += [("Tinv", i) for i in reversed(w_word)]
             rho = _rho_mul(rho_of_word(n, word), _rho_m_mu_level_down(mu, n))
             coords = bmw_to_cellular(n, rho).terms
-            idx = bmw_index(lam, n)
+            idx = cell_index(lam, n)
             for (nu, sv, tu), c in coords.items():
                 if nu == lam:
                     assert sv == seed_left
@@ -322,7 +309,7 @@ def test_y_up_matches_defining_product_brauer(n):
     # the defining product minus the closed form must lie in the span of
     # diagrams with more than f arcs, which sits inside the check ideal
     one = bz("1")
-    for lam in br_layers(n):
+    for lam in layer_shapes(n):
         f = (n - sum(lam)) // 2
         if f == 0:
             continue
@@ -348,9 +335,8 @@ def test_y_up_matches_defining_product_brauer(n):
 
 def test_first_path_row_is_seed():
     for algebra, nmax in (("bmw", 4), ("brauer", 4)):
-        layers = bmw_layers if algebra == "bmw" else br_layers
         for n in range(1, nmax + 1):
-            for lam in layers(n):
+            for lam in layer_shapes(n):
                 pb = build_path_basis(algebra, lam, n)
                 first = pb.vectors[pb.paths[0]]
                 assert first[0] == (bqr("1") if algebra == "bmw" else bz("1"))
@@ -361,9 +347,8 @@ def test_first_path_row_is_seed():
 
 @pytest.mark.parametrize("algebra,nmax", [("bmw", 4), ("brauer", 5)])
 def test_path_basis_complete_and_invertible(algebra, nmax):
-    layers = bmw_layers if algebra == "bmw" else br_layers
     for n in range(1, nmax + 1):
-        for lam in layers(n):
+        for lam in layer_shapes(n):
             pb = build_path_basis(algebra, lam, n)
             # invert_fraction_free inside the build certifies independence
             assert len(pb.paths) == len(pb.index)
@@ -409,8 +394,7 @@ def test_transition_matrix_one_column_n4():
 
 def test_b_words_rebuild_vectors():
     for algebra, n in (("bmw", 3), ("bmw", 4), ("brauer", 4)):
-        layers = bmw_layers if algebra == "bmw" else br_layers
-        for lam in layers(n):
+        for lam in layer_shapes(n):
             pb = build_path_basis(algebra, lam, n)
             idx = pb.index
             for t in pb.paths:
@@ -429,7 +413,7 @@ def test_b_words_rebuild_vectors():
 @pytest.mark.parametrize("n", [2, 3])
 def test_lifted_basis_cellular_bmw(n):
     count = 0
-    for lam in bmw_layers(n):
+    for lam in layer_shapes(n):
         pb = build_path_basis("bmw", lam, n)
         idx = pb.index
         rho_m = bmw_element_rho(bmw_m_lambda(lam, n))
@@ -465,7 +449,7 @@ def test_lifted_basis_cellular_bmw(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_lifted_basis_cellular_brauer(n):
     count = 0
-    for lam in br_layers(n):
+    for lam in layer_shapes(n):
         pb = build_path_basis("brauer", lam, n)
         idx = pb.index
         m = br_m_lambda(lam, n)
@@ -503,8 +487,7 @@ def test_lifted_basis_cellular_brauer(n):
 @pytest.mark.parametrize("algebra,nmax", [("bmw", 4), ("brauer", 5)])
 def test_jm_triangular_with_contents(algebra, nmax):
     for n in range(1, nmax + 1):
-        layers = bmw_layers if algebra == "bmw" else br_layers
-        for lam in layers(n):
+        for lam in layer_shapes(n):
             report = jm_triangularity(algebra, lam, n)
             assert report["ok"], report["failures"][:3]
 
@@ -533,7 +516,7 @@ def test_jm_diagonal_three_strand_example():
 def test_sibling_contents_distinct(algebra, n):
     # across the children of a fixed path prefix, the step-n eigenvalues
     # are pairwise distinct symbolically
-    for mu in br_layers(n - 1):
+    for mu in layer_shapes(n - 1):
         values = [path_content(algebra, (mu, lam), 1)
                   for lam in _neighbors_up_down(mu, n)]
         for a in range(len(values)):
@@ -542,7 +525,7 @@ def test_sibling_contents_distinct(algebra, n):
 
 
 def _neighbors_up_down(mu, n):
-    return [lam for lam in partitions_of_all_layers(n)
+    return [lam for lam in layer_shapes(n)
             if abs(sum(lam) - sum(mu)) == 1 and _one_box_apart(mu, lam)]
 
 
@@ -558,14 +541,12 @@ def _one_box_apart(mu, lam):
 @pytest.mark.parametrize("algebra,nmax", [("bmw", 4), ("brauer", 4)])
 def test_restriction_filtration(algebra, nmax):
     for n in range(2, nmax + 1):
-        layers = bmw_layers if algebra == "bmw" else br_layers
-        for lam in layers(n):
+        for lam in layer_shapes(n):
             report = restriction_filtration_check(algebra, lam, n)
             assert report["ok"], report["failures"][:3]
             assert report["dimension_match"]
             dims = [entry["dim"] for entry in report["neighbors"]]
-            assert sum(dims) == len(br_index(lam, n)) \
-                if algebra == "brauer" else sum(dims) == len(bmw_index(lam, n))
+            assert sum(dims) == len(cell_index(lam, n))
 
 
 def test_restriction_filtration_brauer_n5_spot():
@@ -579,7 +560,7 @@ def test_restriction_dimensions_add_up():
     report = restriction_filtration_check("brauer", lam, n)
     assert report["dimension_match"]
     total = sum(len(enumerate_paths(mu, n - 1)) for mu in neighbors(lam, n))
-    assert total == len(br_index(lam, n))
+    assert total == len(cell_index(lam, n))
 
 
 # -- central elements ----------------------------------------------------------------
@@ -587,8 +568,7 @@ def test_restriction_dimensions_add_up():
 @pytest.mark.parametrize("algebra", ["bmw", "brauer"])
 def test_central_combination_is_scalar(algebra):
     for n in range(1, 5):
-        layers = bmw_layers if algebra == "bmw" else br_layers
-        for lam in layers(n):
+        for lam in layer_shapes(n):
             alpha = central_scalar(algebra, lam, n)
             t = maximal_path(lam, n)
             expected = None
