@@ -27,7 +27,7 @@ from .combin import (
     tab_perm,
 )
 from .exactring import BMW_VARS, CoeffFraction, bmw_z
-from .hecke import HeckeElement, cell_row, hk_to_murphy, row_stabilizer
+from .hecke import cell_row, row_stabilizer, to_murphy
 from .linalg import identity_matrix, invert_fraction_free, mat_mul
 
 
@@ -291,11 +291,6 @@ def _upper_terms(terms, n: int, f: int) -> dict:
     return {key: c for key, c in out.items() if not c.is_zero()}
 
 
-def _hecke_to_murphy(m: int, part: dict) -> dict:
-    """Murphy coordinates of sum c * T_u over permutations u of 1..m."""
-    return hk_to_murphy(HeckeElement(m, part))
-
-
 def _apply_gen_terms(terms, gen, n: int, f: int):
     kind, i = gen
     out = []
@@ -334,8 +329,8 @@ def _bmw_gen_matrix_compute(lam, n: int, kind: str, i: int):
     rows = []
     for t, u in cell_index(lam, n):
         terms = _apply_gen_terms(_seed_terms(lam, n, t, u), (kind, i), n, f)
-        rows.append(cell_row(_upper_terms(terms, n, f), lam, n,
-                             _hecke_to_murphy, zero))
+        rows.append(cell_row(_upper_terms(terms, n, f), lam, n, to_murphy,
+                             zero))
     return rows
 
 

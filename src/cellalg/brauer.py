@@ -21,7 +21,7 @@ from .combin import (
     tab_perm,
 )
 from .exactring import BRAUER_VARS, CoeffFraction
-from .hecke import cell_row, murphy_index, row_stabilizer
+from .hecke import cell_row, row_stabilizer, to_murphy
 from .linalg import ColumnSolver, mat_mul
 
 BR_VARS = BRAUER_VARS
@@ -422,7 +422,8 @@ def br_jm(i: int, n: int) -> BrauerElement:
 # by a pair (upper permutation, distinguished coset representative).  The
 # residual quotient by the more dominant equal-size layers is taken by
 # ``hecke.cell_row``, as in the two-parameter algebra, with the Murphy
-# transform of the symmetric group (q = 1) in rational arithmetic.
+# change of basis of the symmetric group (``hecke.to_murphy`` at q = 1, an
+# elimination over the integers).
 
 def _encode_chain(w: Permutation, f: int):
     """Diagram of E_1 E_3 ... E_{2f-1} w for a permutation w."""
@@ -503,67 +504,6 @@ def _fast_apply(terms: dict, kind: str, i: int, f: int, n: int) -> dict:
     return {k: c for k, c in out.items() if not c.is_zero()}
 
 
-@lru_cache(maxsize=None)
-def _q1_murphy_inverse(m: int):
-    """Inverse of the symmetric-group Murphy basis matrix over the rationals.
-
-    Returns (index, perm position map, rows of the inverse as Fractions).
-    """
-    from fractions import Fraction
-
-    perms = sorted((Permutation(img)
-                    for img in _iter_perms(range(1, m + 1))),
-                   key=lambda p: p.img)
-    pos = {p: i for i, p in enumerate(perms)}
-    index = murphy_index(m)
-    if len(index) != len(perms):
-        raise AssertionError("cellular basis size must be m!")
-    k = len(perms)
-    aug = [[Fraction(0)] * (2 * k) for _ in range(k)]
-    for j, (mu, s, t) in enumerate(index):
-        ds_inv = tab_perm(s).inverse()
-        dt = tab_perm(t)
-        for w in row_stabilizer(mu, m):
-            aug[pos[ds_inv * w * dt]][j] += 1
-    for i in range(k):
-        aug[i][k + i] = Fraction(1)
-    for col in range(k):
-        pr = next(r for r in range(col, k) if aug[r][col])
-        aug[col], aug[pr] = aug[pr], aug[col]
-        piv = aug[col][col]
-        aug[col] = [x / piv for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                fac = aug[r][col]
-                aug[r] = [a - fac * b for a, b in zip(aug[r], aug[col])]
-    inverse = [row[k:] for row in aug]
-    return index, pos, inverse
-
-
-@lru_cache(maxsize=None)
-def _frac_const(numerator: int, denominator: int) -> CoeffFraction:
-    return _const(numerator) * _const(denominator).inverse()
-
-
-def _q1_to_murphy(m: int, part: dict) -> dict:
-    """Murphy coordinates at q = 1 of sum c * u over permutations u of 1..m,
-    through the rational inverse of the Murphy basis matrix."""
-    index, pos, inverse = _q1_murphy_inverse(m)
-    rhs = {pos[u]: c for u, c in part.items()}
-    out = {}
-    for i, key in enumerate(index):
-        acc = None
-        for j, c in rhs.items():
-            fr = inverse[i][j]
-            if not fr:
-                continue
-            term = c * _frac_const(fr.numerator, fr.denominator)
-            acc = term if acc is None else acc + term
-        if acc is not None and not acc.is_zero():
-            out[key] = acc
-    return out
-
-
 # precomputed action matrices may be installed here (keyed by
 # (lam, n, kind, i)), e.g. from an on-disk structure-constant cache
 _gen_matrix_overrides: dict = {}
@@ -588,7 +528,7 @@ def _br_cell_matrix_compute(lam, n: int, kind: str, i: int):
     f = (n - sum(lam)) // 2
     zero = _const(0)
     return [cell_row(_fast_apply(_fast_seed(lam, n, t, u), kind, i, f, n),
-                     lam, n, _q1_to_murphy, zero)
+                     lam, n, to_murphy, zero)
             for t, u in cell_index(lam, n)]
 
 

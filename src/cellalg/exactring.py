@@ -552,6 +552,14 @@ def poly_str(p: dict, vars: tuple) -> str:
 # string such as "q^99999999" from asking for unbounded work.
 MAX_POWER_SIZE = 512
 
+# Bound on the size() of each image in a parsed specialization.  The work on
+# specialized matrices grows with the degree and coefficient size of the
+# images: the Bareiss determinant of the BMW n = 4, lambda = (2) Gram form
+# under r = (q-1)^85 (size 168, within the power bound) runs for minutes,
+# and grows about fourfold from r = (q-1)^12 (size 23) to r = (q-1)^24
+# (size 47).  The images in use have size at most 7 (r = q^-5).
+MAX_SPEC_SIZE = 32
+
 
 class _Parser:
     """Recursive-descent parser for +,-,*,/,^,(), integers and variables."""
@@ -735,6 +743,10 @@ class Specialization:
         target_vars = tuple(v for v in source_vars if v not in assigned)
         assignment = {name: parse_fraction(value, target_vars)
                       for name, value in raw.items()}
+        for name, img in assignment.items():
+            if img.size() > MAX_SPEC_SIZE:
+                raise ValueError(f"image of {name} too large: size "
+                                 f"{img.size()} > {MAX_SPEC_SIZE}")
         return cls(source_vars, assignment, target_vars)
 
     def apply(self, x: CoeffFraction) -> CoeffFraction:

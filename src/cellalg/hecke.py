@@ -1,10 +1,12 @@
 """The Iwahori-Hecke algebra H_n(q^2) of the symmetric group.
 
 Elements are stored on the word basis {X_w : w in S_n}.  The module provides
-the cellular (Murphy) basis c_{uv} = X_{d(u)}* c_lambda X_{d(v)}, conversion
-between the two bases by an exact linear solve, cell ("Specht") modules as
-quotient coordinates, Jucys-Murphy elements D_i, and the permutation-module
-elements attached to semistandard tableaux.
+the cellular (Murphy) basis c_{uv} = X_{d(u)}* c_lambda X_{d(v)}, the change
+of basis to it (``to_murphy``: a sparse elimination over Z[q, q^-1], or over
+Z at q = 1 for the Brauer tower), cell ("Specht") modules as quotient
+coordinates, the Murphy-layer projection ``cell_row`` shared by both towers,
+Jucys-Murphy elements D_i, and the permutation-module elements attached to
+semistandard tableaux.
 
 Coefficients live in the two-variable fraction field on ("q", "r") so that
 these elements embed directly into the tangle-algebra computations; the
@@ -28,8 +30,8 @@ from .combin import (
     superstandard,
     tab_perm,
 )
-from .exactring import BMW_VARS, CoeffFraction
-from .linalg import LinearSolver
+from .exactring import (BMW_VARS, BRAUER_VARS, CoeffFraction, poly_const,
+                        poly_mul, poly_sub)
 
 HK_VARS = BMW_VARS
 
@@ -222,36 +224,142 @@ def _perm_order(n: int):
     return tuple(perms), {p: i for i, p in enumerate(perms)}
 
 
+# -- change of basis to the Murphy basis ---------------------------------------
+#
+# The Murphy basis is a Z[q, q^-1]-basis of H_m (Murphy 1995; Mathas 1999,
+# ch. 3), so the change of basis needs no fraction field.  The matrix of the
+# c_{st} over the X_w is eliminated once per (m, ring) by sparse Gauss-Jordan
+# that pivots only on units +-q^k and records its steps; the coordinates of a
+# single X_u replay those steps on the unit vector at u.  Laurent polynomials
+# are exactring polynomial dicts {(k,): c} with k of either sign; at q = 1
+# every exponent collapses to (), so the same code runs over Z.
+
+
+def _at_q1(vars: tuple) -> bool:
+    """Generic q over HK_VARS (the BMW tower), q = 1 over BRAUER_VARS."""
+    if vars == HK_VARS:
+        return False
+    if vars == BRAUER_VARS:
+        return True
+    raise ValueError("no Murphy change of basis over {}".format(vars))
+
+
+def _laurent(c: CoeffFraction, at_q1: bool) -> dict:
+    """A coefficient in Z[q, q^-1] as a Laurent polynomial dict."""
+    (k, r), d = next(iter(c.den.items()))
+    if len(c.den) > 1 or d != 1 or r or any(e[1] for e in c.num):
+        raise AssertionError("Murphy coefficient outside Z[q, q^-1]")
+    if at_q1:
+        return poly_const(sum(c.num.values()), 0)
+    return {(e[0] - k,): x for e, x in c.num.items()}
+
+
 @lru_cache(maxsize=None)
-def _murphy_solver(n: int) -> LinearSolver:
-    perms, pos = _perm_order(n)
-    index = murphy_index(n)
-    if len(index) != len(perms):
-        raise AssertionError("cellular basis size must be n!")
-    zero = _const(0)
-    cols = []
-    for lam, u, v in index:
-        e = murphy_element(lam, u, v)
-        col = [zero] * len(perms)
-        for w, c in e.terms.items():
-            col[pos[w]] = c
-        cols.append(col)
-    matrix = [[cols[j][i] for j in range(len(cols))]
-              for i in range(len(perms))]
-    return LinearSolver(matrix)
+def _laurent_fraction(terms: tuple, vars: tuple) -> CoeffFraction:
+    """The canonical CoeffFraction of a nonzero Laurent polynomial, given by
+    its sorted terms: the numerator shifted by the lowest negative exponent,
+    over that power of q; at q = 1 an integer.  Memoised, so the few values
+    that fill the Murphy columns are shared, not repeated."""
+    if _at_q1(vars):
+        return CoeffFraction.const(dict(terms)[()], vars)
+    low = min(0, terms[0][0][0])
+    return CoeffFraction(vars, {(k - low, 0): c for (k,), c in terms},
+                         {(-low, 0): 1}, _reduced=True)
+
+
+def _is_unit(p) -> bool:
+    return p is not None and len(p) == 1 and abs(next(iter(p.values()))) == 1
+
+
+def _sub_product(vec: dict, k, f: dict, x: dict):
+    """vec[k] -= f * x in a sparse vector of polynomial dicts, dropping a
+    zero entry."""
+    y = poly_sub(vec.get(k, {}), poly_mul(f, x))
+    if y:
+        vec[k] = y
+    else:
+        vec.pop(k, None)
+
+
+@lru_cache(maxsize=None)
+def _murphy_steps(m: int, vars: tuple) -> tuple:
+    """Sparse Gauss-Jordan of the Murphy-to-X_w matrix of H_m in its ring.
+
+    Rows are the X_w in ``_perm_order`` and columns the c_{st} in
+    ``murphy_index``.  Column j pivots on the sparsest row (ties to the lower
+    row number) whose entry is a unit +-q^k; that row is scaled by the
+    inverse unit and cleared from every other row, so nothing is divided.
+    Returns one (pivot row, inverse unit, ((row, factor), ...)) per column.
+    """
+    at_q1 = _at_q1(vars)
+    perms, pos = _perm_order(m)
+    if len(murphy_index(m)) != len(perms):
+        raise AssertionError("cellular basis size must be m!")
+    rows = [{} for _ in perms]
+    for j, (lam, u, v) in enumerate(murphy_index(m)):
+        for w, c in murphy_element(lam, u, v).terms.items():
+            x = _laurent(c, at_q1)
+            if x:
+                rows[pos[w]][j] = x
+    free = set(range(len(rows)))
+    steps = []
+    shared = {}  # a few distinct factors recur thousands of times
+    for j in range(len(rows)):
+        units = [i for i in free if _is_unit(rows[i].get(j))]
+        if not units:
+            raise AssertionError(
+                "no unit pivot in column {} of the Murphy matrix".format(j))
+        p = min(units, key=lambda i: (len(rows[i]), i))
+        free.remove(p)
+        inv = {tuple(-k for k in e): c for e, c in rows[p][j].items()}
+        pivot = rows[p] = {k: poly_mul(inv, x) for k, x in rows[p].items()}
+        cleared = []
+        for i, row in enumerate(rows):
+            if i == p or j not in row:
+                continue
+            f = row.pop(j)
+            for k, x in pivot.items():
+                if k != j:
+                    _sub_product(row, k, f, x)
+            f = shared.setdefault(tuple(sorted(f.items())), f)
+            cleared.append((i, f))
+        steps.append((p, inv, tuple(cleared)))
+    return tuple(steps)
+
+
+@lru_cache(maxsize=None)
+def _murphy_column(m: int, vars: tuple, u: Permutation) -> dict:
+    """Murphy coordinates {(lambda, s, t): c} of X_u, by replaying the
+    elimination steps on the unit vector at u."""
+    steps = _murphy_steps(m, vars)
+    b = {_perm_order(m)[1][u]: poly_const(1, 0 if _at_q1(vars) else 1)}
+    for p, inv, cleared in steps:
+        x = b.get(p)
+        if x is None:
+            continue
+        x = b[p] = poly_mul(inv, x)
+        for i, f in cleared:
+            _sub_product(b, i, f, x)
+    index = murphy_index(m)
+    return {index[j]: _laurent_fraction(tuple(sorted(b[p].items())), vars)
+            for j, (p, _, _) in enumerate(steps) if p in b}
+
+
+def to_murphy(m: int, part: dict, vars: tuple) -> dict:
+    """Murphy coordinates {(lambda, s, t): c} of sum c * X_u over the
+    permutations u of 1..m, at generic q over HK_VARS and at q = 1 (the
+    symmetric group) over BRAUER_VARS."""
+    out = {}
+    for u, c in part.items():
+        for key, x in _murphy_column(m, vars, u).items():
+            term = c * x
+            out[key] = out[key] + term if key in out else term
+    return {key: c for key, c in out.items() if not c.is_zero()}
 
 
 def hk_to_murphy(h: HeckeElement) -> dict:
     """Coordinates of h in the cellular basis: (lambda, u, v) -> coeff."""
-    n = h.n
-    perms, pos = _perm_order(n)
-    zero = _const(0)
-    rhs = [zero] * len(perms)
-    for w, c in h.terms.items():
-        rhs[pos[w]] = c
-    coords = _murphy_solver(n).solve_vector(rhs)
-    index = murphy_index(n)
-    return {index[i]: c for i, c in enumerate(coords) if not c.is_zero()}
+    return to_murphy(h.n, h.terms, HK_VARS)
 
 
 def murphy_to_hk(coords: dict, n: int) -> HeckeElement:
@@ -277,8 +385,8 @@ def cell_row(upper: dict, lam, n: int, to_murphy, zero) -> list:
     E_1 E_3 ... E_{2f-1} u v: u permutes the m = |lambda| upper letters
     (relabelled 1..m) and v is a distinguished coset representative.  The
     upper part of each coset is expanded in the Murphy basis of H_m by
-    ``to_murphy(m, {u: c})``, which returns the nonzero coordinates
-    {(mu, s, t): c}.  Coordinates on more dominant shapes lie deeper in the
+    ``to_murphy(m, {u: c}, zero.vars)``, which returns the nonzero
+    coordinates {(mu, s, t): c}.  Coordinates on more dominant shapes lie deeper in the
     filtration and are dropped; the lambda-layer coordinate c_{t^lambda t}
     is the entry at (t, v) of the row over cell_index(lam, n).
     """
@@ -297,7 +405,7 @@ def cell_row(upper: dict, lam, n: int, to_murphy, zero) -> list:
                 raise AssertionError("nontrivial upper part at m<=1")
             row[cols[(t_hat, v)]] = next(iter(part.values()))
             continue
-        for (mu, s, t), c in to_murphy(m, part).items():
+        for (mu, s, t), c in to_murphy(m, part, zero.vars).items():
             rel = dominance(mu, lam)
             if rel == "dominates":
                 continue  # lies in the more-dominant part of the filtration

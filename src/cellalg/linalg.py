@@ -1,10 +1,10 @@
 """Exact linear algebra over the fraction fields of :mod:`cellalg.exactring`.
 
 Matrices are lists of lists of :class:`~cellalg.exactring.CoeffFraction`.
-Rank, determinant and fraction-free inversion share one Bareiss kernel over
-the cleared polynomial rows; solving and the solver classes use fraction
-Gauss-Jordan.  Sizes in this package stay small (a few hundred rows at
-most), so exactness is preferred over sparsity tricks.
+Rank, determinant, inversion and the solver classes share one Bareiss
+(fraction-free) kernel over the polynomial rows cleared of denominators.
+Sizes in this package stay small (a few hundred rows at most), so exactness
+is preferred over sparsity tricks.
 """
 
 from functools import reduce
@@ -35,40 +35,11 @@ def mat_mul(a, b):
     return [[_dot(row, col) for col in columns] for row in a]
 
 
-def _echelon(matrix):
-    """Row-reduce a copy of ``matrix`` in place; return (rows, pivot columns)."""
-    m = [list(row) for row in matrix]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if not m[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and not m[i][c].is_zero():
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
 def rank(matrix) -> int:
     if not matrix or not matrix[0]:
         return 0
     rows, _ = _cleared(matrix)
-    return _bareiss_forward(rows, len(matrix[0][0].vars))[0]
+    return len(_bareiss_forward(rows, len(matrix[0][0].vars))[0])
 
 
 def det(matrix) -> CoeffFraction:
@@ -78,33 +49,11 @@ def det(matrix) -> CoeffFraction:
         raise ValueError("matrix must be square and nonempty")
     vars = matrix[0][0].vars
     rows, dens = _cleared(matrix)
-    found, sign, last = _bareiss_forward(rows, len(vars))
-    if found < n:
+    pivots, sign, last = _bareiss_forward(rows, len(vars))
+    if len(pivots) < n:
         return CoeffFraction.const(0, vars)
     return CoeffFraction(vars, last if sign > 0 else poly_neg(last),
                          reduce(poly_mul, dens))
-
-
-def solve(matrix, rhs):
-    """Solve ``matrix @ x = rhs`` for square regular ``matrix``.
-
-    ``rhs`` is a list of column vectors' rows, i.e. an n x m matrix; the
-    result has the same shape.
-    """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix must be square")
-    aug = [list(matrix[i]) + list(rhs[i]) for i in range(n)]
-    reduced, pivots = _echelon(aug)
-    if pivots != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return [row[n:] for row in reduced]
-
-
-def invert(matrix):
-    n = len(matrix)
-    vars = matrix[0][0].vars
-    return solve(matrix, identity_matrix(n, vars))
 
 
 def invert_fraction_free(matrix):
@@ -141,7 +90,7 @@ def invert_fraction_free(matrix):
              for j in range(n)] for i in range(n)]
 
 
-# -- the fraction-free kernel shared by rank, det and invert_fraction_free ----------
+# -- the fraction-free kernel ---------------------------------------------------------
 
 def _cleared(matrix):
     """Polynomial rows of ``matrix``, each scaled by the lcm of its
@@ -180,13 +129,15 @@ def _bareiss_step(row, pivot_row, col, prev, nv):
 def _bareiss_forward(rows, nv):
     """Fraction-free forward elimination of polynomial rows, in place.
 
-    Returns (rank, sign of the row permutation, last pivot); for a square
-    matrix of full rank, sign times the last pivot is its determinant.
+    Returns (pivot columns, sign of the row permutation, last pivot); the
+    rank is the number of pivot columns, and for a square matrix of full
+    rank, sign times the last pivot is its determinant.
     """
     nrows = len(rows)
     prev = poly_const(1, nv)
-    sign, r = 1, 0
+    sign, pivots = 1, []
     for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
         pr = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pr is None:
             continue
@@ -196,10 +147,10 @@ def _bareiss_forward(rows, nv):
         for i in range(r + 1, nrows):
             _bareiss_step(rows[i], rows[r], c, prev, nv)
         prev = rows[r][c]
-        r += 1
-        if r == nrows:
+        pivots.append(c)
+        if r + 1 == nrows:
             break
-    return r, sign, prev
+    return pivots, sign, prev
 
 
 class ColumnSolver:
@@ -217,7 +168,7 @@ class ColumnSolver:
         gram = [[_dot(columns[i], columns[j]) for j in range(k)]
                 for i in range(k)]
         try:
-            self._gram_inv = invert(gram)
+            self._gram_inv = invert_fraction_free(gram)
         except SingularMatrixError:
             raise SingularMatrixError("columns are linearly dependent")
 
@@ -231,11 +182,11 @@ class ColumnSolver:
 class TallSolver:
     """Solve A x = b for a tall m x k matrix A with full column rank.
 
-    Performs one elimination pass to locate k pivot rows, inverts the
-    resulting k x k submatrix, and answers each solve by applying that
-    inverse to the pivot entries of the right-hand side.  Every solve
-    verifies the residual on all m rows, so an inconsistent right-hand
-    side raises instead of returning garbage.
+    One fraction-free elimination of A^T (whose rows are the given columns)
+    picks k independent rows of A, the first ones in order; each solve
+    applies the inverse of that k x k submatrix to the matching entries of
+    the right-hand side.  Every solve verifies the residual on all m rows,
+    so an inconsistent right-hand side raises instead of returning garbage.
 
     Compared with normal equations (``A^T A``), this keeps polynomial
     degrees from doubling, which matters for multivariate fractions.
@@ -244,34 +195,13 @@ class TallSolver:
     def __init__(self, columns):
         # columns: list of k column vectors, each of length m
         self._cols = columns
-        k = len(columns)
-        m = len(columns[0])
-        rows = [[columns[j][i] for j in range(k)] for i in range(m)]
-        work = [list(r) for r in rows]
-        orig = list(range(m))
-        pivot_rows = []
-        r = 0
-        for c in range(k):
-            pr = None
-            for i in range(r, m):
-                if not work[i][c].is_zero():
-                    pr = i
-                    break
-            if pr is None:
-                raise SingularMatrixError("columns are linearly dependent")
-            work[r], work[pr] = work[pr], work[r]
-            orig[r], orig[pr] = orig[pr], orig[r]
-            inv = work[r][c].inverse()
-            work[r] = [x * inv for x in work[r]]
-            for i in range(r + 1, m):
-                if not work[i][c].is_zero():
-                    factor = work[i][c]
-                    work[i] = [a - factor * b
-                               for a, b in zip(work[i], work[r])]
-            pivot_rows.append(orig[r])
-            r += 1
-        self._pivot_rows = pivot_rows
-        self._sub_inv = invert([rows[i] for i in pivot_rows])
+        rows, _ = _cleared(columns)
+        pivots, _, _ = _bareiss_forward(rows, len(columns[0][0].vars))
+        if len(pivots) < len(columns):
+            raise SingularMatrixError("columns are linearly dependent")
+        self._pivot_rows = pivots
+        self._sub_inv = invert_fraction_free(
+            [[col[i] for col in columns] for i in pivots])
 
     def solve_vector(self, rhs):
         x = [_dot(row, [rhs[i] for i in self._pivot_rows])
@@ -305,7 +235,7 @@ class LinearSolver:
 
     def __init__(self, matrix):
         self._n = len(matrix)
-        self._inv = invert(matrix)
+        self._inv = invert_fraction_free(matrix)
 
     @property
     def n(self) -> int:

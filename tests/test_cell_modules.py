@@ -77,7 +77,7 @@ def _const(c):
 
 
 def _murphy_stub(coords):
-    def to_murphy(m, part):
+    def to_murphy(m, part, vars):
         return coords
     return to_murphy
 

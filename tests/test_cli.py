@@ -149,9 +149,13 @@ def test_exit_2_on_bad_specialization(capsys):
                     "--spec", "r=q^99999999"]) == 2
     assert cli.run(["certify", "--algebra", "brauer", "--n", "3",
                     "--spec", "z=((2^999)^999)^999"]) == 2
+    # an image within the power bound can still be too large to work with
+    assert cli.run(["gram", "--algebra", "bmw", "--n", "4", "--lambda", "2",
+                    "--spec", "r=(q-1)^85"]) == 2
     err = capsys.readouterr().err
     assert "division by zero" in err and "assigned twice" in err
     assert err.count("power too large") == 2
+    assert "image of r too large" in err
     assert "Traceback" not in err
 
 

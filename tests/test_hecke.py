@@ -1,6 +1,7 @@
 """Tests for the Hecke algebra: word basis, cellular basis, JM elements."""
 
 import random
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -15,8 +16,10 @@ from cellalg.combin import (
     tab_perm,
     type_map,
 )
-from cellalg.exactring import BMW_VARS, CoeffFraction, parse_fraction
+from cellalg.exactring import (BMW_VARS, BRAUER_VARS, CoeffFraction,
+                               parse_fraction)
 from cellalg.hecke import (
+    _murphy_column,
     HeckeElement,
     hk_c_mu,
     hk_content,
@@ -29,10 +32,13 @@ from cellalg.hecke import (
     murphy_element,
     murphy_index,
     murphy_to_hk,
+    row_stabilizer,
     specht_action_matrix,
     specht_basis,
     tab_dominance,
+    to_murphy,
 )
+from cellalg.linalg import invert_fraction_free
 
 
 def frac(text):
@@ -209,6 +215,52 @@ def test_murphy_element_star_swap():
     lam = (2, 1)
     u, v = enumerate_std(lam, 3)[:2]
     assert hk_star(murphy_element(lam, u, v)) == murphy_element(lam, v, u)
+
+
+def _dense_murphy_matrix(m, vars):
+    """The Murphy-to-X_w matrix as CoeffFractions: generic q from
+    murphy_element over BMW_VARS; at q = 1 over BRAUER_VARS from the group
+    products d(s)^-1 w d(t), w in the row stabilizer."""
+    perms = [Permutation(img) for img in permutations(range(1, m + 1))]
+    pos = {w: i for i, w in enumerate(perms)}
+    zero = CoeffFraction.const(0, vars)
+    matrix = [[zero] * len(perms) for _ in perms]
+    for j, (lam, s, t) in enumerate(murphy_index(m)):
+        if vars == BMW_VARS:
+            for w, c in murphy_element(lam, s, t).terms.items():
+                matrix[pos[w]][j] = c
+        else:
+            for w in row_stabilizer(lam, m):
+                i = pos[tab_perm(s).inverse() * w * tab_perm(t)]
+                matrix[i][j] = matrix[i][j] + CoeffFraction.const(1, vars)
+    return perms, matrix
+
+
+@pytest.mark.parametrize("vars", [BMW_VARS, BRAUER_VARS])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_to_murphy_matches_dense_inverse(m, vars):
+    # the sparse unit-pivot elimination against a dense fraction-free
+    # inverse: same canonical strings for every X_w
+    perms, matrix = _dense_murphy_matrix(m, vars)
+    inverse = invert_fraction_free(matrix)
+    index = murphy_index(m)
+    one = CoeffFraction.const(1, vars)
+    for k, w in enumerate(perms):
+        dense = {index[i]: str(row[k]) for i, row in enumerate(inverse)
+                 if not row[k].is_zero()}
+        # to_murphy multiplies by the coefficient, which reduces again; the
+        # memoised column holds the values built with _reduced=True
+        column = _murphy_column(m, vars, w)
+        for coords in (to_murphy(m, {w: one}, vars), column):
+            assert {key: str(c) for key, c in coords.items()} == dense
+        for c in column.values():
+            assert CoeffFraction(vars, c.num, c.den) == c  # canonical
+
+
+def test_to_murphy_rejects_other_rings():
+    with pytest.raises(ValueError, match="no Murphy change of basis"):
+        to_murphy(2, {Permutation.identity(2): CoeffFraction.const(1, ("x",))},
+                  ("x",))
 
 
 # -- Jucys-Murphy elements --------------------------------------------------------

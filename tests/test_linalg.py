@@ -1,5 +1,6 @@
 """Property tests of the fraction-free determinant and rank against
-Laplace-expansion oracles over Q(z) and Q(q, r)."""
+Laplace-expansion oracles over Q(z) and Q(q, r), and of the solver classes
+that share their kernel."""
 
 from itertools import combinations
 
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellalg.exactring import BMW_VARS, BRAUER_VARS, CoeffFraction, parse_fraction
-from cellalg.linalg import det, rank
+from cellalg.linalg import (ColumnSolver, LinearSolver,
+                            SingularMatrixError, TallSolver, det, rank)
 
 ENTRIES = {
     BRAUER_VARS: ["0", "0", "1", "-2", "3/2", "z", "z-1", "z^2+1", "1/z",
@@ -76,3 +78,39 @@ def test_det_rejects_non_square():
     m = [[parse_fraction("z", BRAUER_VARS)] * 2]
     with pytest.raises(ValueError):
         det(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices(square=False), st.data())
+def test_solvers_recover_a_known_solution(m, data):
+    # columns of m as the system; the solvers agree with a chosen x exactly
+    # when the columns are independent, and raise otherwise
+    vars = m[0][0].vars
+    pool = [parse_fraction(text, vars) for text in ENTRIES[vars]]
+    cols = [list(col) for col in zip(*m)]
+    x = [data.draw(st.sampled_from(pool)) for _ in cols]
+    zero = CoeffFraction.const(0, vars)
+    rhs = [sum((col[i] * xi for col, xi in zip(cols, x)), zero)
+           for i in range(len(m))]
+    solvers = [TallSolver]
+    if vars == BRAUER_VARS:
+        # normal equations square the degrees; ColumnSolver is the dense
+        # diagram reference over Q(z) only
+        solvers.append(ColumnSolver)
+    if len(m) == len(cols):
+        solvers.append(LinearSolver)
+    for solver in solvers:
+        if minor_rank(m) < len(cols):
+            with pytest.raises(SingularMatrixError):
+                solver(m if solver is LinearSolver else cols)
+        else:
+            built = solver(m if solver is LinearSolver else cols)
+            assert built.solve_vector(rhs) == x
+
+
+def test_tall_solver_skips_dependent_rows():
+    # the first two rows are dependent; the solver must pick rows 0 and 2
+    z, one = (parse_fraction(t, BRAUER_VARS) for t in ("z", "1"))
+    cols = [[one, one + one, z - z], [z, z + z, one]]
+    rhs = [one + z, one + one + z + z, one]
+    assert TallSolver(cols).solve_vector(rhs) == [one, one]
