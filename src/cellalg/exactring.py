@@ -8,6 +8,12 @@ denominator share no polynomial factor and the leading coefficient of
 the denominator is positive under lexicographic monomial order -- so
 equality of values is equality of representations.
 
+Reduction runs a primitive polynomial remainder sequence (PRS) only when
+both arguments of ``poly_gcd`` have two or more terms.  When either side is
+a single term (a constant or c*x^e) the gcd is read off the coefficients
+and the lowest exponents, and ``poly_divexact`` divides by a single-term
+divisor term by term; most reductions are of this kind.
+
 Specializations substitute variables either by rationals or by
 symbolic expressions in the remaining variables (for example
 ``r -> -q^-3``); symbolic substitutions are applied before any numeric
@@ -284,6 +290,11 @@ def poly_gcd(a: dict, b: dict, nvars: int) -> dict:
         return _poly_sign_norm(b)
     if not b:
         return _poly_sign_norm(a)
+    if len(a) == 1 or len(b) == 1:
+        # a single term is divisible only by terms: the gcd is the gcd of
+        # all coefficients times the lowest power of each variable
+        exp = tuple(map(min, zip(*a, *b)))
+        return {exp: int_gcd(*a.values(), *b.values())}
     g = _r_gcd(_to_rec(a, nvars), _to_rec(b, nvars))
     return _poly_sign_norm(_from_rec(_r_trim(g), nvars))
 
@@ -291,6 +302,15 @@ def poly_gcd(a: dict, b: dict, nvars: int) -> dict:
 def poly_divexact(a: dict, b: dict, nvars: int) -> dict:
     if not a:
         return {}
+    if len(b) == 1:
+        (eb, cb), = b.items()
+        out = {}
+        for ea, ca in a.items():
+            exp = tuple(x - y for x, y in zip(ea, eb))
+            if ca % cb or min(exp, default=0) < 0:
+                raise ValueError("inexact division by a term")
+            out[exp] = ca // cb
+        return out
     q = _r_divexact(_to_rec(a, nvars), _to_rec(b, nvars))
     return _from_rec(_r_trim(q), nvars)
 

@@ -48,19 +48,35 @@ def certify(algebra, n, spec=None):
     comparable shapes share a content vector.  Never certifies the negative;
     collisions are reported as Inconclusive with the colliding path pairs."""
     shapes = layer_shapes(n)
+    content = _ops(algebra).content
+    steps = {}  # (prev, cur) -> content of that step, specialized
+
+    def step_value(prev, cur):
+        value = steps.get((prev, cur))
+        if value is None:
+            value = content(prev, cur)
+            if spec is not None:
+                value = spec.apply(value)
+            steps[prev, cur] = value
+        return value
+
     vectors = {
-        lam: [(t, content_vector(algebra, t, spec))
+        lam: [(t, tuple(map(step_value, t, t[1:])))
               for t in ordered_paths(lam, n)]
         for lam in shapes}
+    buckets = {}  # shape -> {vector: paths of that shape with that vector}
+    for lam, rows in vectors.items():
+        buckets[lam] = by_vector = {}
+        for t, vt in rows:
+            by_vector.setdefault(vt, []).append(t)
     witnesses = []
     for lam in shapes:
         for mu in shapes:
             if lam == mu or dominance(lam, mu) != "dominates":
                 continue
             for s, vs in vectors[lam]:
-                for t, vt in vectors[mu]:
-                    if vs == vt:
-                        witnesses.append((s, t, vs))
+                for t in buckets[mu].get(vs, ()):
+                    witnesses.append((s, t, vs))
     if not witnesses:
         return Verdict(CERTIFIED_SEMISIMPLE, [])
     witnesses.sort(key=lambda w: (path_key(w[0]), path_key(w[1])))

@@ -132,6 +132,16 @@ def test_exit_2_on_missing_required(capsys):
     assert cli.run(["gram", "--algebra", "bmw", "--lambda", "1"]) == 2
     assert cli.run(["basis", "--algebra", "bmw", "--n", "3"]) == 2
     capsys.readouterr()
+    # a level past MAX_N is refused before any work: both ran past 20 s.
+    # The cheaper one goes first, so a missing bound fails in about a second
+    # instead of letting dim at n = 40 run out of memory.
+    assert cli.run(["certify", "--algebra", "brauer",
+                    "--n", str(cli.MAX_N + 1)]) == 2
+    assert cli.run(["dim", "--algebra", "bmw", "--n", "40"]) == 2
+    assert capsys.readouterr().err.count("--n out of range") == 2
+    assert cli.run(["dim", "--algebra", "brauer",
+                    "--n", str(cli.MAX_N)]) == 0
+    capsys.readouterr()
 
 
 def test_exit_2_on_bad_specialization(capsys):
@@ -183,6 +193,27 @@ def test_json_output_deterministic(capsys):
     assert without_timing(first) == without_timing(second)
     assert json.dumps(without_timing(first)) == \
         json.dumps(without_timing(second))
+
+
+def test_reused_parser_keeps_no_state(capsys):
+    first = ["certify", "--algebra", "brauer", "--n", "3", "--spec", "z=4",
+             "--json"]
+    other = ["gram-certify", "--algebra", "brauer", "--n", "3", "--json"]
+
+    def on_a_fresh_parser(argv):
+        cli._build_parser.cache_clear()
+        return without_timing(run_json(capsys, argv))
+
+    expected = [on_a_fresh_parser(first), on_a_fresh_parser(other)]
+    cli._build_parser.cache_clear()
+    got = [without_timing(run_json(capsys, first))]
+    assert cli.run(first[:-1] + ["--frobnicate"]) == 2
+    capsys.readouterr()
+    got.append(without_timing(run_json(capsys, other)))
+    got.append(without_timing(run_json(capsys, first)))
+    assert got == [expected[0], expected[1], expected[0]]
+    assert "spec" not in got[1]["parameters"]
+    assert cli._build_parser.cache_info().misses == 1
 
 
 # -- cache ---------------------------------------------------------------------------

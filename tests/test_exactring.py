@@ -13,10 +13,18 @@ from cellalg.exactring import (
     CoeffFraction,
     PoleError,
     Specialization,
+    _from_rec,
+    _poly_sign_norm,
+    _r_divexact,
+    _r_gcd,
+    _to_rec,
     bmw_frac,
     bmw_z,
     brauer_frac,
     parse_fraction,
+    poly_divexact,
+    poly_gcd,
+    poly_mul,
     specialize,
 )
 
@@ -179,3 +187,73 @@ def test_oversize_power_is_rejected():
         CoeffFraction.monomial(BMW_VARS, q=170)
     with pytest.raises(ValueError, match="power too large"):
         parse_fraction("q^171", BMW_VARS)
+
+
+@pytest.mark.parametrize("vars", [BMW_VARS, BRAUER_VARS])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_canonical_form_is_unique(vars, data):
+    x = data.draw(fractions_over(vars, degree=3))
+    y = data.draw(fractions_over(vars, degree=3))
+    values = [(x + y) - y]
+    if not y.is_zero():
+        values.append((x * y) / y)
+    for value in values:
+        assert (value.num, value.den) == (x.num, x.den)
+
+
+# -- the single-term shortcut in poly_gcd and poly_divexact --------------------------
+
+def polys(nvars, min_size=1, max_size=4):
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    coeffs = st.integers(-40, 40).filter(bool)
+    return st.dictionaries(exps, coeffs, min_size=min_size, max_size=max_size)
+
+
+def _prs_gcd(a, b, nvars):
+    """The primitive-PRS gcd that poly_gcd runs when both sides have two or
+    more terms."""
+    return _poly_sign_norm(_from_rec(_r_gcd(_to_rec(a, nvars),
+                                            _to_rec(b, nvars)), nvars))
+
+
+def _rec_divexact(a, b, nvars):
+    return _from_rec(_r_divexact(_to_rec(a, nvars), _to_rec(b, nvars)), nvars)
+
+
+@pytest.mark.parametrize("nvars", [0, 1, 2])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_single_term_gcd_matches_prs(nvars, data):
+    term = data.draw(polys(nvars, max_size=1))
+    other = data.draw(polys(nvars))
+    for a, b in ((term, other), (other, term)):
+        assert poly_gcd(a, b, nvars) == _prs_gcd(a, b, nvars)
+
+
+@pytest.mark.parametrize("nvars", [0, 1, 2])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_division_by_a_term_matches_recursive_division(nvars, data):
+    a = data.draw(polys(nvars, min_size=0))
+    b = data.draw(polys(nvars, max_size=1))
+    assert poly_divexact(poly_mul(a, b), b, nvars) == a
+    try:
+        expected = _rec_divexact(a, b, nvars)
+    except ValueError:
+        with pytest.raises(ValueError):
+            poly_divexact(a, b, nvars)
+    else:
+        assert poly_divexact(a, b, nvars) == expected
+
+
+def test_inexact_division_by_a_term_raises():
+    cases = [({(): 5}, {(): 3}, 0),                      # coefficient
+             ({(2,): 6, (1,): 3}, {(1,): 2}, 1),         # one coefficient
+             ({(0, 1): 2, (1, 1): 4}, {(1, 0): 2}, 2),   # exponent
+             ({(3, 0): -7}, {(0, 1): -7}, 2)]
+    for a, b, nvars in cases:
+        with pytest.raises(ValueError):
+            poly_divexact(a, b, nvars)
+        with pytest.raises(ValueError):
+            _rec_divexact(a, b, nvars)

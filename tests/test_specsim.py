@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellalg.combin import maximal_path
+from cellalg.combin import dominance, layer_shapes, maximal_path, path_key
 from cellalg.exactring import (
     BMW_VARS,
     BRAUER_VARS,
     CoeffFraction,
+    PoleError,
     Specialization,
     parse_fraction,
 )
@@ -26,6 +27,7 @@ from cellalg.specsim import (
     hom_obstruction,
     necessary_condition_note,
 )
+from cellalg.towers import ordered_paths
 
 
 def bqr(s):
@@ -107,6 +109,69 @@ def test_certify_never_negative():
     for text in ("z=4", "z=1", "z=0"):
         spec = Specialization.parse(text, BRAUER_VARS)
         assert certify("brauer", 3, spec).outcome != CERTIFIED_NOT_SEMISIMPLE
+
+
+def _pairwise_certify(algebra, n, spec=None):
+    """The eigenvalue-vector criterion written out pair by pair: every path
+    of one shape against every path of each shape it dominates."""
+    shapes = layer_shapes(n)
+    vectors = {
+        lam: [(t, content_vector(algebra, t, spec))
+              for t in ordered_paths(lam, n)]
+        for lam in shapes}
+    witnesses = []
+    for lam in shapes:
+        for mu in shapes:
+            if lam == mu or dominance(lam, mu) != "dominates":
+                continue
+            for s, vs in vectors[lam]:
+                for t, vt in vectors[mu]:
+                    if vs == vt:
+                        witnesses.append((s, t, vs))
+    if not witnesses:
+        return Verdict(CERTIFIED_SEMISIMPLE, [])
+    witnesses.sort(key=lambda w: (path_key(w[0]), path_key(w[1])))
+    return Verdict(INCONCLUSIVE, witnesses)
+
+
+# (algebra, spec, whether some level n <= 5 has a collision); z = -3 first
+# collides at n = 7
+CERTIFY_SPECS = [
+    ("bmw", None, False), ("bmw", SPEC_R_Q3, True), ("bmw", "r=-q^-2", True),
+    ("bmw", "r=q^-1", True), ("bmw", "q=2,r=-1/8", True),
+    ("brauer", None, False), ("brauer", SPEC_Z4, True),
+    ("brauer", "z=-3", False), ("brauer", "z=1", True), ("brauer", "z=0", True),
+]
+
+
+@pytest.mark.parametrize("algebra,spec,collides", CERTIFY_SPECS)
+def test_certify_matches_pairwise_reference(algebra, spec, collides):
+    if isinstance(spec, str):
+        spec = Specialization.parse(spec, BMW_VARS if algebra == "bmw"
+                                    else BRAUER_VARS)
+    witnesses = 0
+    for n in range(1, 6):
+        got = certify(algebra, n, spec)
+        expected = _pairwise_certify(algebra, n, spec)
+        assert got.outcome == expected.outcome
+        assert got.evidence == expected.evidence
+        # the printed witnesses (what the CLI reports) agree too
+        assert [(s, t, [str(x) for x in v]) for s, t, v in got.evidence] == \
+            [(s, t, [str(x) for x in v]) for s, t, v in expected.evidence]
+        witnesses += len(got.evidence)
+    assert bool(witnesses) == collides
+
+
+def test_certify_pole_still_raises():
+    # Specialization refuses r = 0, so the image is set by hand: the
+    # content q^(2(i-j)) r^-2 of a removal step then has a vanishing
+    # denominator
+    spec = Specialization.parse("r=2", BMW_VARS)
+    spec.assignment["r"] = CoeffFraction.const(0, spec.target_vars)
+    with pytest.raises(PoleError):
+        certify("bmw", 2, spec)
+    with pytest.raises(PoleError):
+        _pairwise_certify("bmw", 2, spec)
 
 
 # -- Gram-rank certification ---------------------------------------------------------
