@@ -17,7 +17,9 @@ divisor term by term; most reductions are of this kind.
 Specializations substitute variables either by rationals or by
 symbolic expressions in the remaining variables (for example
 ``r -> -q^-3``); symbolic substitutions are applied before any numeric
-evaluation.
+evaluation.  A substitution is one polynomial pass over numerator and
+denominator, scaled by the image denominators, with one reduction at the
+end.
 """
 
 from __future__ import annotations
@@ -478,7 +480,13 @@ class CoeffFraction:
     def substitute(self, assignment: dict) -> "CoeffFraction":
         """Evaluate with each variable mapped to a CoeffFraction (all images
         must share one variable tuple).  Raises PoleError if the denominator
-        vanishes."""
+        vanishes.
+
+        With image n_i/d_i and D_i the degree of variable i in num and den,
+        both are multiplied by prod d_i^D_i, so each term c*x^e becomes the
+        polynomial c * prod n_i^e_i * d_i^(D_i - e_i); one reduction at the
+        end gives the canonical form.
+        """
         images = []
         target_vars = None
         for name in self.vars:
@@ -490,14 +498,37 @@ class CoeffFraction:
             elif img.vars != target_vars:
                 raise ValueError("inconsistent target variable tuples")
             images.append(img)
-        assert target_vars is not None or not self.vars
         if target_vars is None:
             target_vars = ()
-        num = _poly_eval(self.num, images, target_vars)
-        den = _poly_eval(self.den, images, target_vars)
-        if den.is_zero():
+        nt = len(target_vars)
+        one = poly_const(1, nt)
+        terms = list(self.num) + list(self.den)
+        tables = []  # per variable: powers of n_i and of d_i, and D_i
+        for i, img in enumerate(images):
+            top = max(e[i] for e in terms)
+            nums, dens = [one], [one]
+            for _ in range(top):
+                nums.append(poly_mul(nums[-1], img.num))
+                dens.append(poly_mul(dens[-1], img.den))
+            tables.append((nums, dens, top))
+
+        def evaluate(p):
+            acc = {}
+            for exp, c in p.items():
+                term = poly_const(c, nt)
+                for (nums, dens, top), e in zip(tables, exp):
+                    if e:
+                        term = poly_mul(term, nums[e])
+                    if e != top:
+                        term = poly_mul(term, dens[top - e])
+                for k, v in term.items():
+                    acc[k] = acc.get(k, 0) + v
+            return {k: v for k, v in acc.items() if v}
+
+        den = evaluate(self.den)
+        if not den:
             raise PoleError(f"denominator vanishes under {assignment}")
-        return num / den
+        return CoeffFraction(target_vars, evaluate(self.num), den)
 
     # -- formatting -----------------------------------------------------------
     def __repr__(self):
@@ -521,17 +552,6 @@ class CoeffFraction:
 def _is_atom_power(s: str) -> bool:
     head, _, tail = s.partition("^")
     return head.isalpha() and (tail == "" or tail.isdigit())
-
-
-def _poly_eval(p: dict, images: list, target_vars: tuple) -> CoeffFraction:
-    acc = CoeffFraction.const(0, target_vars)
-    for exp, c in p.items():
-        term = CoeffFraction.const(c, target_vars)
-        for img, e in zip(images, exp):
-            if e:
-                term = term * img ** e
-        acc = acc + term
-    return acc
 
 
 def poly_str(p: dict, vars: tuple) -> str:

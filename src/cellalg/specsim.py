@@ -5,14 +5,23 @@ criterion for semisimplicity: if paths of distinct comparable shapes never
 share an eigenvalue vector, the algebra is semisimple.  The criterion is
 one-directional, so failures are reported as Inconclusive with witnesses;
 a definite negative answer only ever comes from Gram-rank computations.
+
+A cellular algebra is semisimple iff every cell form is nondegenerate
+(Graham and Lehrer, Invent. Math. 123, 1996), so ``gram_rank_certify`` is
+the exact check.  Over a symbolic specialization (or none) it first tries to
+prove full rank at one rational point of the target variables: evaluation
+at a point is a ring homomorphism on the local ring holding every Gram
+entry, so a nonzero determinant there is nonzero over the function field.
+Rank drops and radical dimensions come only from exact elimination.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 from .combin import content_sum, dominance, layer_shapes, path_key
-from .exactring import BMW_VARS, BRAUER_VARS, CoeffFraction
+from .exactring import (BMW_VARS, BRAUER_VARS, CoeffFraction, PoleError,
+                        Specialization)
 from .linalg import det, rank
 from .towers import _ops, gram_matrix, ordered_paths, path_content
 
@@ -83,18 +92,70 @@ def certify(algebra, n, spec=None):
     return Verdict(INCONCLUSIVE, witnesses)
 
 
+# Points (values of the target variables, in order) at which
+# gram_rank_certify first tries to prove full rank.  Any point is sound; a
+# good one is no root of a Gram determinant.  Brauer determinants vanish at
+# rational z only in [-2n, 2n] (Rui, J. Combin. Theory A 111, 2005), so 17
+# is no root up to n = 8; the BMW points are no roots of unity and satisfy
+# no r = +-q^k.  Later points stand in when a point is refused or is a pole.
+CERTIFICATE_POINTS = ((17, 19), (23, 29), (31, 37))
+
+
+def _certificate_specs(algebra, spec):
+    """Numeric specializations: ``spec`` (or the identity) followed by each
+    usable point of CERTIFICATE_POINTS; none for a numeric ``spec``."""
+    vars = _ops(algebra).vars
+    if spec is None:
+        spec = Specialization(vars, {}, vars)
+    if not spec.target_vars:
+        return []
+    out = []
+    for point in CERTIFICATE_POINTS:
+        at = {v: CoeffFraction.const(c, ())
+              for v, c in zip(spec.target_vars, point)}
+        try:
+            out.append(Specialization(
+                vars, {name: img.substitute(at)
+                       for name, img in spec.assignment.items()}))
+        except (ValueError, PoleError):
+            continue
+    return out
+
+
+def _full_rank_at_a_point(g, points):
+    """True if the Gram matrix ``g`` has full rank at the first point of
+    ``points`` where no entry has a pole; False when that rank drops or no
+    point is usable (undecided: full rank may still hold)."""
+    for point in points:
+        try:
+            values = [[point.apply(x) for x in row] for row in g]
+        except PoleError:
+            continue
+        return rank(values) == len(g)
+    return False
+
+
 def gram_rank_certify(algebra, n, spec=None):
     """Rank criterion: semisimple iff every specialized Gram matrix has full
     rank; a rank drop certifies non-semisimplicity (witness: shape, rank,
-    dimension, radical dimension)."""
+    dimension, radical dimension).
+
+    Over a symbolic ``spec`` or none, full rank may be proved at one rational
+    point (``CERTIFICATE_POINTS``): if the determinant is nonzero there, it
+    is nonzero as a rational function.  Every other case, and every rank
+    drop, is decided by exact elimination of the specialized matrix."""
+    points = _certificate_specs(algebra, spec)
     drops = []
     report = []
     for lam in layer_shapes(n):
         g = gram_matrix(algebra, lam, n)
-        if spec is not None:
-            g = [[spec.apply(x) for x in row] for row in g]
         dim = len(g)
-        r = rank([list(row) for row in g])
+        if _full_rank_at_a_point(g, points):
+            r = dim
+        else:
+            if spec is not None:
+                g = [[spec.apply(x) for x in row] for row in g]
+            r = rank([list(row) for row in g])
         report.append((lam, r, dim))
         if r < dim:
             drops.append((lam, r, dim, dim - r))
@@ -287,10 +348,13 @@ def _linear_roots(coeffs):
 
 
 def _divisors(a):
+    """Sorted positive divisors of |a| ([1] for 0), pairing d with a // d
+    up to the integer square root."""
     a = abs(a)
     if a == 0:
         return [1]
-    return [d for d in range(1, a + 1) if a % d == 0]
+    low = [d for d in range(1, isqrt(a) + 1) if a % d == 0]
+    return low + [a // d for d in reversed(low) if d * d != a]
 
 
 def _poly_eval_at(coeffs, x):

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellalg import cli, towers
+from cellalg import cli, specsim, towers
 from cellalg import bmw as _bmw
 from cellalg import brauer as _brauer
 from cellalg.exactring import (
     BMW_VARS,
     CoeffFraction,
+    Specialization,
     bmw_z,
     parse_fraction,
 )
@@ -181,6 +182,28 @@ def test_exit_3_on_pole(capsys, monkeypatch):
     assert cli.run(["gram", "--algebra", "bmw", "--n", "3",
                     "--lambda", "1", "--spec", "r=-q"]) == 3
     assert "pole" in capsys.readouterr().err
+
+
+def test_gram_certify_exit_3_on_pole(capsys, monkeypatch):
+    # built as in test_certify_pole_still_raises: r = 0 set by hand, which
+    # the one-point certificate refuses, so exact elimination meets the pole
+    spec = Specialization.parse("r=q", BMW_VARS)
+    spec.assignment["r"] = CoeffFraction.const(0, spec.target_vars)
+    with monkeypatch.context() as patch:
+        patch.setattr(Specialization, "parse",
+                      classmethod(lambda cls, text, vars: spec))
+        assert cli.run(["gram-certify", "--algebra", "bmw", "--n", "2",
+                        "--spec", "r=q"]) == 3
+    # an entry with a pole at r = -q: the certificate catches it at each
+    # point, and exact elimination raises it again
+    trap = (CoeffFraction.var("q", BMW_VARS)
+            + CoeffFraction.var("r", BMW_VARS)).inverse()
+    monkeypatch.setattr(specsim, "gram_matrix",
+                        lambda algebra, lam, n: [[trap]])
+    assert cli.run(["gram-certify", "--algebra", "bmw", "--n", "2",
+                    "--spec", "r=-q"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("pole") == 2 and "Traceback" not in err
 
 
 # -- determinism ---------------------------------------------------------------------

@@ -202,6 +202,87 @@ def test_canonical_form_is_unique(vars, data):
         assert (value.num, value.den) == (x.num, x.den)
 
 
+# -- one-pass substitution against term-by-term evaluation ---------------------------
+
+def _termwise_substitute(x, assignment):
+    """The evaluation that CoeffFraction.substitute replaced, kept as an
+    oracle: one fraction product and sum (with its gcd) per term."""
+    images = [assignment[name] for name in x.vars]
+    target = images[0].vars
+
+    def evaluate(p):
+        acc = CoeffFraction.const(0, target)
+        for exp, c in p.items():
+            term = CoeffFraction.const(c, target)
+            for img, e in zip(images, exp):
+                if e:
+                    term = term * img ** e
+            acc = acc + term
+        return acc
+
+    num, den = evaluate(x.num), evaluate(x.den)
+    if den.is_zero():
+        raise PoleError("denominator vanishes")
+    return num / den
+
+
+NUMERIC = [Fraction(v) for v in ("-2", "-1", "0", "1", "2", "3", "1/2",
+                                 "-1/3")]
+BRAUER_IMAGES = ["z", "z+1", "z^2-1", "(z+1)/(z-2)", "3/z"]
+
+
+@st.composite
+def specializations(draw, vars):
+    """Numeric and symbolic specializations that Specialization accepts."""
+    if vars == BRAUER_VARS:
+        if draw(st.booleans()):
+            return Specialization(vars, {"z": draw(st.sampled_from(NUMERIC))})
+        image = parse_fraction(draw(st.sampled_from(BRAUER_IMAGES)), vars)
+        return Specialization(vars, {"z": image}, vars)
+    if draw(st.booleans()):
+        text = "r={}q^{}".format(draw(st.sampled_from(("", "-"))),
+                                 draw(st.integers(-6, 6)))
+    else:
+        text = "q={},r={}".format(
+            draw(st.sampled_from([v for v in NUMERIC if abs(v) != 1 and v])),
+            draw(st.sampled_from([v for v in NUMERIC if v])))
+    return Specialization.parse(text, vars)
+
+
+@pytest.mark.parametrize("vars", [BMW_VARS, BRAUER_VARS])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_substitute_matches_termwise_evaluation(vars, data):
+    x = data.draw(fractions_over(vars, degree=3))
+    spec = data.draw(specializations(vars))
+    try:
+        expected = _termwise_substitute(x, spec.assignment)
+    except PoleError:
+        with pytest.raises(PoleError):
+            spec.apply(x)
+        return
+    got = spec.apply(x)
+    assert (got.vars, got.num, got.den) == \
+        (expected.vars, expected.num, expected.den)
+
+
+def test_substitute_poles_match_termwise_evaluation():
+    x = brauer_frac("(z+2)/(z^2-3z+2)")
+    for value, pole in ((1, True), (2, True), (-2, False), (3, False)):
+        spec = Specialization(BRAUER_VARS, {"z": value})
+        if pole:
+            with pytest.raises(PoleError):
+                _termwise_substitute(x, spec.assignment)
+            with pytest.raises(PoleError):
+                spec.apply(x)
+        else:
+            assert spec.apply(x) == _termwise_substitute(x, spec.assignment)
+    # a symbolic image can also make the denominator vanish identically
+    spec = Specialization.parse("r=q", BMW_VARS)
+    with pytest.raises(PoleError):
+        spec.apply(bmw_frac("1/(q-r)"))
+
+
 # -- the single-term shortcut in poly_gcd and poly_divexact --------------------------
 
 def polys(nvars, min_size=1, max_size=4):

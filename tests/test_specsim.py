@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellalg import specsim
 from cellalg.combin import dominance, layer_shapes, maximal_path, path_key
 from cellalg.exactring import (
     BMW_VARS,
@@ -18,6 +19,7 @@ from cellalg.specsim import (
     CERTIFIED_SEMISIMPLE,
     INCONCLUSIVE,
     Verdict,
+    _divisors,
     certify,
     conjecture_evidence,
     conjecture_poly,
@@ -27,7 +29,8 @@ from cellalg.specsim import (
     hom_obstruction,
     necessary_condition_note,
 )
-from cellalg.towers import ordered_paths
+from cellalg.linalg import rank
+from cellalg.towers import gram_matrix, ordered_paths
 
 
 def bqr(s):
@@ -209,6 +212,123 @@ def test_gram_rank_symbolic_generic():
     assert gram_rank_certify("bmw", 3).outcome == CERTIFIED_SEMISIMPLE
 
 
+def _exact_gram_rank_certify(algebra, n, spec=None):
+    """The rank criterion by exact elimination of every specialized Gram
+    matrix, without the one-point certificate."""
+    drops = []
+    report = []
+    for lam in layer_shapes(n):
+        g = gram_matrix(algebra, lam, n)
+        if spec is not None:
+            g = [[spec.apply(x) for x in row] for row in g]
+        dim = len(g)
+        r = rank([list(row) for row in g])
+        report.append((lam, r, dim))
+        if r < dim:
+            drops.append((lam, r, dim, dim - r))
+    if drops:
+        return Verdict(CERTIFIED_NOT_SEMISIMPLE, drops)
+    return Verdict(CERTIFIED_SEMISIMPLE, report)
+
+
+def _gram_certify_specs(algebra, n):
+    if algebra == "brauer":
+        texts = ["z={}".format(z) for z in range(-2 * n, 2 * n + 1)]
+        texts += ["z={}/2".format(z) for z in range(-4 * n - 1, 4 * n + 2, 2)]
+    else:
+        texts = ["r={}q^{}".format(sign, k) for sign in ("", "-")
+                 for k in range(-6, 7)]
+        texts += ["q=1/2,r=2", "q=2,r=8", "q=-1/2,r=3"]
+    vars = BMW_VARS if algebra == "bmw" else BRAUER_VARS
+    return [None] + [Specialization.parse(t, vars) for t in texts]
+
+
+@pytest.mark.parametrize("algebra", ["bmw", "brauer"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gram_rank_certify_matches_exact_reference(algebra, n):
+    drops = 0
+    for spec in _gram_certify_specs(algebra, n):
+        got = gram_rank_certify(algebra, n, spec)
+        expected = _exact_gram_rank_certify(algebra, n, spec)
+        assert (got.outcome, got.evidence) == \
+            (expected.outcome, expected.evidence), spec
+        drops += got.outcome == CERTIFIED_NOT_SEMISIMPLE
+    assert drops or n == 1
+
+
+def test_gram_rank_certify_known_drops():
+    # one numeric and one symbolic specialization with a rank drop
+    for text in ("q=1/2,r=2", "r=-q^3"):
+        spec = Specialization.parse(text, BMW_VARS)
+        assert gram_rank_certify("bmw", 4, spec).outcome == \
+            CERTIFIED_NOT_SEMISIMPLE
+
+
+def _ranks_seen(monkeypatch):
+    """Record the variable tuple of every matrix whose rank specsim takes."""
+    seen = []
+
+    def spy(matrix):
+        seen.append(matrix[0][0].vars)
+        return rank(matrix)
+
+    monkeypatch.setattr(specsim, "rank", spy)
+    return seen
+
+
+# (algebra, n, spec, certificate points, whether some shape falls back to
+# exact elimination): the first point is a root of a Gram determinant or a
+# pole of the specialization
+FALLBACK_CASES = [
+    ("brauer", 3, None, ((1,), (17,)), True),      # z = 1: (1) drops
+    ("brauer", 4, None, ((2,),), True),            # z = 2, no other point
+    ("bmw", 2, None, ((2, -2), (17, 19)), True),   # r = -q: z = 0
+    ("bmw", 3, "r=q-2", ((3,), (17,)), True),      # r = 1 at q = 3
+    ("bmw", 3, "q=2", ((-8,), (17,)), True),       # r = -q^3 at q = 2
+    ("bmw", 3, "r=1/(q-3)", ((3,), (17,)), False),  # pole: next point
+    ("bmw", 3, "r=1/(q-3)", ((3,),), True),        # no usable point
+    ("bmw", 3, "r=q-3", ((3,), (17,)), False),     # r = 0 is refused
+]
+
+
+@pytest.mark.parametrize("algebra,n,text,points,falls_back", FALLBACK_CASES)
+def test_gram_rank_certify_forced_fallback(monkeypatch, algebra, n, text,
+                                           points, falls_back):
+    vars = BMW_VARS if algebra == "bmw" else BRAUER_VARS
+    spec = None if text is None else Specialization.parse(text, vars)
+    expected = _exact_gram_rank_certify(algebra, n, spec)
+    seen = _ranks_seen(monkeypatch)
+    got = gram_rank_certify(algebra, n, spec)
+    assert seen == [()] * len(layer_shapes(n))  # every shape certified
+    monkeypatch.setattr(specsim, "CERTIFICATE_POINTS", points)
+    seen.clear()
+    got = gram_rank_certify(algebra, n, spec)
+    assert (got.outcome, got.evidence) == (expected.outcome,
+                                           expected.evidence)
+    assert any(vars != () for vars in seen) == falls_back
+
+
+def test_gram_rank_certify_pole_still_raises():
+    # as in test_certify_pole_still_raises: r = 0 set by hand, so every
+    # certificate point is refused and exact elimination meets the pole
+    spec = Specialization.parse("r=q", BMW_VARS)
+    spec.assignment["r"] = CoeffFraction.const(0, spec.target_vars)
+    with pytest.raises(PoleError):
+        gram_rank_certify("bmw", 2, spec)
+    with pytest.raises(PoleError):
+        _exact_gram_rank_certify("bmw", 2, spec)
+
+
+def test_gram_rank_certify_pole_at_the_point_still_raises(monkeypatch):
+    # an entry with a pole on r = -q: the certificate skips every point, and
+    # exact elimination raises
+    trap = (CoeffFraction.var("q", BMW_VARS)
+            + CoeffFraction.var("r", BMW_VARS)).inverse()
+    monkeypatch.setattr(specsim, "gram_matrix", lambda a, lam, n: [[trap]])
+    with pytest.raises(PoleError):
+        gram_rank_certify("bmw", 2, Specialization.parse("r=-q", BMW_VARS))
+
+
 # -- Hom obstructions ----------------------------------------------------------------
 
 def test_hom_obstruction_brauer_example():
@@ -288,6 +408,14 @@ def test_note_root_of_unity_via_minimal_polynomial():
     assert note2["q_root_of_unity"] == 2
     note3 = necessary_condition_note(spec, q_minimal_poly=[1, 0, 1])
     assert note3["q_root_of_unity"] == 4
+
+
+def test_divisors_match_brute_force():
+    for a in range(0, 2001):
+        expected = [d for d in range(1, a + 1) if a % d == 0] if a else [1]
+        assert _divisors(a) == expected
+        assert _divisors(-a) == expected
+    assert _divisors(2 ** 17) == [2 ** k for k in range(18)]
 
 
 # -- conjecture harness --------------------------------------------------------------
