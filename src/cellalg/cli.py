@@ -216,7 +216,7 @@ def ensure_cache(cache_dir, algebra, n):
 
 
 # -- subcommand handlers -------------------------------------------------------------
-# each returns (payload dict, list of text lines)
+# each returns (payload dict, iterable of text lines)
 
 def _double_factorial(n):
     out = 1
@@ -358,14 +358,17 @@ def _cmd_certify(args):
         "outcome": verdict.outcome,
         "witnesses": _witness_payload(verdict.evidence),
     }
-    lines = ["eigenvalue-vector criterion for {} at n={}: {}".format(
-        args.algebra, args.n, verdict.outcome)]
-    for item in payload["witnesses"]:
-        lines.append("  collision: {}  and  {}  share  ({})".format(
-            " -> ".join(_shape_str(tuple(mu)) for mu in item["path_s"]),
-            " -> ".join(_shape_str(tuple(mu)) for mu in item["path_t"]),
-            ", ".join(item["shared_vector"])))
-    return payload, lines
+
+    def lines():
+        # one line per witness, so built only when the text is printed
+        yield "eigenvalue-vector criterion for {} at n={}: {}".format(
+            args.algebra, args.n, verdict.outcome)
+        for item in payload["witnesses"]:
+            yield "  collision: {}  and  {}  share  ({})".format(
+                " -> ".join(_shape_str(tuple(mu)) for mu in item["path_s"]),
+                " -> ".join(_shape_str(tuple(mu)) for mu in item["path_t"]),
+                ", ".join(item["shared_vector"]))
+    return payload, lines()
 
 
 def _cmd_gram_certify(args):
@@ -469,8 +472,9 @@ _NEEDS_SHAPE = {"basis", "gram", "transition", "jm", "filtration", "hom"}
 _TAKES_SPEC = {"gram", "certify", "gram-certify", "hom"}
 
 # Largest accepted --n.  The number of paths grows four- to fivefold per
-# level (5937 at n = 8, 133651 at n = 10): certify takes about 0.2 s at
-# n = 8, 1.2 s at n = 9 and 11 s at n = 10, and dim needs 660 MB at n = 12.
+# level (5937 at n = 8, 133651 at n = 10): a first certify in a process
+# takes about 0.2 s at n = 8, 1.1 s at n = 9 and 7 s at n = 10, and dim
+# needs 660 MB at n = 12.
 # The tests use n <= 4 and the benchmark n <= 6.
 MAX_N = 8
 

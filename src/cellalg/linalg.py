@@ -3,8 +3,9 @@
 Matrices are lists of lists of :class:`~cellalg.exactring.CoeffFraction`.
 Rank, determinant, inversion and the solver classes share one Bareiss
 (fraction-free) kernel over the polynomial rows cleared of denominators.
-Sizes in this package stay small (a few hundred rows at most), so exactness
-is preferred over sparsity tricks.
+Sizes in this package stay small (a few hundred rows at most), so the
+elimination works on dense rows; ``mat_mul`` skips zero entries, since the
+generator matrices it multiplies have about one nonzero entry per row.
 """
 
 from functools import reduce
@@ -31,8 +32,28 @@ def identity_matrix(n: int, vars: tuple):
 
 
 def mat_mul(a, b):
-    columns = list(zip(*b))
-    return [[_dot(row, col) for col in columns] for row in a]
+    """The product of dense matrices ``a`` and ``b``, computed sparsely.
+
+    Each row of ``b`` is indexed once by its nonzero (column, value) pairs;
+    each nonzero x of a row of ``a`` then adds x*y into that row's entries.
+    Every entry sums its terms in the order of the dense dot product, and
+    entries with no term share one zero constant.
+    """
+    if not a or not b:
+        return [[] for _ in a]
+    b_rows = [[(j, y) for j, y in enumerate(row) if y.num] for row in b]
+    zero = CoeffFraction.const(0, a[0][0].vars)
+    out = []
+    for row in a:
+        acc = [None] * len(b[0])
+        for x, b_row in zip(row, b_rows):
+            if not x.num:
+                continue
+            for j, y in b_row:
+                term = x * y
+                acc[j] = term if acc[j] is None else acc[j] + term
+        out.append([zero if v is None else v for v in acc])
+    return out
 
 
 def rank(matrix) -> int:

@@ -52,44 +52,90 @@ def content_vector(algebra, path, spec=None):
     return tuple(values)
 
 
+@lru_cache(maxsize=None)
+def _content_classes(algebra, n):
+    """The generic step contents of level n, classed once.
+
+    Returns (values, rows).  ``values`` are the distinct generic contents
+    ``content(prev, cur)``, numbered in the order in which they are first
+    met along ``layer_shapes(n)``, ``ordered_paths`` and the steps of each
+    path.  ``rows`` holds, for each shape in ``layer_shapes`` order, the
+    triples (path, rank, class ids): the rank is the path's position on the
+    level under ``path_key``, and the class ids number its steps' contents.
+    """
+    content = _ops(algebra).content
+    step_class = {}  # (prev, cur) -> class id
+    class_of = {}  # generic content -> class id
+    values = []
+    paths = []
+    for lam in layer_shapes(n):
+        shape_rows = []
+        for t in ordered_paths(lam, n):
+            classes = []
+            for step in zip(t, t[1:]):
+                c = step_class.get(step)
+                if c is None:
+                    value = content(*step)
+                    c = class_of.setdefault(value, len(values))
+                    if c == len(values):
+                        values.append(value)
+                    step_class[step] = c
+                classes.append(c)
+            shape_rows.append((t, tuple(classes)))
+        paths.append(shape_rows)
+    keys = sorted((path_key(t), t) for shape_rows in paths
+                  for t, _ in shape_rows)
+    if any(a[0] == b[0] for a, b in zip(keys, keys[1:])):
+        raise AssertionError("path_key is not injective on the level")
+    rank = {t: i for i, (_, t) in enumerate(keys)}
+    rows = tuple(tuple((t, rank[t], classes) for t, classes in shape_rows)
+                 for shape_rows in paths)
+    return tuple(values), rows
+
+
 def certify(algebra, n, spec=None):
     """Eigenvalue-vector criterion: semisimple if no two paths of distinct
     comparable shapes share a content vector.  Never certifies the negative;
-    collisions are reported as Inconclusive with the colliding path pairs."""
-    shapes = layer_shapes(n)
-    content = _ops(algebra).content
-    steps = {}  # (prev, cur) -> content of that step, specialized
+    collisions are reported as Inconclusive with the colliding path pairs,
+    sorted by ``path_key`` of both paths.
 
-    def step_value(prev, cur):
-        value = steps.get((prev, cur))
-        if value is None:
-            value = content(prev, cur)
-            if spec is not None:
-                value = spec.apply(value)
-            steps[prev, cur] = value
-        return value
-
-    vectors = {
-        lam: [(t, tuple(map(step_value, t, t[1:])))
-              for t in ordered_paths(lam, n)]
-        for lam in shapes}
-    buckets = {}  # shape -> {vector: paths of that shape with that vector}
-    for lam, rows in vectors.items():
-        buckets[lam] = by_vector = {}
-        for t, vt in rows:
-            by_vector.setdefault(vt, []).append(t)
-    witnesses = []
-    for lam in shapes:
-        for mu in shapes:
-            if lam == mu or dominance(lam, mu) != "dominates":
-                continue
-            for s, vs in vectors[lam]:
-                for t in buckets[mu].get(vs, ()):
-                    witnesses.append((s, t, vs))
+    The level's generic step contents take few distinct values (about 4n),
+    so they are classed once (``_content_classes``) and only the class
+    values are specialized, in the order in which the paths first meet
+    them.  The specialized values are interned as small integers and each
+    path's vector becomes a tuple of those integers, bucketed over all
+    shapes at once.  This is exact: equal generic contents stay equal under
+    any specialization, so two specialized content vectors are equal iff
+    their interned tuples are.
+    """
+    values, rows = _content_classes(algebra, n)
+    if spec is not None:
+        values = [spec.apply(v) for v in values]
+    interned = {}
+    ids = [interned.setdefault(v, len(interned)) for v in values]
+    buckets = {}  # interned vector -> rows of the paths sharing it
+    for shape_rows in rows:
+        for row in shape_rows:
+            buckets.setdefault(tuple(map(ids.__getitem__, row[2])),
+                               []).append(row)
+    witnesses = []  # (rank of s, rank of t, s, t, class ids of s)
+    for bucket in buckets.values():
+        if len(bucket) < 2:
+            continue
+        by_shape = {}  # a path's shape is its last node
+        for row in bucket:
+            by_shape.setdefault(row[0][-1], []).append(row)
+        for lam, lam_rows in by_shape.items():
+            for mu, mu_rows in by_shape.items():
+                if dominance(lam, mu) == "dominates":
+                    witnesses.extend((s[1], t[1], s[0], t[0], s[2])
+                                     for s in lam_rows for t in mu_rows)
     if not witnesses:
         return Verdict(CERTIFIED_SEMISIMPLE, [])
-    witnesses.sort(key=lambda w: (path_key(w[0]), path_key(w[1])))
-    return Verdict(INCONCLUSIVE, witnesses)
+    witnesses.sort()  # ranks are distinct, so paths are never compared
+    return Verdict(INCONCLUSIVE, [
+        (s, t, tuple(values[c] for c in classes))
+        for _, _, s, t, classes in witnesses])
 
 
 # Points (values of the target variables, in order) at which

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -77,6 +78,32 @@ def test_certify_brauer_z4_then_gram_certify(capsys):
     follow = run_json(capsys, ["gram-certify", "--algebra", "brauer",
                                "--n", "3", "--spec", "z=4", "--json"])
     assert follow["result"]["outcome"] == "CertifiedSemisimple"
+
+
+CERTIFY_Z4_N4_TEXT = """\
+eigenvalue-vector criterion for brauer at n=4: Inconclusive
+  collision: () -> 1 -> 2 -> 2,1 -> 2  and  () -> 1 -> 2 -> 2,1 -> 2,1,1  share  (0, 1, -1, -2)
+  collision: () -> 1 -> 1,1 -> 1 -> ()  and  () -> 1 -> 1,1 -> 1,1,1 -> 1,1,1,1  share  (0, -1, -2, -3)
+  collision: () -> 1 -> 1,1 -> 1 -> 2  and  () -> 1 -> 1,1 -> 1,1,1 -> 2,1,1  share  (0, -1, -2, 1)
+  collision: () -> 1 -> 1,1 -> 2,1 -> 2  and  () -> 1 -> 1,1 -> 2,1 -> 2,1,1  share  (0, -1, 1, -2)
+"""
+# SHA-256 of the sorted-key JSON report without timing
+CERTIFY_Z4_N4_JSON = \
+    "846e70b82705394cb1c5ae28f229e413dc287ca966fd91b51da7852362db8790"
+
+
+def test_certify_text_and_json_reports_pinned(capsys):
+    argv = ["certify", "--algebra", "brauer", "--n", "4", "--spec", "z=4"]
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out == CERTIFY_Z4_N4_TEXT
+    report = without_timing(run_json(capsys, argv + ["--json"]))
+    digest = hashlib.sha256(
+        json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == CERTIFY_Z4_N4_JSON
+    # the JSON witnesses are the text's collision lines
+    witnesses = report["result"]["witnesses"]
+    assert len(witnesses) == CERTIFY_Z4_N4_TEXT.count("collision:") == 4
+    assert witnesses[0]["shared_vector"] == ["0", "1", "-1", "-2"]
 
 
 def test_gram_certify_degenerate(capsys):

@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 
 from cellalg.exactring import BMW_VARS, BRAUER_VARS, CoeffFraction, parse_fraction
 from cellalg.linalg import (ColumnSolver, LinearSolver,
-                            SingularMatrixError, TallSolver, det, rank)
+                            SingularMatrixError, TallSolver, det, mat_mul,
+                            rank)
 
 ENTRIES = {
     BRAUER_VARS: ["0", "0", "1", "-2", "3/2", "z", "z-1", "z^2+1", "1/z",
                   "(z+1)/(z-2)", "-z/3"],
     BMW_VARS: ["0", "0", "1", "-1", "2/3", "q", "r", "q-r", "1/(q*r)",
                "(q^2-1)/r", "r^-1-q", "q*r+1"],
+    (): ["0", "0", "1", "-2", "3/2", "-1/7"],
 }
 
 
@@ -72,6 +74,55 @@ def test_det_matches_laplace_expansion(m):
 @given(matrices(square=False))
 def test_rank_matches_largest_nonzero_minor(m):
     assert rank(m) == minor_rank(m)
+
+
+def dense_mat_mul(a, b):
+    """The dense product: every entry is a full dot product, summed in
+    column order, with the zero of a's row where no term is nonzero."""
+    out = []
+    for row in a:
+        out_row = []
+        for col in zip(*b):
+            acc = None
+            for x, y in zip(row, col):
+                if x.is_zero() or y.is_zero():
+                    continue
+                term = x * y
+                acc = term if acc is None else acc + term
+            out_row.append(row[0] - row[0] if acc is None else acc)
+        out.append(out_row)
+    return out
+
+
+@st.composite
+def sparse_pairs(draw):
+    """Multipliable matrices, mostly zero, with zero rows and columns."""
+    vars = draw(st.sampled_from([BRAUER_VARS, BMW_VARS, ()]))
+    nonzero = [parse_fraction(text, vars) for text in ENTRIES[vars]
+               if text != "0"]
+    zero = CoeffFraction.const(0, vars)
+    entry = st.one_of(st.just(zero), st.just(zero), st.sampled_from(nonzero))
+    rows, inner, cols = (draw(st.integers(1, 5)) for _ in range(3))
+    a = [[draw(entry) for _ in range(inner)] for _ in range(rows)]
+    b = [[draw(entry) for _ in range(cols)] for _ in range(inner)]
+    if draw(st.booleans()):
+        a[draw(st.integers(0, rows - 1))] = [zero] * inner
+    if draw(st.booleans()):
+        j = draw(st.integers(0, cols - 1))
+        for row in b:
+            row[j] = zero
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_pairs())
+def test_mat_mul_matches_dense_product(pair):
+    a, b = pair
+    got, expected = mat_mul(a, b), dense_mat_mul(a, b)
+    assert [[str(x) for x in row] for row in got] == \
+        [[str(x) for x in row] for row in expected]
+    assert [[(x.vars, x.num, x.den) for x in row] for row in got] == \
+        [[(x.vars, x.num, x.den) for x in row] for row in expected]
 
 
 def test_det_rejects_non_square():

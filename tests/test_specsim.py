@@ -137,23 +137,36 @@ def _pairwise_certify(algebra, n, spec=None):
     return Verdict(INCONCLUSIVE, witnesses)
 
 
-# (algebra, spec, whether some level n <= 5 has a collision); z = -3 first
-# collides at n = 7
+# (algebra, spec, whether some level n <= 6 has a collision); z = -3 and
+# r = -q^4 first collide at n = 7.  The entries after the first ten are the
+# certify specs of the benchmark's warm session.
 CERTIFY_SPECS = [
     ("bmw", None, False), ("bmw", SPEC_R_Q3, True), ("bmw", "r=-q^-2", True),
     ("bmw", "r=q^-1", True), ("bmw", "q=2,r=-1/8", True),
     ("brauer", None, False), ("brauer", SPEC_Z4, True),
     ("brauer", "z=-3", False), ("brauer", "z=1", True), ("brauer", "z=0", True),
+    ("brauer", "z=2", True), ("brauer", "z=-9/2", False),
+    ("brauer", "z=13/2", False), ("bmw", "q=1/2,r=2", True),
+    ("bmw", "r=q^-5", True), ("bmw", "r=-q^4", False),
+    ("bmw", "q=-2,r=5", False),
 ]
+# one spec per tower is also checked at n = 7
+CERTIFY_AT_N7 = (SPEC_R_Q3, SPEC_Z4)
+
+
+def _spec(algebra, spec):
+    if isinstance(spec, str):
+        spec = Specialization.parse(spec, BMW_VARS if algebra == "bmw"
+                                    else BRAUER_VARS)
+    return spec
 
 
 @pytest.mark.parametrize("algebra,spec,collides", CERTIFY_SPECS)
 def test_certify_matches_pairwise_reference(algebra, spec, collides):
-    if isinstance(spec, str):
-        spec = Specialization.parse(spec, BMW_VARS if algebra == "bmw"
-                                    else BRAUER_VARS)
+    spec = _spec(algebra, spec)
+    top = 7 if any(spec is s for s in CERTIFY_AT_N7) else 6
     witnesses = 0
-    for n in range(1, 6):
+    for n in range(1, top + 1):
         got = certify(algebra, n, spec)
         expected = _pairwise_certify(algebra, n, spec)
         assert got.outcome == expected.outcome
@@ -161,8 +174,27 @@ def test_certify_matches_pairwise_reference(algebra, spec, collides):
         # the printed witnesses (what the CLI reports) agree too
         assert [(s, t, [str(x) for x in v]) for s, t, v in got.evidence] == \
             [(s, t, [str(x) for x in v]) for s, t, v in expected.evidence]
-        witnesses += len(got.evidence)
+        if n <= 6:
+            witnesses += len(got.evidence)
     assert bool(witnesses) == collides
+
+
+@pytest.mark.parametrize("algebra,text", [("bmw", "r=q^-1"),
+                                          ("brauer", "z=4")])
+def test_certify_memo_holds_no_specialized_data(algebra, text):
+    spec = _spec(algebra, text)
+    n = 5
+    first = certify(algebra, n, spec)
+    generic = certify(algebra, n)
+    again = certify(algebra, n, spec)
+    assert first.outcome == again.outcome == INCONCLUSIVE
+    assert first.evidence == again.evidence
+    assert [[str(x) for x in v] for _, _, v in first.evidence] == \
+        [[str(x) for x in v] for _, _, v in again.evidence]
+    assert generic.outcome == CERTIFIED_SEMISIMPLE
+    assert generic.evidence == _pairwise_certify(algebra, n).evidence == []
+    values, _ = specsim._content_classes(algebra, n)
+    assert all(v.vars == spec.source_vars for v in values)
 
 
 def test_certify_pole_still_raises():
@@ -171,10 +203,12 @@ def test_certify_pole_still_raises():
     # denominator
     spec = Specialization.parse("r=2", BMW_VARS)
     spec.assignment["r"] = CoeffFraction.const(0, spec.target_vars)
-    with pytest.raises(PoleError):
-        certify("bmw", 2, spec)
-    with pytest.raises(PoleError):
-        _pairwise_certify("bmw", 2, spec)
+    for n in (2, 4):
+        with pytest.raises(PoleError) as got:
+            certify("bmw", n, spec)
+        with pytest.raises(PoleError) as expected:
+            _pairwise_certify("bmw", n, spec)
+        assert str(got.value) == str(expected.value)
 
 
 # -- Gram-rank certification ---------------------------------------------------------
