@@ -2,12 +2,13 @@
 
 Everything is built on a "chain word" rewriting engine: a chain word is
 E_1 E_3 ... E_{2f-1} T_x with x an arbitrary permutation, and the engine
-knows how to multiply a chain word by T_i, T_i^{-1} or E_i modulo the next
-filtration layer, and how to normalize a chain word into the canonical
-shape E-chain * T_u * T_v with u in the upper subgroup <s_i : 2f < i < n>
-and v a distinguished coset representative.  Projecting the upper part
-onto its Murphy-basis layer (``hecke.cell_row``, shared with the Brauer
-tower) then yields the action of the algebra on each cell module.
+knows how to multiply a chain word by T_i or E_i modulo the next filtration
+layer, and how to normalize a chain word into the canonical shape
+E-chain * T_u * T_v with u in the upper subgroup <s_i : 2f < i < n> and v a
+distinguished coset representative.  Projecting the upper part onto its
+Murphy-basis layer (``hecke.cell_row``, shared with the Brauer tower) then
+yields the action of T_i and E_i on each cell module; the matrix of
+T_i^{-1} = T_i - (q - q^{-1})(1 - E_i) is derived from those two.
 
 Exact coordinates on the full cellular basis are recovered by a linear
 solve against the faithful direct sum of all cell-module representations;
@@ -27,7 +28,7 @@ from .combin import (
     tab_perm,
 )
 from .exactring import BMW_VARS, CoeffFraction, bmw_z
-from .hecke import cell_row, row_stabilizer, to_murphy
+from .hecke import _delta, _q_power, cell_row, row_stabilizer, to_murphy
 from .linalg import identity_matrix, invert_fraction_free, mat_mul
 
 
@@ -36,19 +37,8 @@ def _const(c) -> CoeffFraction:
 
 
 @lru_cache(maxsize=None)
-def _q_power(k: int) -> CoeffFraction:
-    return CoeffFraction.var("q", BMW_VARS) ** k
-
-
-@lru_cache(maxsize=None)
 def _r_power(k: int) -> CoeffFraction:
     return CoeffFraction.var("r", BMW_VARS) ** k
-
-
-@lru_cache(maxsize=None)
-def _delta() -> CoeffFraction:
-    q = CoeffFraction.var("q", BMW_VARS)
-    return q - q.inverse()
 
 
 # -- the chain-word engine -------------------------------------------------------
@@ -160,20 +150,14 @@ def _emul(x: Permutation, i: int, n: int, f: int):
 
 
 @lru_cache(maxsize=None)
-def _rmul(x: Permutation, i: int, sign: int, n: int, f: int):
-    """E-chain * T_x * T_i^{sign} modulo the next layer."""
+def _rmul(x: Permutation, i: int, n: int, f: int):
+    """E-chain * T_x * T_i modulo the next layer."""
     sx = x.rmul_s(i)
-    delta = _delta()
-    if sign == 1:
-        if _longer_right(x, i):
-            return ((sx, _const(1)),)
-        out = [(sx, _const(1)), (x, delta)]
-        out.extend(_scaled(_emul(sx, i, n, f), -delta * _r_power(-1)))
-        return _merge(out)
-    if not _longer_right(x, i):
+    if _longer_right(x, i):
         return ((sx, _const(1)),)
-    out = [(sx, _const(1)), (x, -delta)]
-    out.extend(_scaled(_emul(x, i, n, f), delta))
+    delta = _delta()
+    out = [(sx, _const(1)), (x, delta)]
+    out.extend(_scaled(_emul(sx, i, n, f), -delta * _r_power(-1)))
     return _merge(out)
 
 
@@ -296,9 +280,7 @@ def _apply_gen_terms(terms, gen, n: int, f: int):
     out = []
     for x, c in terms:
         if kind == "T":
-            out.extend(_scaled(_rmul(x, i, 1, n, f), c))
-        elif kind == "Tinv":
-            out.extend(_scaled(_rmul(x, i, -1, n, f), c))
+            out.extend(_scaled(_rmul(x, i, n, f), c))
         elif kind == "E":
             out.extend(_scaled(_emul(x, i, n, f), c))
         else:
@@ -324,6 +306,17 @@ def bmw_gen_matrix(lam, n: int, kind: str, i: int):
 
 @lru_cache(maxsize=None)
 def _bmw_gen_matrix_compute(lam, n: int, kind: str, i: int):
+    if kind == "Tinv":
+        # T_i^{-1} = T_i - (q - q^{-1})(1 - E_i), from T_i and E_i as
+        # bmw_gen_matrix gives them, so cache overrides are used
+        delta = _delta()
+        rows = [[x if y.is_zero() else x + delta * y
+                 for x, y in zip(t_row, e_row)]
+                for t_row, e_row in zip(bmw_gen_matrix(lam, n, "T", i),
+                                        bmw_gen_matrix(lam, n, "E", i))]
+        for a, row in enumerate(rows):
+            row[a] = row[a] - delta
+        return rows
     f = (n - sum(lam)) // 2
     zero = _const(0)
     rows = []
@@ -377,12 +370,6 @@ def bmw_cell_index(n: int):
     return tuple(out)
 
 
-def _rho_word(n: int, word):
-    """Block-diagonal matrices of a generator word on all cell modules."""
-    return {lam: bmw_word_matrix(lam, n, word)
-            for lam in layer_shapes(n)}
-
-
 def _rho_mul(a, b):
     return {lam: mat_mul(a[lam], b[lam]) for lam in a}
 
@@ -396,16 +383,9 @@ def _rho_add(a, b):
                   for ra, rb in zip(a[lam], b[lam])] for lam in a}
 
 
-def rho_identity(n: int):
-    return {lam: identity_matrix(len(cell_index(lam, n)), BMW_VARS)
-            for lam in layer_shapes(n)}
-
-
 def rho_of_word(n: int, word):
-    out = rho_identity(n)
-    for kind, i in word:
-        out = _rho_mul(out, _rho_word(n, [(kind, i)]))
-    return out
+    """Block-diagonal matrices of a generator word on all cell modules."""
+    return {lam: bmw_word_matrix(lam, n, word) for lam in layer_shapes(n)}
 
 
 def _rho_m_lambda(lam, n: int):
@@ -484,7 +464,7 @@ def bmw_element_rho(e: BmwElement):
         piece = _rho_scale(_monomial_rho(e.n, m), c)
         acc = piece if acc is None else _rho_add(acc, piece)
     if acc is None:
-        return _rho_scale(rho_identity(e.n), _const(0))
+        return _rho_scale(rho_of_word(e.n, ()), _const(0))
     return acc
 
 
@@ -578,11 +558,7 @@ def bmw_cell_action(vec: dict, lam, n: int, kind: str, i: int) -> dict:
 
 
 def _rho_jm(n: int, i: int):
-    rho = rho_identity(n)
-    for k in range(2, i + 1):
-        t = _rho_word(n, [("T", k - 1)])
-        rho = _rho_mul(_rho_mul(t, rho), t)
-    return rho
+    return {lam: bmw_jm_matrix(lam, n, i) for lam in layer_shapes(n)}
 
 
 def bmw_jm(i: int, n: int) -> BmwElement:

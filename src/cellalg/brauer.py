@@ -207,10 +207,6 @@ class BrauerElement:
         return "BrauerElement({} terms, n={})".format(len(self.terms), self.n)
 
 
-def br_mul(a: BrauerElement, b: BrauerElement) -> BrauerElement:
-    return a * b
-
-
 def br_star(e: BrauerElement) -> BrauerElement:
     return BrauerElement(e.n, {diagram_star(d): c for d, c in e.terms.items()})
 

@@ -1,6 +1,12 @@
 """Command-line interface: exact reports as text or JSON, plus an on-disk
 cache of generator action matrices.
 
+The cache (``--cache-dir``, format version 3) stores one file per algebra and
+n with the primary generators of each layer only: T_i and E_i for BMW, s_i
+and E_i for Brauer.  T_i^{-1} is derived from T_i and E_i, so it is never
+stored.  Only basis, gram, transition, jm, filtration and gram-certify load
+the cache, and ``cache`` writes it; the other commands ignore the flag.
+
 Exit codes: 0 success, 2 input error, 3 pole at the requested specialization.
 JSON output is deterministic across runs with equal inputs, except for the
 trailing ``timing`` field.
@@ -42,9 +48,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-CACHE_VERSION = 2
-
-_GEN_KINDS = {"bmw": ("T", "Tinv", "E"), "brauer": ("s", "E")}
+CACHE_VERSION = 3
 
 
 class CliError(Exception):
@@ -118,13 +122,13 @@ def _parse_matrix_key(key):
 
 
 def _compute_cache_body(algebra, n):
-    gen_matrix = _ops(algebra).gen_matrix
+    ops = _ops(algebra)
     body = {}
     for lam in layer_shapes(n):
-        for kind in _GEN_KINDS[algebra]:
+        for kind in ops.gen_kinds:
             for i in range(1, n):
                 body[_matrix_key(lam, kind, i)] = _fmt_matrix(
-                    gen_matrix(lam, n, kind, i))
+                    ops.gen_matrix(lam, n, kind, i))
     return body
 
 
@@ -165,7 +169,8 @@ def _load_cache(path, algebra, n):
     try:
         with open(path) as handle:
             data = json.load(handle)
-        vars = _ops(algebra).vars
+        ops = _ops(algebra)
+        vars = ops.vars
         if (data.get("version") != CACHE_VERSION
                 or data.get("algebra") != algebra
                 or data.get("n") != n
@@ -176,7 +181,7 @@ def _load_cache(path, algebra, n):
         overrides = {}
         for key, rows in sorted(data["matrices"].items()):
             lam, kind, i = _parse_matrix_key(key)
-            if (lam not in shapes or kind not in _GEN_KINDS[algebra]
+            if (lam not in shapes or kind not in ops.gen_kinds
                     or not 1 <= i < n):
                 raise ValueError("invalid matrix key {!r}".format(key))
             dim = len(cell_index(lam, n))
@@ -470,6 +475,11 @@ _NEEDS_N = {"dim", "basis", "gram", "transition", "jm", "filtration",
             "certify", "gram-certify", "conjecture", "cache"}
 _NEEDS_SHAPE = {"basis", "gram", "transition", "jm", "filtration", "hom"}
 _TAKES_SPEC = {"gram", "certify", "gram-certify", "hom"}
+# the commands that act by generator matrices; only these load --cache-dir
+# (cache itself writes it), since building a cache costs far more than
+# answering dim, certify or hom
+_READS_CACHE = {"basis", "gram", "transition", "jm", "filtration",
+                "gram-certify"}
 
 # Largest accepted --n.  The number of paths grows four- to fivefold per
 # level (5937 at n = 8, 133651 at n = 10): a first certify in a process
@@ -535,8 +545,7 @@ def run(argv):
     start = time.monotonic()
     try:
         _validate(args)
-        if args.cache_dir is not None and args.command != "cache" and \
-                args.command in _NEEDS_ALGEBRA and args.n is not None:
+        if args.cache_dir is not None and args.command in _READS_CACHE:
             ensure_cache(args.cache_dir, args.algebra, args.n)
         payload, lines = _HANDLERS[args.command](args)
     except (CliError, OSError) as exc:

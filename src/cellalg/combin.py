@@ -381,11 +381,6 @@ def tab_perm(t: StdTableau) -> Permutation:
     return Permutation(img)
 
 
-def apply_perm_to_tableau(t: StdTableau, d: Permutation) -> StdTableau:
-    rows = [tuple(d(x) for x in row) for row in t.rows]
-    return StdTableau(rows, t.n)
-
-
 # ---------------------------------------------------------------------------
 # Coset representatives D_{f,n}
 # ---------------------------------------------------------------------------

@@ -32,10 +32,6 @@ from math import gcd as int_gcd
 # Raw polynomial arithmetic on dicts {exponent-tuple: int-coefficient}.
 # ---------------------------------------------------------------------------
 
-def poly_zero() -> dict:
-    return {}
-
-
 def poly_const(c: int, nvars: int) -> dict:
     if c == 0:
         return {}
@@ -80,12 +76,6 @@ def poly_mul(a: dict, b: dict) -> dict:
             else:
                 out.pop(exp, None)
     return out
-
-
-def poly_scale(a: dict, c: int) -> dict:
-    if c == 0:
-        return {}
-    return {exp: k * c for exp, k in a.items()}
 
 
 def poly_lead(a: dict) -> tuple:

@@ -375,21 +375,23 @@ def gram_matrix(algebra: str, lam, n: int):
     ops = _ops(algebra)
     lam = check_partition(lam)
     index = cell_index(lam, n)
-    k = len(index)
     e1 = index.index((superstandard(lam, n), Permutation.identity(n)))
     m_mat = m_lambda_matrix(algebra, lam, n, lam)
-    units = identity_matrix(k, ops.vars)
-    rows = [[None] * k for _ in range(k)]
-    for b, (t, u) in enumerate(index):
-        star = (ops.perm_letters(u)[::-1]
-                + ops.perm_letters(tab_perm(t))[::-1])
-        mat = mat_mul(_apply_letters(ops, units, lam, n, star), m_mat)
-        for a in range(k):
-            if any(not mat[a][j].is_zero() for j in range(k) if j != e1):
-                raise AssertionError(
-                    "bilinear form value must be a multiple of m_lambda")
-            rows[a][b] = mat[a][e1]
-    return rows
+    # W m_lambda is a multiple of m_lambda for every word W iff it is for
+    # W = 1, i.e. iff every column of m_lambda but e1 is zero; column b of
+    # the Gram matrix is then the star word of b applied to column e1
+    if any(not x.is_zero() for row in m_mat for j, x in enumerate(row)
+           if j != e1):
+        raise AssertionError(
+            "bilinear form value must be a multiple of m_lambda")
+    m_col = [[row[e1]] for row in m_mat]
+    columns = []
+    for t, u in index:
+        col = m_col
+        for kind, i in ops.perm_letters(tab_perm(t)) + ops.perm_letters(u):
+            col = mat_mul(ops.gen_matrix(lam, n, kind, i), col)
+        columns.append([x for x, in col])
+    return [list(row) for row in zip(*columns)]
 
 
 # -- restriction filtration ----------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cellalg import cli, specsim, towers
 from cellalg import bmw as _bmw
 from cellalg import brauer as _brauer
+from cellalg.combin import layer_shapes
 from cellalg.exactring import (
     BMW_VARS,
     CoeffFraction,
@@ -398,6 +399,72 @@ def test_cached_matrices_match_computed(tmp_path, capsys):
     assert overrides
     for (lam, n, kind, i), rows in overrides.items():
         assert rows == _bmw._bmw_gen_matrix_compute(lam, n, kind, i)
+
+
+def test_bmw_cache_holds_primary_generators_only(tmp_path, capsys):
+    n = 3
+    report = run_json(capsys, ["cache", "--algebra", "bmw", "--n", str(n),
+                               "--cache-dir", str(tmp_path), "--json"])
+    assert report["result"]["entries"] == 2 * (n - 1) * len(layer_shapes(n))
+    keys = json.load(open(report["result"]["path"]))["matrices"]
+    assert len(keys) == 16
+    assert {cli._parse_matrix_key(key)[1] for key in keys} == {"T", "E"}
+
+
+def _clear_memos():
+    _bmw._gen_matrix_overrides.clear()
+    for memo in (_bmw._bmw_gen_matrix_compute, _bmw.bmw_jm_matrix,
+                 towers.build_path_basis, towers.gram_matrix,
+                 towers.m_lambda_matrix):
+        memo.cache_clear()
+
+
+def test_cached_process_derives_tinv_without_the_engine(tmp_path, capsys,
+                                                        monkeypatch):
+    # the y-elements of (1) at n = 3 act by T^{-1}
+    argv = ["transition", "--algebra", "bmw", "--n", "3", "--lambda", "1",
+            "--json"]
+    _clear_memos()
+    plain = without_timing(run_json(capsys, argv))
+    run_json(capsys, ["cache", "--algebra", "bmw", "--n", "3",
+                      "--cache-dir", str(tmp_path), "--json"])
+    _clear_memos()
+    requested, engine_kinds = set(), []
+    gen_matrix = _bmw.bmw_gen_matrix
+    apply_gen_terms = _bmw._apply_gen_terms
+
+    def gen_matrix_spy(lam, n, kind, i):
+        if n == 3:
+            requested.add(kind)
+        return gen_matrix(lam, n, kind, i)
+
+    def engine_spy(terms, gen, n, f):
+        if n == 3:
+            engine_kinds.append(gen[0])
+        return apply_gen_terms(terms, gen, n, f)
+
+    monkeypatch.setattr(_bmw, "bmw_gen_matrix", gen_matrix_spy)
+    monkeypatch.setattr(_bmw, "_apply_gen_terms", engine_spy)
+    cached = without_timing(run_json(capsys, argv
+                                     + ["--cache-dir", str(tmp_path)]))
+    assert cached == plain
+    assert "Tinv" in requested
+    assert engine_kinds == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--algebra", "brauer", "--n", "4", "--spec", "z=4"],
+    ["dim", "--algebra", "bmw", "--n", "3"],
+    ["hom", "--algebra", "bmw", "--lambda", "2", "--mu", "1,1"],
+])
+def test_cache_dir_ignored_without_generator_matrices(tmp_path, capsys,
+                                                      argv):
+    cache_dir = tmp_path / "cache"
+    plain = without_timing(run_json(capsys, argv + ["--json"]))
+    cached = without_timing(run_json(
+        capsys, argv + ["--json", "--cache-dir", str(cache_dir)]))
+    assert cached == plain
+    assert not cache_dir.exists()
 
 
 # -- fuzz ----------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import pytest
 
+from cellalg import towers
 from cellalg.combin import (
     Permutation,
     cell_index,
@@ -43,6 +44,7 @@ from cellalg.brauer import (
     br_to_cellular,
     diagram_arcs,
 )
+from cellalg.linalg import identity_matrix, mat_mul
 from cellalg.towers import (
     PathBasis,
     YElement,
@@ -102,6 +104,53 @@ def test_gram_matches_diagram_form(n):
         slow = _diagram_gram(lam, n)
         assert [[str(x) for x in row] for row in fast] == \
             [[str(x) for x in row] for row in slow]
+
+
+def _dense_gram(algebra, lam, n):
+    """The Gram matrix as built before it acted on one column: each star
+    word on a k x k identity times the whole m_lambda matrix, with the
+    multiple-of-m_lambda check on every entry."""
+    ops = towers._ops(algebra)
+    index = cell_index(lam, n)
+    k = len(index)
+    e1 = index.index((superstandard(lam, n), Permutation.identity(n)))
+    m_mat = towers.m_lambda_matrix(algebra, lam, n, lam)
+    rows = [[None] * k for _ in range(k)]
+    for b, (t, u) in enumerate(index):
+        mat = identity_matrix(k, ops.vars)
+        for kind, i in (ops.perm_letters(u)[::-1]
+                        + ops.perm_letters(tab_perm(t))[::-1]):
+            mat = mat_mul(mat, ops.gen_matrix(lam, n, kind, i))
+        mat = mat_mul(mat, m_mat)
+        for a in range(k):
+            assert all(mat[a][j].is_zero() for j in range(k) if j != e1)
+            rows[a][b] = mat[a][e1]
+    return rows
+
+
+@pytest.mark.parametrize("algebra,nmax", [("bmw", 4), ("brauer", 5)])
+def test_gram_columns_match_dense_word_products(algebra, nmax):
+    for n in range(1, nmax + 1):
+        for lam in layer_shapes(n):
+            assert [[str(x) for x in row]
+                    for row in gram_matrix(algebra, lam, n)] == \
+                [[str(x) for x in row] for row in _dense_gram(algebra, lam, n)]
+
+
+@pytest.mark.parametrize("algebra,lam,n", [("brauer", (1,), 3),
+                                           ("bmw", (2, 1), 3)])
+def test_gram_rejects_m_lambda_outside_its_seed_column(monkeypatch, algebra,
+                                                       lam, n):
+    index = cell_index(lam, n)
+    e1 = index.index((superstandard(lam, n), Permutation.identity(n)))
+    m_mat = [list(row) for row in
+             towers.m_lambda_matrix(algebra, lam, n, lam)]
+    j = (e1 + 1) % len(index)
+    assert m_mat[0][j].is_zero()
+    m_mat[0][j] = CoeffFraction.const(1, towers._ops(algebra).vars)
+    monkeypatch.setattr(towers, "m_lambda_matrix", lambda *args: m_mat)
+    with pytest.raises(AssertionError, match="multiple of m_lambda"):
+        towers.gram_matrix.__wrapped__(algebra, lam, n)
 
 
 def _word_matrix(lam, n, word):
