@@ -10,9 +10,11 @@ Murphy-basis layer (``hecke.cell_row``, shared with the Brauer tower) then
 yields the action of T_i and E_i on each cell module; the matrix of
 T_i^{-1} = T_i - (q - q^{-1})(1 - E_i) is derived from those two.
 
-Exact coordinates on the full cellular basis are recovered by a linear
-solve against the faithful direct sum of all cell-module representations;
-the defining relations are certified as matrix identities and the basis
+``BmwElement`` holds an element in cellular coordinates.  Products go
+through the faithful direct sum of all cell-module representations: the
+coordinates of a product are read back from its cell-module matrices by
+``towers.cellular_terms``, the straightening shared with the Brauer tower.
+The defining relations are certified as matrix identities and the basis
 count matches (2n-1)!!, so the matrix model is the presented algebra.
 """
 
@@ -29,7 +31,7 @@ from .combin import (
 )
 from .exactring import BMW_VARS, CoeffFraction, bmw_z
 from .hecke import _delta, _q_power, cell_row, row_stabilizer, to_murphy
-from .linalg import identity_matrix, invert_fraction_free, mat_mul
+from .linalg import identity_matrix, mat_mul
 
 
 def _const(c) -> CoeffFraction:
@@ -247,16 +249,11 @@ def _normalize(x: Permutation, n: int, f: int):
 
 # -- cell modules ------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _row_stabilizer_perms(lam, n: int):
-    return tuple(row_stabilizer(check_partition(lam), n))
-
-
 def _seed_terms(lam, n: int, t: StdTableau, u: Permutation):
     """m_lambda T_{d(t)} T_u as chain words (lengths are additive)."""
     d = tab_perm(t)
     return tuple((w * d * u, _q_power(w.length()))
-                 for w in _row_stabilizer_perms(lam, n))
+                 for w in row_stabilizer(lam, n))
 
 
 def _hat_perm(u: Permutation, f: int, m: int) -> Permutation:
@@ -329,11 +326,8 @@ def _bmw_gen_matrix_compute(lam, n: int, kind: str, i: int):
 
 def bmw_word_matrix(lam, n: int, word):
     """Matrix of a product of generators on S^lambda."""
-    lam = check_partition(lam)
-    out = identity_matrix(len(cell_index(lam, n)), BMW_VARS)
-    for kind, i in word:
-        out = mat_mul(out, bmw_gen_matrix(lam, n, kind, i))
-    return out
+    from .towers import word_matrix
+    return word_matrix("bmw", lam, n, word)
 
 
 def perm_word(w: Permutation, inverse: bool = False):
@@ -370,45 +364,10 @@ def bmw_cell_index(n: int):
     return tuple(out)
 
 
-def _rho_mul(a, b):
-    return {lam: mat_mul(a[lam], b[lam]) for lam in a}
-
-
-def _rho_scale(a, c):
-    return {lam: [[cell * c for cell in row] for row in a[lam]] for lam in a}
-
-
-def _rho_add(a, b):
-    return {lam: [[x + y for x, y in zip(ra, rb)]
-                  for ra, rb in zip(a[lam], b[lam])] for lam in a}
-
-
 def rho_of_word(n: int, word):
     """Block-diagonal matrices of a generator word on all cell modules."""
-    return {lam: bmw_word_matrix(lam, n, word) for lam in layer_shapes(n)}
-
-
-def _rho_m_lambda(lam, n: int):
-    from .towers import m_lambda_matrix
-    return {mu: m_lambda_matrix("bmw", lam, n, mu) for mu in layer_shapes(n)}
-
-
-@lru_cache(maxsize=None)
-def _monomial_rho(n: int, monomial):
-    """Cell-module matrices of a single cellular basis element."""
-    lam, (s, v), (t, u) = monomial
-    word = (perm_word(v, inverse=True) + perm_word(tab_perm(s),
-                                                   inverse=True))
-    rho = rho_of_word(n, word)
-    rho = _rho_mul(rho, _rho_m_lambda(lam, n))
-    return _rho_mul(rho, rho_of_word(n, perm_word(tab_perm(t))
-                                     + perm_word(u)))
-
-
-@lru_cache(maxsize=None)
-def _gram_inverse(lam, n: int):
-    from .towers import gram_matrix
-    return invert_fraction_free(gram_matrix("bmw", lam, n))
+    from . import towers
+    return towers.rho_of_word("bmw", n, word)
 
 
 class BmwElement:
@@ -459,51 +418,15 @@ class BmwElement:
 
 def bmw_element_rho(e: BmwElement):
     """Cell-module matrices of an element (block-diagonal model)."""
-    acc = None
-    for m, c in e.terms.items():
-        piece = _rho_scale(_monomial_rho(e.n, m), c)
-        acc = piece if acc is None else _rho_add(acc, piece)
-    if acc is None:
-        return _rho_scale(rho_of_word(e.n, ()), _const(0))
-    return acc
+    from .towers import element_rho
+    return element_rho("bmw", e.n, e.terms)
 
 
 def bmw_to_cellular(n: int, rho) -> BmwElement:
-    """Cellular coordinates of an element given by its cell-module matrices.
-
-    Solves layer by layer, least dominant first: a basis element indexed by
-    ((s,v),(t,u)) at layer lambda acts on S^lambda as the outer product of
-    the Gram column at (s,v) with the unit vector at (t,u), and acts as zero
-    on every strictly less dominant module.  So the residual block on
-    S^lambda determines the lambda-layer coefficients through the inverse
-    Gram matrix; subtracting the full block-diagonal action of each
-    determined monomial and checking that the residual vanishes certifies
-    the answer exactly.
-    """
-    residual = {lam: [list(row) for row in rho[lam]] for lam in rho}
-    terms = {}
-    for lam in reversed(layer_shapes(n)):
-        coeffs = mat_mul(_gram_inverse(lam, n), residual[lam])
-        index = cell_index(lam, n)
-        for a, sv in enumerate(index):
-            for b, tu in enumerate(index):
-                c = coeffs[a][b]
-                if c.is_zero():
-                    continue
-                monomial = (lam, sv, tu)
-                terms[monomial] = c
-                piece = _monomial_rho(n, monomial)
-                for mu in residual:
-                    residual[mu] = [
-                        [x - y * c for x, y in zip(ra, rb)]
-                        for ra, rb in zip(residual[mu], piece[mu])]
-    for mu, block in residual.items():
-        for row in block:
-            for cell in row:
-                if not cell.is_zero():
-                    raise AssertionError(
-                        "matrices do not represent an algebra element")
-    return BmwElement(n, terms)
+    """Cellular coordinates of an element given by its cell-module matrices
+    (the layer-by-layer solve of ``towers.cellular_terms``)."""
+    from .towers import cellular_terms
+    return BmwElement(n, cellular_terms("bmw", n, rho))
 
 
 def bmw_word(word, n: int) -> BmwElement:
@@ -512,6 +435,7 @@ def bmw_word(word, n: int) -> BmwElement:
 
 
 def bmw_mul(a: BmwElement, b: BmwElement) -> BmwElement:
+    from .towers import _rho_mul
     if a.n != b.n:
         raise ValueError("mismatched n")
     return bmw_to_cellular(a.n, _rho_mul(bmw_element_rho(a),
@@ -520,6 +444,7 @@ def bmw_mul(a: BmwElement, b: BmwElement) -> BmwElement:
 
 def bmw_mul_right_gen(e: BmwElement, kind: str, i: int) -> BmwElement:
     """Exact right multiplication by a generator T_i, T_i^{-1} or E_i."""
+    from .towers import _rho_mul
     if not 1 <= i < e.n:
         raise ValueError("generator index out of range")
     rho = _rho_mul(bmw_element_rho(e), rho_of_word(e.n, [(kind, i)]))
@@ -572,16 +497,5 @@ def bmw_content(t: StdTableau, k: int) -> CoeffFraction:
     """Eigenvalue P_t(k): q^{2(j-i)} when box (i,j) is added at step k,
     q^{2(i-j)} r^{-2} when it is removed."""
     from .combin import path_of_tableau
-    path = path_of_tableau(t)
-    prev, cur = path[k - 1], path[k]
-    if sum(cur) > sum(prev):
-        rows = list(prev) + [0] * (len(cur) - len(prev))
-        for i, (a, b) in enumerate(zip(rows, cur)):
-            if b > a:
-                return _q_power(2 * (b - 1 - i))
-        raise AssertionError
-    rows = list(cur) + [0] * (len(prev) - len(cur))
-    for i, (a, b) in enumerate(zip(rows, prev)):
-        if b > a:
-            return _q_power(2 * (i + 1 - b)) * _r_power(-2)
-    raise AssertionError
+    from .towers import path_content
+    return path_content("bmw", path_of_tableau(t), k)

@@ -2,27 +2,27 @@
 
 A diagram is a perfect matching on the 2n points {1..n} (top row) and
 {-1..-n} (bottom row).  Multiplication stacks diagrams and converts each
-closed loop into a factor of z.  The cellular basis
-(d(s)v)^{-1} m_lambda d(t)u is reached from the diagram basis by exact
-linear algebra, cached per (n, lambda) layer.
+closed loop into a factor of z.  An element acts on each cell module
+S^lambda through the arc-chain engine below, which works modulo the
+diagrams with more arcs and the more dominant layers of equal size.  The
+coordinates of an element on the cellular basis
+(d(s)v)^{-1} m_lambda d(t)u are read back from those cell-module matrices
+by ``towers.cellular_terms``, the straightening shared with the BMW tower.
 """
 
 from functools import lru_cache
-from itertools import permutations as _iter_perms
 
 from .combin import (
     Permutation,
     StdTableau,
     cell_index,
     check_partition,
-    dominance,
     layer_shapes,
-    superstandard,
     tab_perm,
 )
 from .exactring import BRAUER_VARS, CoeffFraction
 from .hecke import cell_row, row_stabilizer, to_murphy
-from .linalg import ColumnSolver, mat_mul
+from .linalg import mat_mul
 
 BR_VARS = BRAUER_VARS
 
@@ -245,19 +245,9 @@ def all_diagrams(n: int):
 
 def br_x_lambda(lam, n: int) -> BrauerElement:
     """Row-stabilizer sum of the superstandard filling (entries 2f+1..n)."""
-    lam = check_partition(lam)
-    t = superstandard(lam, n)
-    out = BrauerElement.one(n)
-    fixed = tuple(range(1, n + 1))
-    for row in t.rows:
-        block = BrauerElement.zero(n)
-        for assignment in _iter_perms(row):
-            img = list(fixed)
-            for pos, val in zip(row, assignment):
-                img[pos - 1] = val
-            block = block + BrauerElement.perm(Permutation(img))
-        out = out * block
-    return out
+    one = _const(1)
+    return BrauerElement(n, {perm_diagram(w): one
+                             for w in row_stabilizer(check_partition(lam), n)})
 
 
 def br_m_lambda(lam, n: int) -> BrauerElement:
@@ -281,110 +271,6 @@ def br_basis_element(lam, n: int, t: StdTableau, u: Permutation,
     s, v = left
     lperm = (tab_perm(s) * v).inverse()
     return BrauerElement.perm(lperm) * m * right
-
-
-@lru_cache(maxsize=None)
-def _layer_data(lam, n: int):
-    """Column solver expressing elements of m_lambda * B_n in the cellular
-    spanning set: the lambda-layer vectors m_lambda d(t)u plus the full
-    cellular basis of every layer mu with mu dominating lambda."""
-    lam = check_partition(lam)
-    index = cell_index(lam, n)
-    columns_elements = [br_basis_element(lam, n, t, u) for t, u in index]
-    for mu in layer_shapes(n):
-        if dominance(mu, lam) != "dominates":
-            continue
-        idx_mu = cell_index(mu, n)
-        for s, v in idx_mu:
-            for t, u in idx_mu:
-                columns_elements.append(
-                    br_basis_element(mu, n, t, u, left=(s, v)))
-    diagrams = sorted({d for e in columns_elements for d in e.terms},
-                      key=lambda d: sorted(tuple(sorted(p)) for p in d))
-    dpos = {d: i for i, d in enumerate(diagrams)}
-    zero = _const(0)
-
-    def vec(e):
-        col = [zero] * len(diagrams)
-        for d, c in e.terms.items():
-            col[dpos[d]] = c
-        return col
-
-    solver = ColumnSolver([vec(e) for e in columns_elements])
-    return index, diagrams, dpos, solver
-
-
-def br_to_cell_coords(lam, n: int, e: BrauerElement) -> dict:
-    """Coordinates of e (an element of m_lambda B_n) on the cell-module basis
-    of S^lambda, i.e. modulo the more-dominant layers."""
-    index, diagrams, dpos, solver = _layer_data(check_partition(lam), n)
-    zero = _const(0)
-    rhs = [zero] * len(diagrams)
-    for d, c in e.terms.items():
-        if d not in dpos:
-            raise ValueError("element outside m_lambda * B_n layer span")
-        rhs[dpos[d]] = c
-    coords = solver.solve_vector(rhs)
-    return {index[i]: c for i, c in enumerate(coords[:len(index)])
-            if not c.is_zero()}
-
-
-def br_module_matrix(lam, n: int, b: BrauerElement):
-    """Matrix of b acting on S^lambda; row i is the image of basis vector i."""
-    lam = check_partition(lam)
-    index, _, _, _ = _layer_data(lam, n)
-    col_of = {tu: j for j, tu in enumerate(index)}
-    zero = _const(0)
-    rows = []
-    for t, u in index:
-        x = br_basis_element(lam, n, t, u) * b
-        row = [zero] * len(index)
-        for tu, c in br_to_cell_coords(lam, n, x).items():
-            row[col_of[tu]] = c
-        rows.append(row)
-    return rows
-
-
-@lru_cache(maxsize=None)
-def br_gen_matrix(lam, n: int, kind: str, i: int):
-    g = BrauerElement.s(i, n) if kind == "s" else BrauerElement.e(i, n)
-    return br_module_matrix(lam, n, g)
-
-
-# -- full cellular coordinates (desk scale) -----------------------------------------
-
-@lru_cache(maxsize=None)
-def _full_solver(n: int):
-    diagrams = all_diagrams(n)
-    dpos = {d: i for i, d in enumerate(diagrams)}
-    zero = _const(0)
-    index = []
-    columns = []
-    for lam in layer_shapes(n):
-        idx = cell_index(lam, n)
-        for s, v in idx:
-            for t, u in idx:
-                e = br_basis_element(lam, n, t, u, left=(s, v))
-                col = [zero] * len(diagrams)
-                for d, c in e.terms.items():
-                    col[dpos[d]] = c
-                index.append((lam, (s, v), (t, u)))
-                columns.append(col)
-    if len(index) != len(diagrams):
-        raise AssertionError("cellular count must equal diagram count")
-    solver = ColumnSolver(columns)
-    return index, diagrams, dpos, solver
-
-
-def br_to_cellular(e: BrauerElement) -> dict:
-    """Exact coordinates of e in the full cellular basis of B_n."""
-    index, diagrams, dpos, solver = _full_solver(e.n)
-    zero = _const(0)
-    rhs = [zero] * len(diagrams)
-    for d, c in e.terms.items():
-        rhs[dpos[d]] = c
-    coords = solver.solve_vector(rhs)
-    return {index[i]: c for i, c in enumerate(coords) if not c.is_zero()}
 
 
 def br_from_cellular(coords: dict, n: int) -> BrauerElement:
@@ -485,8 +371,9 @@ def _fast_seed(lam, n: int, t: StdTableau, u: Permutation) -> dict:
     return terms
 
 
-def _fast_apply(terms: dict, kind: str, i: int, f: int, n: int) -> dict:
-    gen = s_diagram(i, n) if kind == "s" else e_diagram(i, n)
+def _fast_apply(terms: dict, gen, f: int, n: int) -> dict:
+    """Coded arc-chain terms times the diagram gen, modulo diagrams with
+    more than f arcs."""
     z = _z()
     out = {}
     for key, c in terms.items():
@@ -507,7 +394,7 @@ _gen_matrix_overrides: dict = {}
 
 def br_cell_matrix(lam, n: int, kind: str, i: int):
     """Matrix of a generator on S^lambda (rows = images), computed through
-    the arc-count filtration instead of the dense diagram solver."""
+    the arc-count filtration."""
     lam = check_partition(lam)
     if not 1 <= i < n:
         raise ValueError("generator index out of range")
@@ -522,10 +409,38 @@ def br_cell_matrix(lam, n: int, kind: str, i: int):
 @lru_cache(maxsize=None)
 def _br_cell_matrix_compute(lam, n: int, kind: str, i: int):
     f = (n - sum(lam)) // 2
+    gen = s_diagram(i, n) if kind == "s" else e_diagram(i, n)
     zero = _const(0)
-    return [cell_row(_fast_apply(_fast_seed(lam, n, t, u), kind, i, f, n),
+    return [cell_row(_fast_apply(_fast_seed(lam, n, t, u), gen, f, n),
                      lam, n, to_murphy, zero)
             for t, u in cell_index(lam, n)]
+
+
+def br_module_matrix(lam, n: int, b: BrauerElement):
+    """Matrix of any element b on S^lambda (rows = images): the arc-chain
+    engine applied to each diagram of b."""
+    lam = check_partition(lam)
+    f = (n - sum(lam)) // 2
+    zero = _const(0)
+    rows = []
+    for t, u in cell_index(lam, n):
+        seed = _fast_seed(lam, n, t, u)
+        acc = {}
+        for d, c in b.terms.items():
+            for key, x in _fast_apply(seed, d, f, n).items():
+                acc[key] = acc[key] + x * c if key in acc else x * c
+        rows.append(cell_row({k: c for k, c in acc.items() if not c.is_zero()},
+                             lam, n, to_murphy, zero))
+    return rows
+
+
+def br_to_cellular(e: BrauerElement) -> dict:
+    """Exact coordinates {(lambda, (s,v), (t,u)): c} of e in the full
+    cellular basis of B_n, read off its cell-module matrices by the
+    straightening shared with the BMW tower (``towers.cellular_terms``)."""
+    from .towers import cellular_terms
+    return cellular_terms("brauer", e.n, {
+        lam: br_module_matrix(lam, e.n, e) for lam in layer_shapes(e.n)})
 
 
 @lru_cache(maxsize=None)

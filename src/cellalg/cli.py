@@ -13,6 +13,7 @@ trailing ``timing`` field.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -106,9 +107,11 @@ def _check_shape(lam, n):
 
 # -- structure-constant cache --------------------------------------------------------
 
-def _cache_path(cache_dir, algebra, n):
+def _cache_path(cache_dir, algebra, n, version=None):
+    if version is None:
+        version = CACHE_VERSION
     return os.path.join(cache_dir,
-                        "{}-n{}-v{}.json".format(algebra, n, CACHE_VERSION))
+                        "{}-n{}-v{}.json".format(algebra, n, version))
 
 
 def _matrix_key(lam, kind, i):
@@ -210,6 +213,10 @@ def ensure_cache(cache_dir, algebra, n):
     if overrides is None:
         body = _compute_cache_body(algebra, n)
         _write_cache(path, algebra, n, body)
+        # the version is part of the file name, so older files would linger
+        for old in range(CACHE_VERSION):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(_cache_path(cache_dir, algebra, n, old))
         status = "written"
         overrides = _load_cache(path, algebra, n)
         if overrides is None:

@@ -168,7 +168,8 @@ def hk_star(h: HeckeElement) -> HeckeElement:
     return HeckeElement(h.n, {w.inverse(): c for w, c in h.terms.items()})
 
 
-def row_stabilizer(mu, n: int):
+@lru_cache(maxsize=None)
+def row_stabilizer(mu, n: int) -> tuple:
     """All permutations fixing each row of the superstandard mu-filling."""
     mu = check_partition(mu)
     t = superstandard(mu, n)
@@ -184,7 +185,7 @@ def row_stabilizer(mu, n: int):
                 img[pos - 1] = val
             new.append(Permutation(img))
         perms = [p * b for p in perms for b in new]
-    return perms
+    return tuple(perms)
 
 
 def hk_c_mu(mu, n: int) -> HeckeElement:

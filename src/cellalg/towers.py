@@ -16,6 +16,7 @@ from .combin import (
     StdTableau,
     cell_index,
     check_partition,
+    layer_shapes,
     maximal_path,
     neighbors,
     path_dominance,
@@ -392,6 +393,111 @@ def gram_matrix(algebra: str, lam, n: int):
             col = mat_mul(ops.gen_matrix(lam, n, kind, i), col)
         columns.append([x for x, in col])
     return [list(row) for row in zip(*columns)]
+
+
+# -- elements in cellular coordinates ------------------------------------------------
+#
+# For generic parameters the direct sum of the cell modules is faithful, so an
+# element is fixed by its cell-module matrices ``rho`` = {lambda: matrix on
+# S^lambda}, and its cellular coordinates follow layer by layer from those
+# blocks and the inverse Gram matrices (Graham and Lehrer, "Cellular
+# algebras", 1996).
+
+def _rho_mul(a, b):
+    return {lam: mat_mul(a[lam], b[lam]) for lam in a}
+
+
+def _rho_scale(a, c):
+    return {lam: [[cell * c for cell in row] for row in a[lam]] for lam in a}
+
+
+def _rho_add(a, b):
+    return {lam: [[x + y for x, y in zip(ra, rb)]
+                  for ra, rb in zip(a[lam], b[lam])] for lam in a}
+
+
+def word_matrix(algebra: str, lam, n: int, word):
+    """Matrix of a product of generators on S^lambda."""
+    ops = _ops(algebra)
+    lam = check_partition(lam)
+    units = identity_matrix(len(cell_index(lam, n)), ops.vars)
+    return _apply_letters(ops, units, lam, n, word)
+
+
+def rho_of_word(algebra: str, n: int, word):
+    """Block-diagonal matrices of a generator word on all cell modules."""
+    return {lam: word_matrix(algebra, lam, n, word)
+            for lam in layer_shapes(n)}
+
+
+@lru_cache(maxsize=None)
+def _monomial_rho(algebra: str, n: int, monomial):
+    """Cell-module matrices of the cellular basis element
+    (d(s)v)^* m_lambda d(t)u indexed by (lambda, (s, v), (t, u))."""
+    ops = _ops(algebra)
+    lam, (s, v), (t, u) = monomial
+    rho = rho_of_word(algebra, n, ops.perm_letters(v)[::-1]
+                      + ops.perm_letters(tab_perm(s))[::-1])
+    rho = _rho_mul(rho, {mu: m_lambda_matrix(algebra, lam, n, mu)
+                         for mu in layer_shapes(n)})
+    return _rho_mul(rho, rho_of_word(algebra, n, ops.perm_letters(tab_perm(t))
+                                     + ops.perm_letters(u)))
+
+
+@lru_cache(maxsize=None)
+def _gram_inverse(algebra: str, lam, n: int):
+    return invert_fraction_free(gram_matrix(algebra, lam, n))
+
+
+def element_rho(algebra: str, n: int, terms: dict):
+    """Cell-module matrices of the element sum c * monomial over terms."""
+    acc = None
+    for m, c in terms.items():
+        piece = _rho_scale(_monomial_rho(algebra, n, m), c)
+        acc = piece if acc is None else _rho_add(acc, piece)
+    if acc is None:
+        return _rho_scale(rho_of_word(algebra, n, ()),
+                          CoeffFraction.const(0, _ops(algebra).vars))
+    return acc
+
+
+def cellular_terms(algebra: str, n: int, rho) -> dict:
+    """Cellular coordinates {(lambda, (s,v), (t,u)): c} of the element with
+    cell-module matrices rho.
+
+    Solves layer by layer, least dominant first: a basis element indexed by
+    ((s,v),(t,u)) at layer lambda acts on S^lambda as the outer product of
+    the Gram column at (s,v) with the unit vector at (t,u), and acts as zero
+    on every strictly less dominant module.  So the residual block on
+    S^lambda determines the lambda-layer coefficients through the inverse
+    Gram matrix; subtracting the full block-diagonal action of each
+    determined monomial and checking that the residual vanishes certifies
+    the answer exactly.
+    """
+    residual = {lam: [list(row) for row in rho[lam]] for lam in rho}
+    terms = {}
+    for lam in reversed(layer_shapes(n)):
+        coeffs = mat_mul(_gram_inverse(algebra, lam, n), residual[lam])
+        index = cell_index(lam, n)
+        for a, sv in enumerate(index):
+            for b, tu in enumerate(index):
+                c = coeffs[a][b]
+                if c.is_zero():
+                    continue
+                monomial = (lam, sv, tu)
+                terms[monomial] = c
+                piece = _monomial_rho(algebra, n, monomial)
+                for mu in residual:
+                    residual[mu] = [
+                        [x - y * c for x, y in zip(ra, rb)]
+                        for ra, rb in zip(residual[mu], piece[mu])]
+    for mu, block in residual.items():
+        for row in block:
+            for cell in row:
+                if not cell.is_zero():
+                    raise AssertionError(
+                        "matrices do not represent an algebra element")
+    return terms
 
 
 # -- restriction filtration ----------------------------------------------------------

@@ -16,8 +16,6 @@ from cellalg.bmw import (
     bmw_cell_index,
     bmw_gen_matrix,
     bmw_word,
-    _monomial_rho,
-    _rho_mul,
 )
 from cellalg.brauer import BrauerElement, all_diagrams
 from cellalg.combin import (
@@ -61,6 +59,8 @@ from cellalg.towers import (
     gram_matrix,
     jm_triangularity,
     ordered_paths,
+    _monomial_rho,
+    _rho_mul,
 )
 
 
@@ -284,7 +284,8 @@ def test_relation_suite_and_associativity():
                 assert (a * b) * c == a * (b * c)
         index4 = bmw_cell_index(4)
         for _ in range(100):
-            a, b, c = (_monomial_rho(4, rng.choice(index4)) for _ in range(3))
+            a, b, c = (_monomial_rho("bmw", 4, rng.choice(index4))
+                       for _ in range(3))
             left = _rho_mul(_rho_mul(a, b), c)
             right = _rho_mul(a, _rho_mul(b, c))
             assert all(left[lam] == right[lam] for lam in left)

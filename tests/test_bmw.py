@@ -8,6 +8,7 @@ from cellalg.combin import (
     Permutation,
     cell_index,
     dominance,
+    enumerate_std,
     layer_shapes,
     superstandard,
     tab_perm,
@@ -431,6 +432,37 @@ def test_jm_eigenvector_property(n):
                     assert cell.is_zero()
 
 
+def _row_scan_content(t, k):
+    """bmw_content as written before it called towers.path_content: the
+    changed box is found by scanning the row lengths of steps k-1 and k."""
+    from cellalg.bmw import _r_power
+    from cellalg.combin import path_of_tableau
+    from cellalg.hecke import _q_power
+    path = path_of_tableau(t)
+    prev, cur = path[k - 1], path[k]
+    if sum(cur) > sum(prev):
+        rows = list(prev) + [0] * (len(cur) - len(prev))
+        for i, (a, b) in enumerate(zip(rows, cur)):
+            if b > a:
+                return _q_power(2 * (b - 1 - i))
+        raise AssertionError
+    rows = list(cur) + [0] * (len(prev) - len(cur))
+    for i, (a, b) in enumerate(zip(rows, prev)):
+        if b > a:
+            return _q_power(2 * (i + 1 - b)) * _r_power(-2)
+    raise AssertionError
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_content_matches_row_scan(n):
+    for lam in layer_shapes(n):
+        for t in enumerate_std(lam, n):
+            for k in range(1, n + 1):
+                got, expected = bmw_content(t, k), _row_scan_content(t, k)
+                assert got == expected
+                assert str(got) == str(expected)
+
+
 # -- compatibility with the Hecke quotient ------------------------------------------
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -510,8 +542,9 @@ def test_associativity_rho_n4():
     rng = random.Random(29)
     n = 4
     index = bmw_cell_index(n)
-    from cellalg.bmw import _monomial_rho, _rho_mul
+    from cellalg.towers import _monomial_rho, _rho_mul
     for _ in range(3):
-        a, b, c = (_monomial_rho(n, rng.choice(index)) for _ in range(3))
+        a, b, c = (_monomial_rho("bmw", n, rng.choice(index))
+                   for _ in range(3))
         assert rho_eq(_rho_mul(_rho_mul(a, b), c),
                       _rho_mul(a, _rho_mul(b, c)))

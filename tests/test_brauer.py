@@ -23,7 +23,6 @@ from cellalg.brauer import (
     br_m_lambda,
     br_module_matrix,
     br_star,
-    br_to_cell_coords,
     br_to_cellular,
     br_from_cellular,
     br_basis_element,
@@ -34,6 +33,12 @@ from cellalg.brauer import (
     s_diagram,
 )
 from cellalg.towers import gram_matrix
+
+from brauer_reference import (
+    br_to_cell_coords,
+    dense_module_matrix,
+    dense_to_cellular,
+)
 
 
 def const(c):
@@ -220,6 +225,46 @@ def test_cellular_roundtrip(n):
                  for _ in range(3)}
         e = BrauerElement(n, terms)
         assert br_from_cellular(br_to_cellular(e), n) == e
+
+
+def _random_element(rng, n, size=3):
+    """A seeded element with size diagrams and coefficients a + b z."""
+    diagrams = all_diagrams(n)
+    z = brauer_frac("z")
+    return BrauerElement(n, {
+        rng.choice(diagrams): const(rng.randint(-3, 3))
+        + z * const(rng.randint(-2, 2)) for _ in range(size)})
+
+
+def _canonical(coords):
+    return {key: str(c) for key, c in coords.items()}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_to_cellular_matches_full_solver(n):
+    # the straightening through cell-module matrices against the normal
+    # equations over every diagram
+    rng = random.Random(900 + n)
+    for _ in range(6):
+        e = _random_element(rng, n)
+        assert _canonical(br_to_cellular(e)) == \
+            _canonical(dense_to_cellular(e))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_module_matrix_matches_dense_solver(n):
+    rng = random.Random(700 + n)
+    elements = [BrauerElement.one(n)]
+    elements += [BrauerElement.s(i, n) for i in range(1, n)]
+    elements += [BrauerElement.e(i, n) for i in range(1, n)]
+    elements += [br_jm(k, n) for k in range(1, n + 1)]
+    elements += [_random_element(rng, n) for _ in range(3)]
+    for lam in layer_shapes(n):
+        for e in elements:
+            fast = br_module_matrix(lam, n, e)
+            slow = dense_module_matrix(lam, n, e)
+            assert [[str(x) for x in row] for row in fast] == \
+                [[str(x) for x in row] for row in slow]
 
 
 # -- Jucys-Murphy ---------------------------------------------------------------------

@@ -304,6 +304,29 @@ def test_cache_version_bump_recomputes(tmp_path, capsys):
     assert json.load(open(path))["version"] == cli.CACHE_VERSION
 
 
+def test_cache_write_removes_older_versions_only(tmp_path, capsys):
+    cache_dir = str(tmp_path)
+    old = cli.CACHE_VERSION - 1
+
+    def planted(name):
+        return os.path.join(cache_dir, name)
+
+    stale = planted("bmw-n3-v{}.json".format(old))
+    kept = [planted("bmw-n3-v99.json"),
+            planted("bmw-n4-v{}.json".format(old)),
+            planted("brauer-n3-v{}.json".format(old)),
+            planted("notes.json")]
+    for path in [stale] + kept:
+        with open(path, "w") as handle:
+            handle.write("{}")
+    report = run_json(capsys, ["cache", "--algebra", "bmw", "--n", "3",
+                               "--cache-dir", cache_dir, "--json"])
+    assert report["result"]["status"] == "written"
+    assert not os.path.exists(stale)
+    assert all(open(path).read() == "{}" for path in kept)
+    assert os.path.exists(cli._cache_path(cache_dir, "bmw", 3))
+
+
 def test_cache_corrupt_file_warns_and_recomputes(tmp_path, capsys):
     cache_dir = str(tmp_path)
     path = cli._cache_path(cache_dir, "bmw", 2)

@@ -202,6 +202,53 @@ def test_canonical_form_is_unique(vars, data):
         assert (value.num, value.den) == (x.num, x.den)
 
 
+# -- field axioms --------------------------------------------------------------------
+# Each value is compared by its canonical (num, den) pair as well as by ==,
+# so two reduced forms of one value would fail.
+
+FIELD_VARS = [BMW_VARS, BRAUER_VARS, ()]
+
+
+def _same(x, y):
+    return (x.num, x.den) == (y.num, y.den) and x == y
+
+
+def _three(data, vars):
+    return [data.draw(fractions_over(vars, degree=2)) for _ in range(3)]
+
+
+@pytest.mark.parametrize("vars", FIELD_VARS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_addition_and_multiplication_are_associative_and_commutative(
+        vars, data):
+    a, b, c = _three(data, vars)
+    assert _same((a + b) + c, a + (b + c))
+    assert _same(a + b, b + a)
+    assert _same((a * b) * c, a * (b * c))
+    assert _same(a * b, b * a)
+
+
+@pytest.mark.parametrize("vars", FIELD_VARS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_multiplication_distributes_over_addition(vars, data):
+    a, b, c = _three(data, vars)
+    assert _same(a * (b + c), a * b + a * c)
+    assert _same((a + b) * c, a * c + b * c)
+
+
+@pytest.mark.parametrize("vars", FIELD_VARS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_inverse_and_subtraction(vars, data):
+    a = data.draw(fractions_over(vars, degree=3))
+    b = data.draw(fractions_over(vars, degree=3))
+    assert _same((a - b) + b, a)
+    if not a.is_zero():
+        assert _same(a * a.inverse(), CoeffFraction.const(1, vars))
+
+
 # -- one-pass substitution against term-by-term evaluation ---------------------------
 
 def _termwise_substitute(x, assignment):

@@ -26,21 +26,16 @@ from cellalg.bmw import (
     bmw_to_cellular,
     perm_word,
     rho_of_word,
-    _rho_mul,
-    _rho_add,
-    _rho_scale,
 )
 from cellalg.brauer import (
     BrauerElement,
     br_cell_matrix,
-    br_gen_matrix,
     br_jm,
     br_jm_matrix,
     br_m_lambda,
     br_module_matrix,
     br_basis_element,
     br_star,
-    br_to_cell_coords,
     br_to_cellular,
     diagram_arcs,
 )
@@ -57,6 +52,15 @@ from cellalg.towers import (
     path_content,
     restriction_filtration_check,
     y_element,
+    _rho_add,
+    _rho_mul,
+    _rho_scale,
+)
+
+from brauer_reference import (
+    br_to_cell_coords,
+    dense_gen_matrix,
+    dense_to_cellular,
 )
 
 
@@ -76,7 +80,7 @@ def test_fast_engine_matches_solver_route(n):
         for i in range(1, n):
             for kind in ("s", "E"):
                 assert br_cell_matrix(lam, n, kind, i) == \
-                    br_gen_matrix(lam, n, kind, i)
+                    dense_gen_matrix(lam, n, kind, i)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -495,6 +499,17 @@ def test_lifted_basis_cellular_bmw(n):
     assert count == sizes[n]
 
 
+def _brauer_b_elements(pb, n):
+    """The lifted elements b_t (m_t = m_lambda b_t) as diagram elements."""
+    b_elems = {}
+    for t in pb.paths:
+        e = BrauerElement.zero(n)
+        for w, c in pb.b_words[t].items():
+            e = e + BrauerElement.perm(w).scale(c)
+        b_elems[t] = e
+    return b_elems
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_lifted_basis_cellular_brauer(n):
     count = 0
@@ -502,12 +517,7 @@ def test_lifted_basis_cellular_brauer(n):
         pb = build_path_basis("brauer", lam, n)
         idx = pb.index
         m = br_m_lambda(lam, n)
-        b_elems = {}
-        for t in pb.paths:
-            e = BrauerElement.zero(n)
-            for w, c in pb.b_words[t].items():
-                e = e + BrauerElement.perm(w).scale(c)
-            b_elems[t] = e
+        b_elems = _brauer_b_elements(pb, n)
         for s in pb.paths:
             left = br_star(b_elems[s]) * m
             for t in pb.paths:
@@ -529,6 +539,26 @@ def test_lifted_basis_cellular_brauer(n):
                             assert layer[(sv, tu)] == prod
     sizes = {2: 3, 3: 15, 4: 105}
     assert count == sizes[n]
+
+
+def test_lifted_products_match_full_solver():
+    # every product b_s^* m_lambda b_t of the lifted basis at n = 4, as in
+    # test_lifted_basis_cellular_brauer, against the diagram-basis oracle
+    n = 4
+    count = 0
+    for lam in layer_shapes(n):
+        pb = build_path_basis("brauer", lam, n)
+        m = br_m_lambda(lam, n)
+        b_elems = _brauer_b_elements(pb, n)
+        for s in pb.paths:
+            left = br_star(b_elems[s]) * m
+            for t in pb.paths:
+                count += 1
+                x = left * b_elems[t]
+                got = {k: str(c) for k, c in br_to_cellular(x).items()}
+                assert got == {k: str(c)
+                               for k, c in dense_to_cellular(x).items()}
+    assert count == 105
 
 
 # -- Jucys-Murphy triangularity ------------------------------------------------------
