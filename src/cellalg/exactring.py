@@ -17,15 +17,22 @@ divisor term by term; most reductions are of this kind.
 Specializations substitute variables either by rationals or by
 symbolic expressions in the remaining variables (for example
 ``r -> -q^-3``); symbolic substitutions are applied before any numeric
-evaluation.  A substitution is one polynomial pass over numerator and
-denominator, scaled by the image denominators, with one reduction at the
-end.
+evaluation.  A substitution is one pass over numerator and denominator,
+scaled by the image denominators, with one reduction at the end.
+
+``ring(nvars)`` names the operations of that pass and of the Bareiss kernel
+in :mod:`cellalg.linalg`: polynomial dicts in general, and plain ints when
+no variable is left.  So values at a rational point run on Python ints
+(``*``, ``-``, exact ``//`` and one ``math.gcd``) through the same code.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from functools import lru_cache, partial
 from math import gcd as int_gcd
+from typing import Callable, NamedTuple
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +321,63 @@ def _poly_sign_norm(a: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# The ring of numerators and denominators, by variable count
+# ---------------------------------------------------------------------------
+
+class Ring(NamedTuple):
+    """Operations on the numerators and denominators of CoeffFraction in a
+    given number of variables.  Zero is falsy in every ring."""
+
+    const: Callable     # int -> element
+    mul: Callable
+    sub: Callable
+    divexact: Callable  # raises ValueError on a remainder
+    gcd: Callable       # positive on a nonzero argument
+    total: Callable     # sum of a list of elements
+    elem: Callable      # polynomial dict -> element
+    fraction: Callable  # (vars, num, den) -> reduced CoeffFraction
+
+
+def _int_divexact(a: int, b: int) -> int:
+    q, rem = divmod(a, b)
+    if rem:
+        raise ValueError("inexact integer division")
+    return q
+
+
+def _int_fraction(vars: tuple, num: int, den: int) -> "CoeffFraction":
+    """The canonical constant num/den: one gcd, positive denominator."""
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    g = int_gcd(num, den)
+    if den < 0:
+        g = -g
+    return CoeffFraction(vars, {(): num // g} if num else {}, {(): den // g},
+                         _reduced=True)
+
+
+def _poly_total(polys: list) -> dict:
+    acc: dict = {}
+    for p in polys:
+        for k, v in p.items():
+            acc[k] = acc.get(k, 0) + v
+    return {k: v for k, v in acc.items() if v}
+
+
+@lru_cache(maxsize=None)
+def ring(nvars: int) -> Ring:
+    """Polynomial dicts in ``nvars`` variables, or Python ints when there
+    are none (the value at a rational point)."""
+    if not nvars:
+        return Ring(int, operator.mul, operator.sub, _int_divexact, int_gcd,
+                    sum, lambda p: p.get((), 0), _int_fraction)
+    return Ring(partial(poly_const, nvars=nvars), poly_mul, poly_sub,
+                partial(poly_divexact, nvars=nvars),
+                partial(poly_gcd, nvars=nvars), _poly_total, lambda p: p,
+                CoeffFraction)
+
+
+# ---------------------------------------------------------------------------
 # CoeffFraction
 # ---------------------------------------------------------------------------
 
@@ -475,7 +539,8 @@ class CoeffFraction:
         With image n_i/d_i and D_i the degree of variable i in num and den,
         both are multiplied by prod d_i^D_i, so each term c*x^e becomes the
         polynomial c * prod n_i^e_i * d_i^(D_i - e_i); one reduction at the
-        end gives the canonical form.
+        end gives the canonical form.  The pass runs in ``ring`` of the
+        target variable count: on ints at a rational point.
         """
         images = []
         target_vars = None
@@ -490,35 +555,32 @@ class CoeffFraction:
             images.append(img)
         if target_vars is None:
             target_vars = ()
-        nt = len(target_vars)
-        one = poly_const(1, nt)
-        terms = list(self.num) + list(self.den)
+        R = ring(len(target_vars))
+        const, mul, elem = R.const, R.mul, R.elem
+        one = const(1)
         tables = []  # per variable: powers of n_i and of d_i, and D_i
-        for i, img in enumerate(images):
-            top = max(e[i] for e in terms)
+        for img, top in zip(images, map(max, zip(*self.num, *self.den))):
             nums, dens = [one], [one]
-            for _ in range(top):
-                nums.append(poly_mul(nums[-1], img.num))
-                dens.append(poly_mul(dens[-1], img.den))
+            if top:
+                n_i, d_i = elem(img.num), elem(img.den)
+                for _ in range(top):
+                    nums.append(mul(nums[-1], n_i))
+                    dens.append(mul(dens[-1], d_i))
             tables.append((nums, dens, top))
-
-        def evaluate(p):
-            acc = {}
+        num, den = [], []  # the terms of each, then their sums
+        for p, out in ((self.num, num), (self.den, den)):
             for exp, c in p.items():
-                term = poly_const(c, nt)
+                term = const(c)
                 for (nums, dens, top), e in zip(tables, exp):
                     if e:
-                        term = poly_mul(term, nums[e])
+                        term = mul(term, nums[e])
                     if e != top:
-                        term = poly_mul(term, dens[top - e])
-                for k, v in term.items():
-                    acc[k] = acc.get(k, 0) + v
-            return {k: v for k, v in acc.items() if v}
-
-        den = evaluate(self.den)
+                        term = mul(term, dens[top - e])
+                out.append(term)
+        den = R.total(den)
         if not den:
             raise PoleError(f"denominator vanishes under {assignment}")
-        return CoeffFraction(target_vars, evaluate(self.num), den)
+        return R.fraction(target_vars, R.total(num), den)
 
     # -- formatting -----------------------------------------------------------
     def __repr__(self):

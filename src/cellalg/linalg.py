@@ -2,7 +2,10 @@
 
 Matrices are lists of lists of :class:`~cellalg.exactring.CoeffFraction`.
 Rank, determinant, inversion and the solver classes share one Bareiss
-(fraction-free) kernel over the polynomial rows cleared of denominators.
+(fraction-free) kernel over the rows cleared of denominators.  The kernel
+takes its operations from ``exactring.ring`` of the variable count:
+polynomial dicts in general, and Python ints (``*``, ``-`` and an exact
+``//``) for values at a rational point.
 Sizes in this package stay small (a few hundred rows at most), so the
 elimination works on dense rows; ``mat_mul`` skips zero entries, since the
 generator matrices it multiplies have about one nonzero entry per row.
@@ -10,8 +13,7 @@ generator matrices it multiplies have about one nonzero entry per row.
 
 from functools import reduce
 
-from .exactring import (CoeffFraction, poly_const, poly_divexact, poly_gcd,
-                        poly_mul, poly_neg, poly_sub)
+from .exactring import CoeffFraction, ring
 
 
 class SingularMatrixError(ArithmeticError):
@@ -69,31 +71,35 @@ def det(matrix) -> CoeffFraction:
     if not n or any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square and nonempty")
     vars = matrix[0][0].vars
+    R = ring(len(vars))
     rows, dens = _cleared(matrix)
     pivots, sign, last = _bareiss_forward(rows, len(vars))
     if len(pivots) < n:
         return CoeffFraction.const(0, vars)
-    return CoeffFraction(vars, last if sign > 0 else poly_neg(last),
-                         reduce(poly_mul, dens))
+    value = R.fraction(vars, last, reduce(R.mul, dens))
+    return value if sign > 0 else -value
 
 
 def invert_fraction_free(matrix):
     """Invert a square regular matrix by fraction-free Gauss-Jordan.
 
     Denominators are cleared row by row, elimination runs over polynomials
-    with exact single-step divisions (Bareiss), and fractions are formed
-    only once at the very end.  This avoids the polynomial-gcd blowup of
-    naive fraction elimination on multivariate entries.
+    (ints at a point) with exact single-step divisions (Bareiss), and
+    fractions are formed only once at the very end.  This avoids the
+    polynomial-gcd blowup of naive fraction elimination on multivariate
+    entries.
     """
     n = len(matrix)
     vars = matrix[0][0].vars
     nv = len(vars)
+    R = ring(nv)
     rows, dens = _cleared(matrix)
     # augment with diag(row denominator): the elimination then solves
     # (cleared matrix) X = diag(dens), whose solution is the inverse
-    aug = [row + [dens[i] if j == i else {} for j in range(n)]
+    zero = R.const(0)
+    aug = [row + [dens[i] if j == i else zero for j in range(n)]
            for i, row in enumerate(rows)]
-    prev = poly_const(1, nv)
+    prev = R.const(1)
     for k in range(n):
         if not aug[k][k]:
             for r in range(k + 1, n):
@@ -107,26 +113,27 @@ def invert_fraction_free(matrix):
                 _bareiss_step(aug[i], aug[k], k, prev, nv)
         prev = aug[k][k]
     det_like = aug[n - 1][n - 1]
-    return [[CoeffFraction(vars, aug[i][n + j], det_like)
+    return [[R.fraction(vars, aug[i][n + j], det_like)
              for j in range(n)] for i in range(n)]
 
 
 # -- the fraction-free kernel ---------------------------------------------------------
 
 def _cleared(matrix):
-    """Polynomial rows of ``matrix``, each scaled by the lcm of its
-    denominators; returns (rows, row denominators)."""
-    nv = len(matrix[0][0].vars)
-    one = poly_const(1, nv)
+    """Rows of ``matrix`` in ``ring`` of its variable count, each scaled by
+    the lcm of its denominators; returns (rows, row denominators)."""
+    R = ring(len(matrix[0][0].vars))
+    mul, divexact, gcd, elem = R.mul, R.divexact, R.gcd, R.elem
+    one, zero = R.const(1), R.const(0)
     rows, dens = [], []
     for row in matrix:
+        cells = [(elem(cell.num), elem(cell.den)) for cell in row]
         den = one
-        for cell in row:
-            if cell.den != one and cell.den != den:
-                g = poly_gcd(den, cell.den, nv)
-                den = poly_mul(den, poly_divexact(cell.den, g, nv))
-        rows.append([poly_mul(cell.num, poly_divexact(den, cell.den, nv))
-                     if cell.num else {} for cell in row])
+        for _, d in cells:
+            if d != one and d != den:
+                den = mul(den, divexact(d, gcd(den, d)))
+        rows.append([mul(x, divexact(den, d)) if x else zero
+                     for x, d in cells])
         dens.append(den)
     return rows, dens
 
@@ -138,24 +145,26 @@ def _bareiss_step(row, pivot_row, col, prev, nv):
     pivot row's entry in that column and prev the pivot of the step before;
     Sylvester's identity makes the division exact (Bareiss 1968).
     """
+    R = ring(nv)
+    mul, sub, divexact, zero = R.mul, R.sub, R.divexact, R.const(0)
     pivot, lead = pivot_row[col], row[col]
     for j, (x, p) in enumerate(zip(row, pivot_row)):
         if j == col or not (x or lead and p):
             continue
-        val = poly_sub(poly_mul(pivot, x), poly_mul(lead, p))
-        row[j] = poly_divexact(val, prev, nv) if val else {}
-    row[col] = {}
+        val = sub(mul(pivot, x), mul(lead, p))
+        row[j] = divexact(val, prev) if val else zero
+    row[col] = zero
 
 
 def _bareiss_forward(rows, nv):
-    """Fraction-free forward elimination of polynomial rows, in place.
+    """Fraction-free forward elimination of rows in ``ring(nv)``, in place.
 
     Returns (pivot columns, sign of the row permutation, last pivot); the
     rank is the number of pivot columns, and for a square matrix of full
     rank, sign times the last pivot is its determinant.
     """
     nrows = len(rows)
-    prev = poly_const(1, nv)
+    prev = ring(nv).const(1)
     sign, pivots = 1, []
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)

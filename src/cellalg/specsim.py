@@ -138,12 +138,16 @@ def certify(algebra, n, spec=None):
         for _, _, s, t, classes in witnesses])
 
 
-# Points (values of the target variables, in order) at which
-# gram_rank_certify first tries to prove full rank.  Any point is sound; a
-# good one is no root of a Gram determinant.  Brauer determinants vanish at
-# rational z only in [-2n, 2n] (Rui, J. Combin. Theory A 111, 2005), so 17
-# is no root up to n = 8; the BMW points are no roots of unity and satisfy
-# no r = +-q^k.  Later points stand in when a point is refused or is a pole.
+# Points at which gram_rank_certify first tries to prove full rank: their
+# coordinates go, in order, to the variables that the spec leaves free.  Any
+# point is sound; a good one is no root of a Gram determinant.  Brauer
+# determinants vanish at rational z only in [-2n, 2n] (Rui, J. Combin.
+# Theory A 111, 2005), so 17 is no root up to n = 8.  The BMW points are no
+# roots of unity, and with both q and r free they satisfy no r = +-q^k.  With
+# one of them fixed, only the first coordinate is used, and the composed
+# point may lie on such a locus: "r=17" is evaluated at q = r = 17, on
+# r = q, where the rank drops and the answer comes from exact elimination.
+# Later points stand in when a point is refused or is a pole.
 CERTIFICATE_POINTS = ((17, 19), (23, 29), (31, 37))
 
 

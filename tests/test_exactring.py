@@ -27,6 +27,7 @@ from cellalg.exactring import (
     poly_mul,
     specialize,
 )
+from cellalg.specsim import CERTIFICATE_POINTS, _certificate_specs
 
 
 def test_self_division_is_one():
@@ -296,12 +297,30 @@ def specializations(draw, vars):
     return Specialization.parse(text, vars)
 
 
+# Specs that specsim._certificate_specs composes with each certificate point
+# (its coordinates go, in order, to the variables the spec leaves free):
+# none, partial and symbolic ones, and r = 1/(q-3), which has a pole at q = 3.
+COMPOSED = {
+    BMW_VARS: ["", "q=2", "r=13", "r=-q^3", "r=q^-2", "r=1/(q-3)"],
+    BRAUER_VARS: [""],
+}
+ALGEBRA = {BMW_VARS: "bmw", BRAUER_VARS: "brauer"}
+
+
+@st.composite
+def point_specializations(draw, vars):
+    """The numeric specializations that gram_rank_certify evaluates at."""
+    spec = Specialization.parse(draw(st.sampled_from(COMPOSED[vars])), vars)
+    return draw(st.sampled_from(_certificate_specs(ALGEBRA[vars], spec)))
+
+
 @pytest.mark.parametrize("vars", [BMW_VARS, BRAUER_VARS])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_substitute_matches_termwise_evaluation(vars, data):
     x = data.draw(fractions_over(vars, degree=3))
-    spec = data.draw(specializations(vars))
+    spec = data.draw(st.one_of(specializations(vars),
+                               point_specializations(vars)))
     try:
         expected = _termwise_substitute(x, spec.assignment)
     except PoleError:
@@ -311,6 +330,28 @@ def test_substitute_matches_termwise_evaluation(vars, data):
     got = spec.apply(x)
     assert (got.vars, got.num, got.den) == \
         (expected.vars, expected.num, expected.den)
+
+
+@pytest.mark.parametrize("point", CERTIFICATE_POINTS + ((3, 5), (2, 13)))
+@pytest.mark.parametrize("text", COMPOSED[BMW_VARS])
+def test_point_composition_matches_termwise_evaluation(text, point):
+    # the step of _certificate_specs: each image goes to a rational point
+    spec = Specialization.parse(text, BMW_VARS)
+    at = {v: CoeffFraction.const(c, ())
+          for v, c in zip(spec.target_vars, point)}
+    poles = 0
+    for img in spec.assignment.values():
+        try:
+            expected = _termwise_substitute(img, at)
+        except PoleError:
+            poles += 1
+            with pytest.raises(PoleError):
+                img.substitute(at)
+            continue
+        got = img.substitute(at)
+        assert (got.vars, got.num, got.den) == \
+            (expected.vars, expected.num, expected.den)
+    assert poles == (text == "r=1/(q-3)" and point[0] == 3)
 
 
 def test_substitute_poles_match_termwise_evaluation():

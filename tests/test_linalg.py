@@ -1,17 +1,20 @@
 """Property tests of the fraction-free determinant and rank against
-Laplace-expansion oracles over Q(z) and Q(q, r), and of the solver classes
-that share their kernel."""
+Laplace-expansion oracles over Q(z), Q(q, r) and Q (values at a point), of
+the kernel on ints against the kernel on constant polynomials, and of the
+solver classes that share the kernel."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellalg.exactring import BMW_VARS, BRAUER_VARS, CoeffFraction, parse_fraction
+from cellalg.exactring import (BMW_VARS, BRAUER_VARS, CoeffFraction,
+                               parse_fraction, poly_const, poly_divexact, ring)
 from cellalg.linalg import (ColumnSolver, LinearSolver,
-                            SingularMatrixError, TallSolver, det, mat_mul,
-                            rank)
+                            SingularMatrixError, TallSolver, _bareiss_forward,
+                            _bareiss_step, _cleared, det, mat_mul, rank)
 
 ENTRIES = {
     BRAUER_VARS: ["0", "0", "1", "-2", "3/2", "z", "z-1", "z^2+1", "1/z",
@@ -48,7 +51,7 @@ def minor_rank(m):
 
 @st.composite
 def matrices(draw, square):
-    vars = draw(st.sampled_from([BRAUER_VARS, BMW_VARS]))
+    vars = draw(st.sampled_from([BRAUER_VARS, BMW_VARS, ()]))
     pool = [parse_fraction(text, vars) for text in ENTRIES[vars]]
     nrows = draw(st.integers(1, 4))
     ncols = nrows if square else draw(st.integers(1, 4))
@@ -74,6 +77,69 @@ def test_det_matches_laplace_expansion(m):
 @given(matrices(square=False))
 def test_rank_matches_largest_nonzero_minor(m):
     assert rank(m) == minor_rank(m)
+
+
+CONSTANTS = [Fraction(v) for v in ("0", "0", "1", "-1", "2", "-3", "5",
+                                   "1/2", "-2/3", "7/4")]
+
+
+@st.composite
+def constant_matrices(draw, square):
+    """Rational matrices up to 6 x 6 whose first column needs a row swap,
+    often with a row that combines two others."""
+    nrows = draw(st.integers(1, 6))
+    ncols = nrows if square else draw(st.integers(1, 6))
+    entry = st.sampled_from(CONSTANTS)
+    m = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    m[0][0] = Fraction(0)
+    if nrows > 2 and draw(st.booleans()):
+        a, b, dst = draw(st.permutations(range(nrows)))[:3]
+        ca, cb = draw(entry), draw(entry)
+        m[dst] = [ca * x + cb * y for x, y in zip(m[a], m[b])]
+    return [[CoeffFraction.const(x, ()) for x in row] for row in m]
+
+
+def canonical(x):
+    return x.vars, x.num, x.den
+
+
+@settings(max_examples=80, deadline=None)
+@given(constant_matrices(square=True))
+def test_det_at_a_point_matches_laplace_expansion(m):
+    assert canonical(det(m)) == canonical(laplace_det(m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(constant_matrices(square=False))
+def test_rank_at_a_point_matches_largest_nonzero_minor(m):
+    assert rank(m) == minor_rank(m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(constant_matrices(square=False), st.sampled_from([1, 2]))
+def test_kernel_on_ints_matches_kernel_on_constant_polynomials(m, nv):
+    rows, _ = _cleared(m)
+    assert all(type(x) is int for row in rows for x in row)
+    poly_rows = [[poly_const(x, nv) for x in row] for row in rows]
+    pivots, sign, last = _bareiss_forward(rows, 0)
+    assert _bareiss_forward(poly_rows, nv) == \
+        (pivots, sign, poly_const(last, nv))
+    assert poly_rows == [[poly_const(x, nv) for x in row] for row in rows]
+
+
+def test_integer_step_raises_on_inexact_division():
+    # the entry (1*1 - 1*2) / 2 leaves a remainder over Z and over Z[x]
+    for nv in (0, 1):
+        lift = ring(nv).const
+        row, pivot_row = [lift(1), lift(1)], [lift(1), lift(2)]
+        with pytest.raises(ValueError):
+            _bareiss_step(row, pivot_row, 0, lift(2), nv)
+    for a, b in ((7, 2), (-7, 2), (7, -2)):
+        with pytest.raises(ValueError):
+            ring(0).divexact(a, b)
+        with pytest.raises(ValueError):
+            poly_divexact({(): a}, {(): b}, 0)
+    assert ring(0).divexact(-6, 3) == -2
 
 
 def dense_mat_mul(a, b):
