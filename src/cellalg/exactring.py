@@ -8,11 +8,15 @@ denominator share no polynomial factor and the leading coefficient of
 the denominator is positive under lexicographic monomial order -- so
 equality of values is equality of representations.
 
-Reduction runs a primitive polynomial remainder sequence (PRS) only when
-both arguments of ``poly_gcd`` have two or more terms.  When either side is
-a single term (a constant or c*x^e) the gcd is read off the coefficients
-and the lowest exponents, and ``poly_divexact`` divides by a single-term
-divisor term by term; most reductions are of this kind.
+Polynomials have one format: dicts {exponent tuple: int coefficient}.
+When either argument of ``poly_gcd`` is a single term (a constant or c*x^e)
+the gcd is read off the coefficients and the lowest exponents, and
+``poly_divexact`` divides by a single-term divisor term by term; most
+reductions are of this kind.  Two multi-term polynomials go to a primitive
+polynomial remainder sequence (PRS; Brown, J. ACM 18, 1971) and a long
+division, each written once for polynomials in the first variable with
+coefficients in ``ring(nvars - 1)``, so coefficient gcds and divisions
+recurse through the same ``poly_gcd``/``poly_divexact`` down to ints.
 
 Specializations substitute variables either by rationals or by
 symbolic expressions in the remaining variables (for example
@@ -94,194 +98,94 @@ def poly_lead_coeff(a: dict) -> int:
     return a[poly_lead(a)]
 
 
-# -- recursive dense representation, used only for gcd and exact division ---
+# -- multi-term gcd and exact division --------------------------------------
 #
-# A polynomial in k variables is an int (k == 0) or a list of
-# polynomials in k-1 variables, indexed by the degree in the first
-# variable (always non-empty, trailing zeros trimmed except for [zero]).
+# A polynomial in nvars variables is read as a univariate polynomial in the
+# first variable whose coefficients lie in ring(nvars - 1): polynomial dicts
+# in one fewer variable, or ints at the bottom.  Coefficient gcds and
+# divisions recurse through that ring.
 
-def _to_rec(a: dict, nvars: int):
-    if nvars == 0:
-        return a.get((), 0)
-    if not a:
-        return [0] if nvars == 1 else [_to_rec({}, nvars - 1)]
-    deg = max(exp[0] for exp in a)
-    slices: list = [dict() for _ in range(deg + 1)]
+def _split(a: dict, nvars: int) -> list:
+    """Coefficients of a nonzero a in its first variable, lowest degree
+    first, as elements of ring(nvars - 1)."""
+    if nvars == 1:
+        out = [0] * (max(a)[0] + 1)
+        for (d,), c in a.items():
+            out[d] = c
+        return out
+    out = [{} for _ in range(max(a)[0] + 1)]
     for exp, c in a.items():
-        slices[exp[0]][exp[1:]] = c
-    return [_to_rec(s, nvars - 1) for s in slices]
-
-
-def _from_rec(p, nvars: int) -> dict:
-    if nvars == 0:
-        return {(): p} if p else {}
-    out: dict = {}
-    for d, coeff in enumerate(p):
-        for exp, c in _from_rec(coeff, nvars - 1).items():
-            out[(d,) + exp] = c
+        out[exp[0]][exp[1:]] = c
     return out
 
 
-def _r_is_zero(p) -> bool:
-    if isinstance(p, int):
-        return p == 0
-    return all(_r_is_zero(c) for c in p)
+def _join(coeffs: list, nvars: int) -> dict:
+    """Inverse of _split."""
+    if nvars == 1:
+        return {(d,): c for d, c in enumerate(coeffs) if c}
+    return {(d,) + exp: c for d, p in enumerate(coeffs) for exp, c in p.items()}
 
 
-def _r_trim(p):
-    if isinstance(p, int):
-        return p
-    p = [_r_trim(c) for c in p]
-    while len(p) > 1 and _r_is_zero(p[-1]):
-        p.pop()
-    return p
-
-
-def _r_add(a, b):
-    if isinstance(a, int):
-        return a + b
-    n = max(len(a), len(b))
-    zero = _r_zero_like(a[0])
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else zero
-        y = b[i] if i < len(b) else zero
-        out.append(_r_add(x, y))
-    return _r_trim(out)
-
-
-def _r_zero_like(p):
-    if isinstance(p, int):
-        return 0
-    return [_r_zero_like(p[0])]
-
-
-def _r_neg(a):
-    if isinstance(a, int):
-        return -a
-    return [_r_neg(c) for c in a]
-
-
-def _r_mul(a, b):
-    if isinstance(a, int):
-        return a * b
-    zero = _r_zero_like(a[0])
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if _r_is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = _r_add(out[i + j], _r_mul(x, y))
-    return _r_trim(out)
-
-
-def _r_divexact(a, b):
-    """Exact division; raises ValueError when b does not divide a."""
-    if isinstance(a, int):
-        if b == 0 or a % b:
-            raise ValueError("inexact integer division")
-        return a // b
-    if _r_is_zero(a):
-        return _r_zero_like(a)
-    if _r_is_zero(b):
-        raise ValueError("division by zero polynomial")
-    rem = a
-    quo = [_r_zero_like(a[0])] * (len(a) - len(b) + 1)
-    while not _r_is_zero(rem):
-        if len(rem) < len(b):
-            raise ValueError("inexact polynomial division")
-        c = _r_divexact(rem[-1], b[-1])
-        d = len(rem) - len(b)
-        quo[d] = c
-        sub = [_r_zero_like(c)] * d + [_r_mul(c, bc) for bc in b]
-        rem = _r_trim(_r_add(rem, _r_neg(sub)))
-        if len(rem) >= d + len(b) and not _r_is_zero(rem[-1]):
-            raise ValueError("inexact polynomial division")
-        if _r_is_zero(rem):
-            break
-    return _r_trim(quo)
-
-
-def _r_content(a):
-    """gcd of the coefficients of a (an element one level down)."""
-    if isinstance(a, int):
-        return abs(a)
-    acc = None
+def _primitive(a: list, R: Ring) -> tuple:
+    """Content (gcd of the coefficients, up to a unit) and primitive part of
+    a nonzero a."""
+    one = R.const(1)
+    g = None
     for c in a:
-        if _r_is_zero(c):
-            continue
-        acc = c if acc is None else _r_gcd(acc, c)
-    if acc is None:
-        return _r_zero_like(a[0])
-    return acc
+        if c:
+            g = c if g is None else R.gcd(g, c)
+            if g == one:
+                return g, a
+    return g, [R.divexact(c, g) for c in a]
 
 
-def _r_prem(a, b):
-    """Pseudo-remainder of a by b in (R[rest])[x]."""
-    rem = a
-    lb = b[-1]
-    db = len(b) - 1
-    while not _r_is_zero(rem) and len(rem) - 1 >= db:
-        lr = rem[-1]
-        d = len(rem) - 1 - db
-        rem = [_r_mul(lb, c) for c in rem]
-        sub = [_r_zero_like(lr)] * d + [_r_mul(lr, bc) for bc in b]
-        rem = _r_trim(_r_add(rem, _r_neg(sub)))
-        if isinstance(rem, list) and len(rem) - 1 >= db + d and not _r_is_zero(rem[-1]):
-            raise AssertionError("pseudo-division failed to reduce degree")
-    return rem
-
-
-def _r_gcd(a, b):
-    if isinstance(a, int):
-        return int_gcd(a, b)
-    a = _r_trim(a)
-    b = _r_trim(b)
-    if _r_is_zero(a):
-        return _r_abs(b)
-    if _r_is_zero(b):
-        return _r_abs(a)
-    ca, cb = _r_content(a), _r_content(b)
-    a = [_r_divexact(c, ca) for c in a]
-    b = [_r_divexact(c, cb) for c in b]
-    cg = _r_gcd(ca, cb)
-    # primitive PRS
-    while True:
-        if len(a) < len(b):
-            a, b = b, a
-        r = _r_prem(a, b)
-        if _r_is_zero(r):
-            break
-        cr = _r_content(r)
-        r = _r_trim([_r_divexact(c, cr) for c in r])
-        a, b = b, r
-    return _r_mul_scalar(_r_abs(_r_trim(b)), cg)
-
-
-def _r_mul_scalar(g, cg):
-    """Multiply g by cg where cg lives one recursion level below g."""
-    if isinstance(g, int):
-        return g * cg
-    return _r_trim([_r_mul(c, cg) for c in g])
-
-
-def _r_abs(a):
-    """Normalize so the leading coefficient is positive (recursively by sign
-    of the integer leading coefficient under lex order)."""
-    if isinstance(a, int):
-        return abs(a)
-    if _r_sign(a) < 0:
-        return _r_neg(a)
+def _upoly_prem(a: list, b: list, R: Ring) -> list:
+    """Pseudo-remainder of a by b: lc(b)^k * a reduced below the degree of
+    b, trailing zeros trimmed."""
+    db, lb = len(b) - 1, b[-1]
+    while len(a) > db:
+        lr = a[-1]
+        d = len(a) - 1 - db
+        a = [R.mul(lb, c) for c in a[:-1]]
+        for i, c in enumerate(b[:-1]):
+            if c:
+                a[d + i] = R.sub(a[d + i], R.mul(lr, c))
+        while a and not a[-1]:
+            a.pop()
     return a
 
 
-def _r_sign(a) -> int:
-    if isinstance(a, int):
-        return (a > 0) - (a < 0)
-    for c in reversed(a):
-        if not _r_is_zero(c):
-            return _r_sign(c)
-    return 0
+def _upoly_gcd(a: list, b: list, R: Ring) -> list:
+    """gcd, up to a unit, of nonzero a and b in R[x] by the primitive
+    polynomial remainder sequence."""
+    ca, a = _primitive(a, R)
+    cb, b = _primitive(b, R)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:  # a primitive constant b is a unit
+        r = _upoly_prem(a, b, R)
+        if not r:
+            break
+        a, b = b, _primitive(r, R)[1]
+    g = R.gcd(ca, cb)
+    return [R.mul(g, c) for c in b]
+
+
+def _upoly_divexact(a: list, b: list, R: Ring) -> list:
+    """a / b in R[x] by long division; raises ValueError on a remainder."""
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    quo = [R.const(0)] * (len(a) - db)
+    for d in range(len(quo) - 1, -1, -1):
+        c = a[d + db]
+        if c:
+            c = quo[d] = R.divexact(c, lb)
+            for i, bc in enumerate(b[:-1]):
+                if bc:
+                    a[d + i] = R.sub(a[d + i], R.mul(c, bc))
+    if any(a[:db]):
+        raise ValueError("inexact polynomial division")
+    return quo
 
 
 def poly_gcd(a: dict, b: dict, nvars: int) -> dict:
@@ -294,8 +198,8 @@ def poly_gcd(a: dict, b: dict, nvars: int) -> dict:
         # all coefficients times the lowest power of each variable
         exp = tuple(map(min, zip(*a, *b)))
         return {exp: int_gcd(*a.values(), *b.values())}
-    g = _r_gcd(_to_rec(a, nvars), _to_rec(b, nvars))
-    return _poly_sign_norm(_from_rec(_r_trim(g), nvars))
+    g = _upoly_gcd(_split(a, nvars), _split(b, nvars), ring(nvars - 1))
+    return _poly_sign_norm(_join(g, nvars))
 
 
 def poly_divexact(a: dict, b: dict, nvars: int) -> dict:
@@ -310,8 +214,8 @@ def poly_divexact(a: dict, b: dict, nvars: int) -> dict:
                 raise ValueError("inexact division by a term")
             out[exp] = ca // cb
         return out
-    q = _r_divexact(_to_rec(a, nvars), _to_rec(b, nvars))
-    return _from_rec(_r_trim(q), nvars)
+    q = _upoly_divexact(_split(a, nvars), _split(b, nvars), ring(nvars - 1))
+    return _join(q, nvars)
 
 
 def _poly_sign_norm(a: dict) -> dict:
@@ -371,9 +275,12 @@ def ring(nvars: int) -> Ring:
     if not nvars:
         return Ring(int, operator.mul, operator.sub, _int_divexact, int_gcd,
                     sum, lambda p: p.get((), 0), _int_fraction)
+    # poly_gcd is looked up at each call, as at every other call site, so
+    # rebinding exactring.poly_gcd (cellbench's tracer) reaches the nested
+    # coefficient gcds too, and undoing it leaves none behind in this cache
     return Ring(partial(poly_const, nvars=nvars), poly_mul, poly_sub,
                 partial(poly_divexact, nvars=nvars),
-                partial(poly_gcd, nvars=nvars), _poly_total, lambda p: p,
+                lambda a, b: poly_gcd(a, b, nvars), _poly_total, lambda p: p,
                 CoeffFraction)
 
 

@@ -145,9 +145,9 @@ def certify(algebra, n, spec=None):
 # Theory A 111, 2005), so 17 is no root up to n = 8.  The BMW points are no
 # roots of unity, and with both q and r free they satisfy no r = +-q^k.  With
 # one of them fixed, only the first coordinate is used, and the composed
-# point may lie on such a locus: "r=17" is evaluated at q = r = 17, on
-# r = q, where the rank drops and the answer comes from exact elimination.
-# Later points stand in when a point is refused or is a pole.
+# point may lie on such a locus ("r=17" at q = 17 gives r = q), where ranks
+# drop; such a point is skipped unless the spec's own images lie on it.
+# Later points stand in when a point is refused, skipped or is a pole.
 CERTIFICATE_POINTS = ((17, 19), (23, 29), (31, 37))
 
 
@@ -160,16 +160,44 @@ def _certificate_specs(algebra, spec):
     if not spec.target_vars:
         return []
     out = []
+    on_locus = {}  # k -> whether the spec's images satisfy r = +-q^k
     for point in CERTIFICATE_POINTS:
         at = {v: CoeffFraction.const(c, ())
               for v, c in zip(spec.target_vars, point)}
         try:
-            out.append(Specialization(
-                vars, {name: img.substitute(at)
-                       for name, img in spec.assignment.items()}))
+            s = Specialization(vars, {name: img.substitute(at)
+                                      for name, img in spec.assignment.items()})
         except (ValueError, PoleError):
             continue
+        if vars == BMW_VARS:
+            k = _rational_power_exponent(s.assignment["q"].as_rational(),
+                                         s.assignment["r"].as_rational())
+            # on r = +-q^k: keep the point only if the spec's images are too
+            if k is not None:
+                if k not in on_locus:
+                    power = spec.assignment["q"] ** k
+                    on_locus[k] = spec.assignment["r"] in (power, -power)
+                if not on_locus[k]:
+                    continue
+        out.append(s)
     return out
+
+
+def _rational_power_exponent(q, r):
+    """The k with r = +-q^k, for nonzero rationals q, r with q not +-1, or
+    None.  In lowest terms, |r| = |q|^k with k >= 0 says that the numerator
+    and denominator of |r| are the k-th powers of those of |q|; k < 0 swaps
+    the numerator and denominator of q.  As |q| is not 1, k is unique."""
+    c, d = abs(r.numerator), r.denominator
+    a, b = abs(q.numerator), q.denominator
+    for a, b, step in ((a, b, 1), (b, a, -1)):
+        pa = pb = 1
+        k = 0
+        while pa <= c and pb <= d:  # a or b exceeds 1, so this ends
+            if pa == c and pb == d:
+                return k
+            pa, pb, k = pa * a, pb * b, k + step
+    return None
 
 
 def _full_rank_at_a_point(g, points):
@@ -286,8 +314,6 @@ def _divides_unity_poly(coeffs, bound):
     if deg == 0:
         return None
     for k in range(1, bound + 1):
-        rem = [Fraction(0)] * k
-        rem[0] = Fraction(-1)
         target = ([Fraction(0)] * k) + [Fraction(1)]
         target[0] = Fraction(-1)
         # long division of x^k - 1 by the candidate

@@ -7,17 +7,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cellalg import exactring
 from cellalg.exactring import (
     BMW_VARS,
     BRAUER_VARS,
     CoeffFraction,
     PoleError,
     Specialization,
-    _from_rec,
+    _join,
     _poly_sign_norm,
-    _r_divexact,
-    _r_gcd,
-    _to_rec,
+    _split,
+    _upoly_divexact,
+    _upoly_gcd,
     bmw_frac,
     bmw_z,
     brauer_frac,
@@ -25,6 +26,7 @@ from cellalg.exactring import (
     poly_divexact,
     poly_gcd,
     poly_mul,
+    ring,
     specialize,
 )
 from cellalg.specsim import CERTIFICATE_POINTS, _certificate_specs
@@ -381,13 +383,23 @@ def polys(nvars, min_size=1, max_size=4):
 
 def _prs_gcd(a, b, nvars):
     """The primitive-PRS gcd that poly_gcd runs when both sides have two or
-    more terms."""
-    return _poly_sign_norm(_from_rec(_r_gcd(_to_rec(a, nvars),
-                                            _to_rec(b, nvars)), nvars))
+    more terms (for no variables, the gcd of ring(0))."""
+    if not nvars:
+        return {(): ring(0).gcd(a[()], b[()])}
+    g = _upoly_gcd(_split(a, nvars), _split(b, nvars), ring(nvars - 1))
+    return _poly_sign_norm(_join(g, nvars))
 
 
 def _rec_divexact(a, b, nvars):
-    return _from_rec(_r_divexact(_to_rec(a, nvars), _to_rec(b, nvars)), nvars)
+    """The long division over ring(nvars - 1) that poly_divexact runs for a
+    multi-term divisor (for no variables, the division of ring(0))."""
+    if not nvars:
+        q = ring(0).divexact(a.get((), 0), b.get((), 0))
+        return {(): q} if q else {}
+    if not a:
+        return {}
+    return _join(_upoly_divexact(_split(a, nvars), _split(b, nvars),
+                                 ring(nvars - 1)), nvars)
 
 
 @pytest.mark.parametrize("nvars", [0, 1, 2])
@@ -414,6 +426,29 @@ def test_division_by_a_term_matches_recursive_division(nvars, data):
             poly_divexact(a, b, nvars)
     else:
         assert poly_divexact(a, b, nvars) == expected
+
+
+def test_nested_gcds_call_the_current_poly_gcd(monkeypatch):
+    # ring(1) is built before poly_gcd is rebound, as when a tracer is
+    # installed in a warm process; the bivariate PRS still reaches the new
+    # binding for its coefficient gcds over Z[r], and after the undo only
+    # the original runs
+    a, b = bmw_frac("(q+r)(q*r-1)"), bmw_frac("(q+r)(q*r+2)")
+    ring(1)
+    seen = []
+
+    def counting(x, y, nvars):
+        seen.append(nvars)
+        return original(x, y, nvars)
+
+    original = exactring.poly_gcd
+    monkeypatch.setattr(exactring, "poly_gcd", counting)
+    assert (a / b) == bmw_frac("(q*r-1)/(q*r+2)")
+    assert seen[0] == 2 and 1 in seen
+    monkeypatch.undo()
+    seen.clear()
+    a / b
+    assert seen == []
 
 
 def test_inexact_division_by_a_term_raises():

@@ -19,7 +19,9 @@ from cellalg.specsim import (
     CERTIFIED_SEMISIMPLE,
     INCONCLUSIVE,
     Verdict,
+    _certificate_specs,
     _divisors,
+    _rational_power_exponent,
     certify,
     conjecture_evidence,
     conjecture_poly,
@@ -311,17 +313,21 @@ def _ranks_seen(monkeypatch):
 
 
 # (algebra, n, spec, certificate points, whether some shape falls back to
-# exact elimination): the first point is a root of a Gram determinant or a
-# pole of the specialization
+# exact elimination): the first point is a root of a Gram determinant, a
+# pole of the specialization, or on a locus r = +-q^k that the spec is not on
 FALLBACK_CASES = [
     ("brauer", 3, None, ((1,), (17,)), True),      # z = 1: (1) drops
     ("brauer", 4, None, ((2,),), True),            # z = 2, no other point
-    ("bmw", 2, None, ((2, -2), (17, 19)), True),   # r = -q: z = 0
-    ("bmw", 3, "r=q-2", ((3,), (17,)), True),      # r = 1 at q = 3
-    ("bmw", 3, "q=2", ((-8,), (17,)), True),       # r = -q^3 at q = 2
+    ("bmw", 2, None, ((2, -2),), True),            # r = -q skipped, no other
+    ("bmw", 3, "r=q-2", ((3,),), True),            # r = q^0 at q = 3 skipped
+    ("bmw", 3, "q=2", ((-8,),), True),             # r = -q^3 skipped
     ("bmw", 3, "r=1/(q-3)", ((3,), (17,)), False),  # pole: next point
     ("bmw", 3, "r=1/(q-3)", ((3,),), True),        # no usable point
     ("bmw", 3, "r=q-3", ((3,), (17,)), False),     # r = 0 is refused
+    ("bmw", 2, None, ((2, -2), (17, 19)), False),  # r = -q skipped: next point
+    ("bmw", 3, "r=q-2", ((3,), (17,)), False),     # r = q^0 skipped: next point
+    ("bmw", 3, "q=2", ((-8,), (17,)), False),      # r = -q^3 skipped: next
+    ("bmw", 4, "r=17", ((17,), (23,)), False),     # r = q skipped: q = 23
 ]
 
 
@@ -340,6 +346,33 @@ def test_gram_rank_certify_forced_fallback(monkeypatch, algebra, n, text,
     assert (got.outcome, got.evidence) == (expected.outcome,
                                            expected.evidence)
     assert any(vars != () for vars in seen) == falls_back
+
+
+def test_certificate_points_skip_a_power_locus_off_the_spec():
+    # "r=17" meets r = q at the first point only; "r=-q^3" lies on its own
+    # locus at every point, and none of its points is skipped
+    q = [s.assignment["q"].as_rational() for s in
+         _certificate_specs("bmw", Specialization.parse("r=17", BMW_VARS))]
+    assert q == [23, 31]
+    spec = Specialization.parse("r=-q^3", BMW_VARS)
+    q = [s.assignment["q"].as_rational()
+         for s in _certificate_specs("bmw", spec)]
+    assert q == [17, 23, 31]
+    # both free: no point of CERTIFICATE_POINTS is on a locus
+    assert len(_certificate_specs("bmw", None)) == 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.fractions(max_denominator=30).filter(lambda x: abs(x) not in (0, 1)),
+       k=st.integers(-8, 8), sign=st.sampled_from([1, -1]),
+       other=st.fractions(max_denominator=30).filter(bool))
+def test_rational_power_exponent_matches_direct_powers(q, k, sign, other):
+    assert _rational_power_exponent(q, sign * q ** k) == k
+    # |q|^j has a numerator or denominator of at least 2^|j|, so a j with
+    # |q|^j = |other| is bounded by the bit lengths of other
+    bound = abs(other.numerator).bit_length() + other.denominator.bit_length()
+    direct = [j for j in range(-bound, bound + 1) if abs(other) == abs(q) ** j]
+    assert _rational_power_exponent(q, other) == (direct[0] if direct else None)
 
 
 def test_gram_rank_certify_pole_still_raises():
