@@ -395,6 +395,8 @@ class BmwElement:
         return hash((self.n, frozenset(self.terms.items())))
 
     def __add__(self, other: "BmwElement") -> "BmwElement":
+        if self.n != other.n:
+            raise ValueError("mismatched n")
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out[k] + c if k in out else c

@@ -225,23 +225,6 @@ class Permutation:
     def __repr__(self):
         return f"Permutation{self.img}"
 
-    def cycles(self):
-        seen = set()
-        out = []
-        for start in range(1, len(self.img) + 1):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            x = self(start)
-            while x != start:
-                cyc.append(x)
-                seen.add(x)
-                x = self(x)
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Standard tableaux

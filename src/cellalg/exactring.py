@@ -8,7 +8,8 @@ denominator share no polynomial factor and the leading coefficient of
 the denominator is positive under lexicographic monomial order -- so
 equality of values is equality of representations.
 
-Polynomials have one format: dicts {exponent tuple: int coefficient}.
+Polynomials have one format, in this module and in every caller (the
+rational roots of ``specsim`` too): dicts {exponent tuple: int coefficient}.
 When either argument of ``poly_gcd`` is a single term (a constant or c*x^e)
 the gcd is read off the coefficients and the lowest exponents, and
 ``poly_divexact`` divides by a single-term divisor term by term; most

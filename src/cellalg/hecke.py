@@ -4,9 +4,9 @@ Elements are stored on the word basis {X_w : w in S_n}.  The module provides
 the cellular (Murphy) basis c_{uv} = X_{d(u)}* c_lambda X_{d(v)}, the change
 of basis to it (``to_murphy``: a sparse elimination over Z[q, q^-1], or over
 Z at q = 1 for the Brauer tower), cell ("Specht") modules as quotient
-coordinates, the Murphy-layer projection ``cell_row`` shared by both towers,
-Jucys-Murphy elements D_i, and the permutation-module elements attached to
-semistandard tableaux.
+coordinates, the Murphy-layer projection ``cell_row`` shared by both towers
+and the Specht modules, Jucys-Murphy elements D_i, and the permutation-module
+elements attached to semistandard tableaux.
 
 Coefficients live in the two-variable fraction field on ("q", "r") so that
 these elements embed directly into the tangle-algebra computations; the
@@ -155,10 +155,8 @@ def hk_mul_gen(h: HeckeElement, i: int, side: str = "right") -> HeckeElement:
         else:
             ws = w.lmul_s(i)
             longer = w(i) < w(i + 1)
-        if longer:
-            put(ws, c)
-        else:
-            put(ws, c)
+        put(ws, c)
+        if not longer:
             put(w, c * delta)
     return HeckeElement(h.n, terms)
 
@@ -429,29 +427,17 @@ def specht_basis(lam, n: int):
 def specht_action_matrix(lam, n: int, h: HeckeElement):
     """Matrix of h acting on the cell module C^lambda (rows = images).
 
-    Row s of the result expresses (c_lambda X_{d(s)}) h in the Murphy basis
-    of C^lambda, with coordinates indexed like specht_basis(lam, n).
+    Row s expresses (c_lambda X_{d(s)}) h in the Murphy basis of C^lambda,
+    indexed like specht_basis(lam, n): the f = 0 ``cell_row``, whose only
+    coset representative is the identity.
     """
     lam = check_partition(lam)
-    tabs = specht_basis(lam, n)
-    col_of = {t: j for j, t in enumerate(tabs)}
-    c_lam = hk_c_mu(lam, n)
-    t_lam = superstandard(lam, n)
-    zero = _const(0)
+    c_lam, one = hk_c_mu(lam, n), Permutation.identity(n)
     rows = []
-    for s in tabs:
+    for s in specht_basis(lam, n):
         elt = c_lam * HeckeElement.x(tab_perm(s)) * h
-        row = [zero] * len(tabs)
-        for (mu, u, v), c in hk_to_murphy(elt).items():
-            if mu == lam:
-                if u != t_lam:
-                    raise AssertionError(
-                        "left tableau must stay maximal in the cell layer")
-                row[col_of[v]] = c
-            elif dominance(mu, lam) != "dominates":
-                raise AssertionError(
-                    "product escaped below the cell filtration layer")
-        rows.append(row)
+        rows.append(cell_row({(w, one): c for w, c in elt.terms.items()},
+                             lam, n, to_murphy, _const(0)))
     return rows
 
 

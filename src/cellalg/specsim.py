@@ -13,15 +13,18 @@ prove full rank at one rational point of the target variables: evaluation
 at a point is a ring homomorphism on the local ring holding every Gram
 entry, so a nonzero determinant there is nonzero over the function field.
 Rank drops and radical dimensions come only from exact elimination.
+
+Rational roots of Gram determinants and the root-of-unity test run on
+:mod:`cellalg.exactring` polynomials, by exact division (``poly_divexact``).
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .combin import content_sum, dominance, layer_shapes, path_key
 from .exactring import (BMW_VARS, BRAUER_VARS, CoeffFraction, PoleError,
-                        Specialization)
+                        Specialization, poly_divexact)
 from .linalg import det, rank
 from .towers import _ops, gram_matrix, ordered_paths, path_content
 
@@ -293,8 +296,6 @@ def hom_obstruction(algebra, lam, mu, spec=None):
 
 
 def _is_root_of_unity(x, bound):
-    if x.is_zero():
-        return None
     one = CoeffFraction.const(1, x.vars)
     acc = one
     for k in range(1, bound + 1):
@@ -305,28 +306,23 @@ def _is_root_of_unity(x, bound):
 
 
 def _divides_unity_poly(coeffs, bound):
-    """Order k <= bound such that the monic rational polynomial (ascending
-    coefficients) divides x^k - 1, if any."""
+    """Order k <= bound such that the rational polynomial with ascending
+    coefficients divides x^k - 1, if any.  As x^k - 1 is primitive, that is
+    divisibility over Z by the cleared primitive part (Gauss's lemma)."""
     coeffs = [Fraction(c) for c in coeffs]
     if not coeffs or coeffs[-1] == 0:
         raise ValueError("leading coefficient must be nonzero")
-    deg = len(coeffs) - 1
-    if deg == 0:
+    if len(coeffs) == 1:
         return None
+    den = lcm(*(c.denominator for c in coeffs))
+    p = {(i,): int(c * den) for i, c in enumerate(coeffs) if c}
+    p = poly_divexact(p, {(0,): gcd(*p.values())}, 1)
     for k in range(1, bound + 1):
-        target = ([Fraction(0)] * k) + [Fraction(1)]
-        target[0] = Fraction(-1)
-        # long division of x^k - 1 by the candidate
-        work = list(target)
-        while len(work) - 1 >= deg and any(work):
-            lead = work[-1] / coeffs[-1]
-            shift = len(work) - 1 - deg
-            for i, c in enumerate(coeffs):
-                work[shift + i] -= lead * c
-            while len(work) > 1 and work[-1] == 0:
-                work.pop()
-        if all(c == 0 for c in work):
-            return k
+        try:
+            poly_divexact({(k,): 1, (0,): -1}, p, 1)
+        except ValueError:
+            continue
+        return k
     return None
 
 
@@ -379,48 +375,28 @@ def conjecture_poly(i):
 _det = det
 
 
-def _poly_coeffs(x):
-    """Ascending rational coefficient list of a univariate fraction that is
-    actually a polynomial (after clearing the constant denominator)."""
-    den = x.den
-    if any(e != (0,) for e in den):
-        raise ValueError("not a polynomial")
-    d = den.get((0,), 1)
-    deg = max((e[0] for e in x.num), default=0)
-    out = [Fraction(0)] * (deg + 1)
-    for (e,), c in x.num.items():
-        out[e] = Fraction(c, d)
-    return out
-
-
-def _linear_roots(coeffs):
-    """Split off rational roots: returns (multiset of roots as a sorted list,
-    remaining ascending coefficients)."""
-    coeffs = [Fraction(c) for c in coeffs]
-    roots = []
-    while len(coeffs) > 1:
-        lead = coeffs[-1]
-        low = next(i for i, c in enumerate(coeffs) if c != 0)
-        if low > 0:
-            roots.extend([Fraction(0)] * low)
-            coeffs = coeffs[low:]
-            continue
-        candidates = set()
-        a0 = coeffs[0]
-        for p in _divisors(a0.numerator * lead.denominator):
-            for q in _divisors(lead.numerator * a0.denominator):
-                candidates.add(Fraction(p, q))
-                candidates.add(Fraction(-p, q))
-        found = None
-        for cand in sorted(candidates):
-            if _poly_eval_at(coeffs, cand) == 0:
-                found = cand
+def _linear_roots(x):
+    """Split off the rational roots of a univariate polynomial over a
+    constant denominator: returns (the sorted roots with multiplicity, the
+    degree left).  A nonzero root a/b in lowest terms has a | p(0) and
+    b | lead(p) for the primitive numerator p (rational root theorem), and
+    ``poly_divexact`` divides b*z - a out of p in Z[z] (Gauss's lemma)."""
+    if any(e != (0,) for e in x.den) or not x.num:
+        raise ValueError("not a nonzero polynomial")
+    low = min(x.num)[0]  # zero roots come off by an exponent shift
+    p = {(e - low,): c for (e,), c in x.num.items()}
+    p = poly_divexact(p, {(0,): gcd(*p.values())}, 1)
+    roots = [Fraction(0)] * low
+    for root in {Fraction(sign * a, b) for a in _divisors(p[(0,)])
+                 for b in _divisors(p[max(p)]) for sign in (1, -1)}:
+        linear = {(1,): root.denominator, (0,): -root.numerator}
+        while len(p) > 1:
+            try:
+                p = poly_divexact(p, linear, 1)
+            except ValueError:
                 break
-        if found is None:
-            break
-        coeffs = _divide_linear(coeffs, found)
-        roots.append(found)
-    return sorted(roots), coeffs
+            roots.append(root)
+    return sorted(roots), max(p)[0]
 
 
 def _divisors(a):
@@ -433,26 +409,6 @@ def _divisors(a):
     return low + [a // d for d in reversed(low) if d * d != a]
 
 
-def _poly_eval_at(coeffs, x):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _divide_linear(coeffs, root):
-    """Exact division by (x - root), ascending coefficients."""
-    d = len(coeffs) - 1
-    out = [Fraction(0)] * d
-    carry = coeffs[d]
-    for i in range(d - 1, -1, -1):
-        out[i] = carry
-        carry = coeffs[i] + carry * root
-    if carry != 0:
-        raise AssertionError("inexact linear division")
-    return out
-
-
 def conjecture_evidence(n):
     """Compare the rational root set of the Gram determinant of the smallest
     one-parameter cell module at level n with the conjectured polynomial."""
@@ -460,19 +416,17 @@ def conjecture_evidence(n):
         raise ValueError("need n >= 2")
     k = (n - 1) // 2 if n % 2 else n // 2
     lam = (1,) if n % 2 else ()
-    roots, remainder = _linear_roots(
-        _poly_coeffs(det(gram_matrix("brauer", lam, n))))
-    expected, _ = _linear_roots(_poly_coeffs(conjecture_poly(k)))
+    roots, remainder_degree = _linear_roots(det(gram_matrix("brauer", lam, n)))
+    expected, _ = _linear_roots(conjecture_poly(k))
     expected = set(expected)
     if n % 2 == 0:
         expected.add(Fraction(0))
-    report = {
+    return {
         "n": n,
         "k": k,
         "lam": lam,
         "roots": sorted(set(roots)),
         "expected_roots": sorted(expected),
         "agrees": set(roots) == expected,
-        "nonlinear_remainder_degree": len(remainder) - 1,
+        "nonlinear_remainder_degree": remainder_degree,
     }
-    return report

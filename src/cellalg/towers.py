@@ -34,7 +34,6 @@ ALGEBRAS = ("bmw", "brauer")
 class _BmwOps:
     """Cell-module operations of the two-parameter tower."""
 
-    name = "bmw"
     vars = BMW_VARS
     gen_kinds = ("T", "E")
     gen_matrix_overrides = _bmw._gen_matrix_overrides
@@ -67,14 +66,12 @@ class _BmwOps:
             return _qr_power(2 * (j - i), 0)
         return _qr_power(2 * (i - j), -2)
 
-    jm_start = 1  # L_1 = 1
     central_is_product = True
 
 
 class _BrauerOps:
     """Cell-module operations of the one-parameter tower."""
 
-    name = "brauer"
     vars = BRAUER_VARS
     gen_kinds = ("s", "E")
     gen_matrix_overrides = _brauer._gen_matrix_overrides
@@ -108,7 +105,6 @@ class _BrauerOps:
         return (CoeffFraction.const(i - j + 1, BRAUER_VARS)
                 - CoeffFraction.var("z", BRAUER_VARS))
 
-    jm_start = 0  # L_1 = 0
     central_is_product = False
 
 
@@ -292,10 +288,6 @@ class PathBasis:
     def path_rows(self):
         """The path vectors as rows (one row per path)."""
         return [list(self.vectors[t]) for t in self.paths]
-
-    def to_path_coords(self, vec):
-        """Coordinates of a cell-basis vector over the path basis."""
-        return mat_mul([vec], self._inverse)[0]
 
     def conjugate(self, matrix):
         """Rewrite a cell-basis action matrix in the path basis."""

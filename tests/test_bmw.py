@@ -222,6 +222,15 @@ def test_mul_right_gen_quadratic_straightening():
     assert lhs == rhs
 
 
+def test_sum_of_elements_of_different_n_raises():
+    a, b = bmw_m_lambda((1,), 3), bmw_m_lambda((2,), 4)
+    with pytest.raises(ValueError):
+        a + b
+    with pytest.raises(ValueError):
+        a - b
+    assert a + a == a.scale(const(2))
+
+
 def test_mul_by_identity_element():
     n = 3
     a = bmw_word([("E", 1), ("T", 2)], n)

@@ -328,6 +328,39 @@ def test_jm_triangular_on_cell_modules(n):
                         assert tab_dominance(v, s) == "dominates"
 
 
+def _layer_projection(lam, n, h):
+    """The reference for specht_action_matrix, without cell_row: row s holds
+    the lambda-layer Murphy coordinates of c_lambda X_{d(s)} h, read off
+    hk_to_murphy, and every other layer must dominate lambda."""
+    tabs = specht_basis(lam, n)
+    col_of = {t: j for j, t in enumerate(tabs)}
+    t_lam = superstandard(lam, n)
+    rows = []
+    for s in tabs:
+        elt = hk_c_mu(lam, n) * HeckeElement.x(tab_perm(s)) * h
+        row = [const(0)] * len(tabs)
+        for (mu, u, v), c in hk_to_murphy(elt).items():
+            if mu == lam:
+                assert u == t_lam
+                row[col_of[v]] = c
+            else:
+                assert dominance(mu, lam) == "dominates"
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_action_matrix_matches_layer_projection(n):
+    rng = random.Random(n)
+    elements = ([HeckeElement.gen(i, n) for i in range(1, n)]
+                + [hk_jm(k, n) for k in range(1, n + 1)]
+                + [random_element(rng, n)])
+    for lam in partitions_of(n):
+        for h in elements:
+            assert (specht_action_matrix(lam, n, h)
+                    == _layer_projection(lam, n, h))
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_restriction_filtration(n):
     # the span filtration by SHAPE(v|_{n-1}) is stable under X_1..X_{n-2}

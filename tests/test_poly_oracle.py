@@ -1,13 +1,19 @@
-"""Multi-term gcd and exact division against sympy as an oracle.
+"""Multi-term gcd and exact division, and the rational root and
+root-of-unity tests of ``specsim`` built on them, against sympy as an
+oracle.
 
 sympy is a test-only dependency: without it this module is skipped.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellalg.exactring import poly_divexact, poly_gcd, poly_mul
+from cellalg.exactring import (BRAUER_VARS, CoeffFraction, poly_divexact,
+                               poly_gcd, poly_mul)
+from cellalg.specsim import _divides_unity_poly, _linear_roots
 
 sympy = pytest.importorskip("sympy")
 
@@ -79,3 +85,103 @@ def test_inexact_multi_term_division_raises(a, b, nvars):
     assert not rem.is_zero or not all(c.is_integer for c in quo.coeffs())
     with pytest.raises(ValueError):
         poly_divexact(a, b, nvars)
+
+
+# -- rational roots and roots of unity ----------------------------------------
+
+def _linear_split_by_sympy(expr, z):
+    """The rational roots of a polynomial expression in z with multiplicity,
+    sorted, and the degree left after dividing them out, from sympy's
+    factorization over Q."""
+    poly = sympy.Poly(expr, z)
+    roots = []
+    for factor, mult in poly.factor_list()[1]:
+        if factor.degree() == 1:
+            b, a = factor.all_coeffs()
+            roots += [Fraction(int(-a.p * b.q), int(a.q * b.p))] * mult
+    return sorted(roots), poly.degree() - len(roots)
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+# a z^2 + b z + c with no real root, so irreducible over Q
+quadratics = st.tuples(st.integers(1, 4), st.integers(-4, 4),
+                       st.integers(1, 6)).filter(
+                           lambda t: t[1] ** 2 < 4 * t[0] * t[2])
+
+
+@settings(max_examples=80, deadline=None)
+@given(roots=st.lists(rationals, max_size=5), zeros=st.integers(0, 2),
+       repeated=st.lists(rationals, max_size=1),
+       quadratic=st.none() | quadratics,
+       scale=st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                          max_denominator=12).filter(bool))
+def test_linear_roots_match_sympy(roots, zeros, repeated, quadratic, scale):
+    # a product of rational linear factors (zero and repeated roots too)
+    # times an optional quadratic with no real root and a rational constant
+    z = sympy.Symbol("z")
+    zz = CoeffFraction.var("z", BRAUER_VARS)
+
+    def const(c):
+        return CoeffFraction.const(Fraction(c), BRAUER_VARS)
+
+    x, expr = const(scale), sympy.Rational(scale.numerator, scale.denominator)
+    for r in roots + repeated * 2 + [Fraction(0)] * zeros:
+        x = x * (zz - const(r))
+        expr *= z - sympy.Rational(r.numerator, r.denominator)
+    if quadratic is not None:
+        a, b, c = quadratic
+        x = x * (const(a) * zz * zz + const(b) * zz + const(c))
+        expr *= a * z ** 2 + b * z + c
+    assert _linear_roots(x) == _linear_split_by_sympy(expr, z)
+
+
+def test_linear_roots_with_coefficients_of_other_denominators():
+    # (z - 2)(2z - 1)/2 = z^2 - 5/2 z + 1: the middle coefficient has a
+    # denominator that the end coefficients lack
+    x = CoeffFraction.var("z", BRAUER_VARS)
+    one = CoeffFraction.const(1, BRAUER_VARS)
+    two = CoeffFraction.const(2, BRAUER_VARS)
+    p = (x - two) * (two * x - one) / two
+    assert _linear_roots(p) == ([Fraction(1, 2), Fraction(2)], 0)
+
+
+BOUND = 12
+
+
+def _unity_order_by_sympy(coeffs):
+    x = sympy.Symbol("x")
+    p = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
+            for i, c in enumerate(coeffs))
+    if sympy.degree(p, x) == 0:
+        return None
+    return next((k for k in range(1, BOUND + 1)
+                 if sympy.rem(x ** k - 1, p, x) == 0), None)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [2, 2], [Fraction(1, 2), Fraction(1, 2)], [3, 0, 3], [-1, 1],
+    [1, 1, 1], [Fraction(3, 2), 0, 0, Fraction(-3, 2)], [0, 1], [2, 0, 1],
+    [5],
+])
+def test_divides_unity_poly_not_monic_or_not_primitive(coeffs):
+    coeffs = [Fraction(c) for c in coeffs]
+    assert (_divides_unity_poly(coeffs, BOUND)
+            == _unity_order_by_sympy(coeffs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(orders=st.lists(st.integers(1, BOUND), min_size=1, max_size=3,
+                       unique=True),
+       extra=st.lists(st.integers(-3, 3), max_size=3),
+       scale=st.fractions(max_denominator=6).filter(bool))
+def test_divides_unity_poly_matches_sympy(orders, extra, scale):
+    # cyclotomic factors make divisors of x^k - 1 likely; an extra factor
+    # and a rational constant make non-divisors and non-monic inputs
+    x = sympy.Symbol("x")
+    p = sympy.Rational(scale.numerator, scale.denominator) * sympy.Mul(
+        *(sympy.cyclotomic_poly(d, x) for d in orders))
+    p *= sum(c * x ** i for i, c in enumerate(extra + [1]))
+    coeffs = [Fraction(int(c.p), int(c.q))
+              for c in reversed(sympy.Poly(p, x).all_coeffs())]
+    assert (_divides_unity_poly(coeffs, BOUND)
+            == _unity_order_by_sympy(coeffs))

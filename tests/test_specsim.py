@@ -512,6 +512,24 @@ def test_conjecture_evidence_five_strands():
     assert report["nonlinear_remainder_degree"] == 0
 
 
+def _roots(*values):
+    return [Fraction(v) for v in values]
+
+
+@pytest.mark.parametrize("n,report", [
+    (5, {"n": 5, "k": 2, "lam": (1,), "roots": _roots(-4, -2, 1, 2),
+         "expected_roots": _roots(-4, -2, 1, 2), "agrees": True,
+         "nonlinear_remainder_degree": 0}),
+    (6, {"n": 6, "k": 3, "lam": (), "roots": _roots(-4, -2, 0, 1, 2),
+         "expected_roots": _roots(-6, -4, -2, -1, 0, 1, 2, 3),
+         "agrees": False, "nonlinear_remainder_degree": 0}),
+])
+def test_conjecture_evidence_pinned(n, report):
+    # the whole report; the benchmark digests cover conjecture only at
+    # n = 3 and 4
+    assert conjecture_evidence(n) == report
+
+
 def test_conjecture_evidence_even_levels_reported_honestly():
     # the determinants at even levels are computed exactly and compared
     # verbatim; the harness reports, it does not assert
