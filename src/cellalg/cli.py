@@ -182,6 +182,15 @@ def _load_cache(path, algebra, n):
         shapes = set(layer_shapes(n))
         digest = sha256()
         overrides = {}
+        # a file repeats few distinct entries (4 strings in the 7,560 of
+        # brauer n = 5), so each is parsed once
+        parsed = {}
+
+        def value(text):
+            if text not in parsed:
+                parsed[text] = parse_fraction(text, vars)
+            return parsed[text]
+
         for key, rows in sorted(data["matrices"].items()):
             lam, kind, i = _parse_matrix_key(key)
             if (lam not in shapes or kind not in ops.gen_kinds
@@ -192,8 +201,8 @@ def _load_cache(path, algebra, n):
                 raise ValueError("matrix for {} is not {} x {}".format(
                     key, dim, dim))
             _feed_digest(digest, key, rows)
-            overrides[(lam, n, kind, i)] = [
-                [parse_fraction(x, vars) for x in row] for row in rows]
+            overrides[(lam, n, kind, i)] = [[value(x) for x in row]
+                                            for row in rows]
         if digest.hexdigest() != data.get("sha256"):
             raise ValueError("matrix digest mismatch")
         return overrides

@@ -234,6 +234,7 @@ class Ring(NamedTuple):
     given number of variables.  Zero is falsy in every ring."""
 
     const: Callable     # int -> element
+    add: Callable
     mul: Callable
     sub: Callable
     divexact: Callable  # raises ValueError on a remainder
@@ -274,13 +275,14 @@ def ring(nvars: int) -> Ring:
     """Polynomial dicts in ``nvars`` variables, or Python ints when there
     are none (the value at a rational point)."""
     if not nvars:
-        return Ring(int, operator.mul, operator.sub, _int_divexact, int_gcd,
-                    sum, lambda p: p.get((), 0), _int_fraction)
+        return Ring(int, operator.add, operator.mul, operator.sub,
+                    _int_divexact, int_gcd, sum, lambda p: p.get((), 0),
+                    _int_fraction)
     # poly_gcd is looked up at each call, as at every other call site, so
     # rebinding exactring.poly_gcd (cellbench's tracer) reaches the nested
     # coefficient gcds too, and undoing it leaves none behind in this cache
-    return Ring(partial(poly_const, nvars=nvars), poly_mul, poly_sub,
-                partial(poly_divexact, nvars=nvars),
+    return Ring(partial(poly_const, nvars=nvars), poly_add, poly_mul,
+                poly_sub, partial(poly_divexact, nvars=nvars),
                 lambda a, b: poly_gcd(a, b, nvars), _poly_total, lambda p: p,
                 CoeffFraction)
 

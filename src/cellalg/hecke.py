@@ -2,11 +2,16 @@
 
 Elements are stored on the word basis {X_w : w in S_n}.  The module provides
 the cellular (Murphy) basis c_{uv} = X_{d(u)}* c_lambda X_{d(v)}, the change
-of basis to it (``to_murphy``: a sparse elimination over Z[q, q^-1], or over
-Z at q = 1 for the Brauer tower), cell ("Specht") modules as quotient
+of basis to it (``to_murphy``), cell ("Specht") modules as quotient
 coordinates, the Murphy-layer projection ``cell_row`` shared by both towers
 and the Specht modules, Jucys-Murphy elements D_i, and the permutation-module
 elements attached to semistandard tableaux.
+
+The change of basis is one elimination and one replay on the operations of
+``exactring.ring``: Laurent polynomials in ring(1) at generic q (the BMW
+tower), Python ints in ring(0) at q = 1 (the Brauer tower).  ``to_murphy``
+adds the ring columns of the terms that share a coefficient, so it forms one
+fraction product per (distinct coefficient, coordinate), not per term.
 
 Coefficients live in the two-variable fraction field on ("q", "r") so that
 these elements embed directly into the tangle-algebra computations; the
@@ -30,8 +35,7 @@ from .combin import (
     superstandard,
     tab_perm,
 )
-from .exactring import (BMW_VARS, BRAUER_VARS, CoeffFraction, poly_const,
-                        poly_mul, poly_sub)
+from .exactring import BMW_VARS, BRAUER_VARS, CoeffFraction, Ring, ring
 
 HK_VARS = BMW_VARS
 
@@ -228,52 +232,73 @@ def _perm_order(n: int):
 # The Murphy basis is a Z[q, q^-1]-basis of H_m (Murphy 1995; Mathas 1999,
 # ch. 3), so the change of basis needs no fraction field.  The matrix of the
 # c_{st} over the X_w is eliminated once per (m, ring) by sparse Gauss-Jordan
-# that pivots only on units +-q^k and records its steps; the coordinates of a
-# single X_u replay those steps on the unit vector at u.  Laurent polynomials
-# are exactring polynomial dicts {(k,): c} with k of either sign; at q = 1
-# every exponent collapses to (), so the same code runs over Z.
+# that pivots only on units and records its steps; the coordinates of a
+# single X_u replay those steps on the unit vector at u.  Elimination and
+# replay take their operations from one exactring ring: ring(1), Laurent
+# polynomials {(k,): c} with k of either sign and units +-q^k, at generic q
+# (the BMW tower), and ring(0), Python ints with units +-1, at q = 1 (the
+# Brauer tower).  A column is memoised as {position in murphy_index(m): ring
+# value}, each distinct value stored once.  ``to_murphy`` groups the terms of
+# its input by coefficient, adds the ring columns of each group, and forms one
+# CoeffFraction product per (coefficient, position).
 
 
-def _at_q1(vars: tuple) -> bool:
-    """Generic q over HK_VARS (the BMW tower), q = 1 over BRAUER_VARS."""
+def _murphy_ring(vars: tuple) -> Ring:
+    """ring(1) at generic q over HK_VARS (the BMW tower), ring(0) at q = 1
+    over BRAUER_VARS."""
     if vars == HK_VARS:
-        return False
+        return ring(1)
     if vars == BRAUER_VARS:
-        return True
+        return ring(0)
     raise ValueError("no Murphy change of basis over {}".format(vars))
 
 
-def _laurent(c: CoeffFraction, at_q1: bool) -> dict:
-    """A coefficient in Z[q, q^-1] as a Laurent polynomial dict."""
+def _laurent(c: CoeffFraction, R: Ring):
+    """A coefficient in Z[q, q^-1] as an element of R: a Laurent polynomial
+    in ring(1), its value at q = 1 in ring(0)."""
     (k, r), d = next(iter(c.den.items()))
     if len(c.den) > 1 or d != 1 or r or any(e[1] for e in c.num):
         raise AssertionError("Murphy coefficient outside Z[q, q^-1]")
-    if at_q1:
-        return poly_const(sum(c.num.values()), 0)
+    if R is ring(0):
+        return sum(c.num.values())
     return {(e[0] - k,): x for e, x in c.num.items()}
 
 
-@lru_cache(maxsize=None)
-def _laurent_fraction(terms: tuple, vars: tuple) -> CoeffFraction:
-    """The canonical CoeffFraction of a nonzero Laurent polynomial, given by
-    its sorted terms: the numerator shifted by the lowest negative exponent,
-    over that power of q; at q = 1 an integer.  Memoised, so the few values
-    that fill the Murphy columns are shared, not repeated."""
-    if _at_q1(vars):
-        return CoeffFraction.const(dict(terms)[()], vars)
-    low = min(0, terms[0][0][0])
-    return CoeffFraction(vars, {(k - low, 0): c for (k,), c in terms},
+def _fraction(x, vars: tuple) -> CoeffFraction:
+    """The canonical CoeffFraction of a nonzero ring value: an integer at
+    q = 1, else the Laurent numerator shifted by its lowest negative
+    exponent, over that power of q."""
+    if type(x) is int:
+        return CoeffFraction.const(x, vars)
+    low = min(0, min(x)[0])
+    return CoeffFraction(vars, {(k - low, 0): c for (k,), c in x.items()},
                          {(-low, 0): 1}, _reduced=True)
 
 
-def _is_unit(p) -> bool:
-    return p is not None and len(p) == 1 and abs(next(iter(p.values()))) == 1
+def _unit_inverse(x):
+    """The inverse of a ring value that is a unit (+-1, or +-q^k in
+    ring(1)), else None."""
+    if type(x) is int:
+        return x if x in (1, -1) else None
+    if x is not None and len(x) == 1:
+        ((k,), c), = x.items()
+        if c in (1, -1):
+            return {(-k,): c}
+    return None
 
 
-def _sub_product(vec: dict, k, f: dict, x: dict):
-    """vec[k] -= f * x in a sparse vector of polynomial dicts, dropping a
-    zero entry."""
-    y = poly_sub(vec.get(k, {}), poly_mul(f, x))
+# each distinct ring value of the memoised steps and columns, stored once
+_SHARED: dict = {}
+
+
+def _intern(x):
+    return _SHARED.setdefault(
+        x if type(x) is int else tuple(sorted(x.items())), x)
+
+
+def _sub_product(vec: dict, k, f, x, R: Ring, zero):
+    """vec[k] -= f * x in a sparse vector over R, dropping a zero entry."""
+    y = R.sub(vec.get(k, zero), R.mul(f, x))
     if y:
         vec[k] = y
     else:
@@ -286,32 +311,32 @@ def _murphy_steps(m: int, vars: tuple) -> tuple:
 
     Rows are the X_w in ``_perm_order`` and columns the c_{st} in
     ``murphy_index``.  Column j pivots on the sparsest row (ties to the lower
-    row number) whose entry is a unit +-q^k; that row is scaled by the
-    inverse unit and cleared from every other row, so nothing is divided.
-    Returns one (pivot row, inverse unit, ((row, factor), ...)) per column.
+    row number) whose entry is a unit; that row is scaled by the inverse
+    unit and cleared from every other row, so nothing is divided.  Returns
+    one (pivot row, inverse unit, ((row, factor), ...)) per column.
     """
-    at_q1 = _at_q1(vars)
+    R = _murphy_ring(vars)
+    zero = R.const(0)
     perms, pos = _perm_order(m)
     if len(murphy_index(m)) != len(perms):
         raise AssertionError("cellular basis size must be m!")
     rows = [{} for _ in perms]
     for j, (lam, u, v) in enumerate(murphy_index(m)):
         for w, c in murphy_element(lam, u, v).terms.items():
-            x = _laurent(c, at_q1)
+            x = _laurent(c, R)
             if x:
                 rows[pos[w]][j] = x
     free = set(range(len(rows)))
     steps = []
-    shared = {}  # a few distinct factors recur thousands of times
     for j in range(len(rows)):
-        units = [i for i in free if _is_unit(rows[i].get(j))]
+        units = [i for i in free if _unit_inverse(rows[i].get(j)) is not None]
         if not units:
             raise AssertionError(
                 "no unit pivot in column {} of the Murphy matrix".format(j))
         p = min(units, key=lambda i: (len(rows[i]), i))
         free.remove(p)
-        inv = {tuple(-k for k in e): c for e, c in rows[p][j].items()}
-        pivot = rows[p] = {k: poly_mul(inv, x) for k, x in rows[p].items()}
+        inv = _unit_inverse(rows[p][j])
+        pivot = rows[p] = {k: R.mul(inv, x) for k, x in rows[p].items()}
         cleared = []
         for i, row in enumerate(rows):
             if i == p or j not in row:
@@ -319,41 +344,53 @@ def _murphy_steps(m: int, vars: tuple) -> tuple:
             f = row.pop(j)
             for k, x in pivot.items():
                 if k != j:
-                    _sub_product(row, k, f, x)
-            f = shared.setdefault(tuple(sorted(f.items())), f)
-            cleared.append((i, f))
+                    _sub_product(row, k, f, x, R, zero)
+            # a few distinct factors recur thousands of times
+            cleared.append((i, _intern(f)))
         steps.append((p, inv, tuple(cleared)))
     return tuple(steps)
 
 
 @lru_cache(maxsize=None)
 def _murphy_column(m: int, vars: tuple, u: Permutation) -> dict:
-    """Murphy coordinates {(lambda, s, t): c} of X_u, by replaying the
-    elimination steps on the unit vector at u."""
+    """Murphy coordinates {position in murphy_index(m): nonzero ring value}
+    of X_u, by replaying the elimination steps on the unit vector at u."""
+    R = _murphy_ring(vars)
+    zero = R.const(0)
     steps = _murphy_steps(m, vars)
-    b = {_perm_order(m)[1][u]: poly_const(1, 0 if _at_q1(vars) else 1)}
+    b = {_perm_order(m)[1][u]: R.const(1)}
     for p, inv, cleared in steps:
         x = b.get(p)
         if x is None:
             continue
-        x = b[p] = poly_mul(inv, x)
+        x = b[p] = R.mul(inv, x)
         for i, f in cleared:
-            _sub_product(b, i, f, x)
-    index = murphy_index(m)
-    return {index[j]: _laurent_fraction(tuple(sorted(b[p].items())), vars)
-            for j, (p, _, _) in enumerate(steps) if p in b}
+            _sub_product(b, i, f, x, R, zero)
+    return {j: _intern(b[p]) for j, (p, _, _) in enumerate(steps) if p in b}
 
 
 def to_murphy(m: int, part: dict, vars: tuple) -> dict:
     """Murphy coordinates {(lambda, s, t): c} of sum c * X_u over the
     permutations u of 1..m, at generic q over HK_VARS and at q = 1 (the
     symmetric group) over BRAUER_VARS."""
-    out = {}
+    R = _murphy_ring(vars)
+    one = R.const(1)
+    groups = {}
     for u, c in part.items():
-        for key, x in _murphy_column(m, vars, u).items():
-            term = c * x
-            out[key] = out[key] + term if key in out else term
-    return {key: c for key, c in out.items() if not c.is_zero()}
+        groups.setdefault(c, []).append(u)
+    out = {}
+    for c, us in groups.items():
+        acc = {}
+        for u in us:
+            for j, x in _murphy_column(m, vars, u).items():
+                acc[j] = R.add(acc[j], x) if j in acc else x
+        for j, x in acc.items():
+            if not x:
+                continue
+            term = c if x == one else c * _fraction(x, vars)
+            out[j] = out[j] + term if j in out else term
+    index = murphy_index(m)
+    return {index[j]: c for j, c in out.items() if not c.is_zero()}
 
 
 def hk_to_murphy(h: HeckeElement) -> dict:

@@ -161,15 +161,22 @@ def _certificate_specs(algebra, spec):
     if spec is None:
         spec = Specialization(vars, {}, vars)
     if not spec.target_vars:
-        return []
+        return ()
+    # Specialization hashes by identity, so the memo key is its images
+    return _composed_points(vars, spec.target_vars,
+                            tuple(spec.assignment.items()), CERTIFICATE_POINTS)
+
+
+@lru_cache(maxsize=None)
+def _composed_points(vars, target_vars, images, points):
+    images = dict(images)
     out = []
     on_locus = {}  # k -> whether the spec's images satisfy r = +-q^k
-    for point in CERTIFICATE_POINTS:
-        at = {v: CoeffFraction.const(c, ())
-              for v, c in zip(spec.target_vars, point)}
+    for point in points:
+        at = {v: CoeffFraction.const(c, ()) for v, c in zip(target_vars, point)}
         try:
             s = Specialization(vars, {name: img.substitute(at)
-                                      for name, img in spec.assignment.items()})
+                                      for name, img in images.items()})
         except (ValueError, PoleError):
             continue
         if vars == BMW_VARS:
@@ -178,12 +185,12 @@ def _certificate_specs(algebra, spec):
             # on r = +-q^k: keep the point only if the spec's images are too
             if k is not None:
                 if k not in on_locus:
-                    power = spec.assignment["q"] ** k
-                    on_locus[k] = spec.assignment["r"] in (power, -power)
+                    power = images["q"] ** k
+                    on_locus[k] = images["r"] in (power, -power)
                 if not on_locus[k]:
                     continue
         out.append(s)
-    return out
+    return tuple(out)
 
 
 def _rational_power_exponent(q, r):

@@ -115,6 +115,30 @@ def test_gram_certify_degenerate(capsys):
         {"shape": [1], "rank": 1, "dimension": 3, "radical_dimension": 2}]
 
 
+# SHA-256 of the sorted-key JSON report without timing
+GRAM_CERTIFY_BMW_N4_JSON = {
+    "r=13": "59cc6410660e2776f9cc505118f7ae04577621b3bc180eb01afcf0937893c594",
+    "r=17": "214e2714eb4d862c1a43da7782c72d007d1c302a2335f40436073f8e2a84110f",
+    "r=-q^3":
+        "2829e755fc6fececec9002b775149dc2d9c2bbe571afe07a3d43221b939728b5",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(GRAM_CERTIFY_BMW_N4_JSON))
+def test_gram_certify_reports_pinned_on_memo_hits(capsys, spec):
+    # the second run parses the spec again and reuses the memoised
+    # certificate points
+    specsim._composed_points.cache_clear()
+    argv = ["gram-certify", "--algebra", "bmw", "--n", "4", "--spec", spec,
+            "--json"]
+    for _ in range(2):
+        report = without_timing(run_json(capsys, argv))
+        digest = hashlib.sha256(
+            json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == GRAM_CERTIFY_BMW_N4_JSON[spec]
+    assert specsim._composed_points.cache_info().hits >= 1
+
+
 def test_transition_text_mode(capsys):
     assert cli.run(["transition", "--algebra", "bmw", "--n", "3",
                     "--lambda", "1"]) == 0
@@ -285,6 +309,25 @@ def test_cache_write_read_write_byte_identical(tmp_path, capsys):
     run_json(capsys, ["cache", "--algebra", "brauer", "--n", "3",
                       "--cache-dir", cache_dir, "--json"])
     assert open(path, "rb").read() == first
+
+
+# test_generator_matrices_pinned pins the matrix values; these pin the
+# digest of the bytes that ``cache`` writes from them
+@pytest.mark.parametrize("algebra,n,digest", [
+    ("bmw", 3,
+     "541918e36a59270b33da1a532304abd2b1cbb403cf1e73fe665f00177e50b280"),
+    ("bmw", 4,
+     "89b40a182ea47391e04eefa7815881a23f03fb8e5bd757eccdb65125236a9b38"),
+    ("brauer", 4,
+     "46faf8d332b6847b83d80baf6838c9e56dc565d835c5ed1ee20fbc262e3d10ca"),
+    ("brauer", 5,
+     "e922cfc7e79c05f3d34e0578760817cc304569ed91fe354959767b325e599b70"),
+])
+def test_cache_digest_pinned(tmp_path, capsys, algebra, n, digest):
+    report = run_json(capsys, ["cache", "--algebra", algebra, "--n", str(n),
+                               "--cache-dir", str(tmp_path), "--json"])
+    assert report["result"]["status"] == "written"
+    assert json.load(open(report["result"]["path"]))["sha256"] == digest
 
 
 def test_cache_version_bump_recomputes(tmp_path, capsys):

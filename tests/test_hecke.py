@@ -5,6 +5,8 @@ from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellalg.combin import (
     Permutation,
@@ -19,7 +21,9 @@ from cellalg.combin import (
 from cellalg.exactring import (BMW_VARS, BRAUER_VARS, CoeffFraction,
                                parse_fraction)
 from cellalg.hecke import (
+    _fraction,
     _murphy_column,
+    _perm_order,
     HeckeElement,
     hk_c_mu,
     hk_content,
@@ -248,13 +252,62 @@ def test_to_murphy_matches_dense_inverse(m, vars):
     for k, w in enumerate(perms):
         dense = {index[i]: str(row[k]) for i, row in enumerate(inverse)
                  if not row[k].is_zero()}
-        # to_murphy multiplies by the coefficient, which reduces again; the
-        # memoised column holds the values built with _reduced=True
-        column = _murphy_column(m, vars, w)
+        # the memoised column holds ring values by position, which
+        # _fraction turns into CoeffFractions built with _reduced=True
+        column = {index[j]: _fraction(x, vars)
+                  for j, x in _murphy_column(m, vars, w).items()}
         for coords in (to_murphy(m, {w: one}, vars), column):
             assert {key: str(c) for key, c in coords.items()} == dense
         for c in column.values():
             assert CoeffFraction(vars, c.num, c.den) == c  # canonical
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_integer_columns_are_laurent_columns_at_q1(m):
+    # the q = 1 elimination on Python ints against the generic-q one on
+    # Laurent polynomials with q -> 1 (each entry's coefficients summed;
+    # Specialization refuses q = 1 over BMW_VARS)
+    for w in _perm_order(m)[0]:
+        laurent = _murphy_column(m, BMW_VARS, w)
+        assert all(type(x) is dict for x in laurent.values())
+        at_q1 = {j: sum(x.values()) for j, x in laurent.items()}
+        column = _murphy_column(m, BRAUER_VARS, w)
+        assert all(type(x) is int for x in column.values())
+        assert column == {j: x for j, x in at_q1.items() if x}
+
+
+_PARTS = {vars: {m: [Permutation(img) for img in permutations(range(1, m + 1))]
+                 for m in (1, 2, 3, 4)}
+          for vars in (BMW_VARS, BRAUER_VARS)}
+_COEFFS = {BMW_VARS: ["1", "-1", "2", "q", "q^-1 - r", "(q+r)/(q^2-1)", "r/q"],
+           BRAUER_VARS: ["1", "-1", "3", "z", "z - 1", "1/(z+2)", "z^2/3"]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), vars=st.sampled_from([BMW_VARS, BRAUER_VARS]),
+       m=st.integers(1, 4))
+def test_grouped_to_murphy_matches_per_term_sum(data, vars, m):
+    # to_murphy adds the ring columns of equal coefficients before it
+    # multiplies; the per-term sum of c * column(u) must give the same
+    # canonical strings
+    perms = _PARTS[vars][m]
+    us = data.draw(st.lists(st.sampled_from(perms), unique=True,
+                            max_size=len(perms)))
+    # few coefficients for many terms, so groups repeat
+    texts = data.draw(st.lists(st.sampled_from(_COEFFS[vars]), min_size=1,
+                               max_size=3))
+    part = {u: parse_fraction(data.draw(st.sampled_from(texts)), vars)
+            for u in us}
+    index = murphy_index(m)
+    expected = {}
+    for u, c in part.items():
+        for j, x in _murphy_column(m, vars, u).items():
+            term = c * _fraction(x, vars)
+            key = index[j]
+            expected[key] = expected[key] + term if key in expected else term
+    expected = {key: str(c) for key, c in expected.items() if not c.is_zero()}
+    got = to_murphy(m, part, vars)
+    assert {key: str(c) for key, c in got.items()} == expected
 
 
 def test_to_murphy_rejects_other_rings():

@@ -362,6 +362,30 @@ def test_certificate_points_skip_a_power_locus_off_the_spec():
     assert len(_certificate_specs("bmw", None)) == 3
 
 
+@pytest.mark.parametrize("algebra,text", [
+    ("bmw", "r=13"), ("bmw", "r=17"), ("bmw", "r=-q^3"), ("bmw", "q=2"),
+    ("bmw", None), ("brauer", None)])
+def test_equal_specs_share_certificate_points(algebra, text):
+    # Specialization hashes by identity; the composed points are memoised
+    # on its images, so a spec parsed again reuses them, with equal verdicts
+    vars = BMW_VARS if algebra == "bmw" else BRAUER_VARS
+
+    def parse():
+        return None if text is None else Specialization.parse(text, vars)
+
+    specsim._composed_points.cache_clear()
+    first, again = parse(), parse()
+    fresh = gram_rank_certify(algebra, 3, first)
+    points = _certificate_specs(algebra, first)
+    assert _certificate_specs(algebra, again) is points
+    assert specsim._composed_points.cache_info().misses == 1
+    reused = gram_rank_certify(algebra, 3, again)
+    expected = _exact_gram_rank_certify(algebra, 3, first)
+    assert ((fresh.outcome, fresh.evidence)
+            == (reused.outcome, reused.evidence)
+            == (expected.outcome, expected.evidence))
+
+
 @settings(max_examples=200, deadline=None)
 @given(q=st.fractions(max_denominator=30).filter(lambda x: abs(x) not in (0, 1)),
        k=st.integers(-8, 8), sign=st.sampled_from([1, -1]),
