@@ -296,15 +296,6 @@ def _intern(x):
         x if type(x) is int else tuple(sorted(x.items())), x)
 
 
-def _sub_product(vec: dict, k, f, x, R: Ring, zero):
-    """vec[k] -= f * x in a sparse vector over R, dropping a zero entry."""
-    y = R.sub(vec.get(k, zero), R.mul(f, x))
-    if y:
-        vec[k] = y
-    else:
-        vec.pop(k, None)
-
-
 @lru_cache(maxsize=None)
 def _murphy_steps(m: int, vars: tuple) -> tuple:
     """Sparse Gauss-Jordan of the Murphy-to-X_w matrix of H_m in its ring.
@@ -316,7 +307,7 @@ def _murphy_steps(m: int, vars: tuple) -> tuple:
     one (pivot row, inverse unit, ((row, factor), ...)) per column.
     """
     R = _murphy_ring(vars)
-    zero = R.const(0)
+    mul, sub, zero = R.mul, R.sub, R.const(0)
     perms, pos = _perm_order(m)
     if len(murphy_index(m)) != len(perms):
         raise AssertionError("cellular basis size must be m!")
@@ -336,7 +327,7 @@ def _murphy_steps(m: int, vars: tuple) -> tuple:
         p = min(units, key=lambda i: (len(rows[i]), i))
         free.remove(p)
         inv = _unit_inverse(rows[p][j])
-        pivot = rows[p] = {k: R.mul(inv, x) for k, x in rows[p].items()}
+        pivot = rows[p] = {k: mul(inv, x) for k, x in rows[p].items()}
         cleared = []
         for i, row in enumerate(rows):
             if i == p or j not in row:
@@ -344,7 +335,11 @@ def _murphy_steps(m: int, vars: tuple) -> tuple:
             f = row.pop(j)
             for k, x in pivot.items():
                 if k != j:
-                    _sub_product(row, k, f, x, R, zero)
+                    y = sub(row.get(k, zero), mul(f, x))
+                    if y:
+                        row[k] = y
+                    else:
+                        row.pop(k, None)
             # a few distinct factors recur thousands of times
             cleared.append((i, _intern(f)))
         steps.append((p, inv, tuple(cleared)))
@@ -356,16 +351,20 @@ def _murphy_column(m: int, vars: tuple, u: Permutation) -> dict:
     """Murphy coordinates {position in murphy_index(m): nonzero ring value}
     of X_u, by replaying the elimination steps on the unit vector at u."""
     R = _murphy_ring(vars)
-    zero = R.const(0)
+    mul, sub, zero = R.mul, R.sub, R.const(0)
     steps = _murphy_steps(m, vars)
     b = {_perm_order(m)[1][u]: R.const(1)}
     for p, inv, cleared in steps:
         x = b.get(p)
         if x is None:
             continue
-        x = b[p] = R.mul(inv, x)
-        for i, f in cleared:
-            _sub_product(b, i, f, x, R, zero)
+        x = b[p] = mul(inv, x)
+        for i, f in cleared:  # b[i] -= f * x, dropping a zero entry
+            y = sub(b.get(i, zero), mul(f, x))
+            if y:
+                b[i] = y
+            else:
+                b.pop(i, None)
     return {j: _intern(b[p]) for j, (p, _, _) in enumerate(steps) if p in b}
 
 
