@@ -276,9 +276,6 @@ def test_integer_columns_are_laurent_columns_at_q1(m):
         assert column == {j: x for j, x in at_q1.items() if x}
 
 
-_PARTS = {vars: {m: [Permutation(img) for img in permutations(range(1, m + 1))]
-                 for m in (1, 2, 3, 4)}
-          for vars in (BMW_VARS, BRAUER_VARS)}
 _COEFFS = {BMW_VARS: ["1", "-1", "2", "q", "q^-1 - r", "(q+r)/(q^2-1)", "r/q"],
            BRAUER_VARS: ["1", "-1", "3", "z", "z - 1", "1/(z+2)", "z^2/3"]}
 
@@ -290,7 +287,7 @@ def test_grouped_to_murphy_matches_per_term_sum(data, vars, m):
     # to_murphy adds the ring columns of equal coefficients before it
     # multiplies; the per-term sum of c * column(u) must give the same
     # canonical strings
-    perms = _PARTS[vars][m]
+    perms = _perm_order(m)[0]
     us = data.draw(st.lists(st.sampled_from(perms), unique=True,
                             max_size=len(perms)))
     # few coefficients for many terms, so groups repeat
