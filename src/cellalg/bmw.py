@@ -10,10 +10,11 @@ Murphy-basis layer (``hecke.cell_row``, shared with the Brauer tower) then
 yields the action of T_i and E_i on each cell module; the matrix of
 T_i^{-1} = T_i - (q - q^{-1})(1 - E_i) is derived from those two.
 
-``BmwElement`` holds an element in cellular coordinates.  Products go
-through the faithful direct sum of all cell-module representations: the
-coordinates of a product are read back from its cell-module matrices by
-``towers.cellular_terms``, the straightening shared with the Brauer tower.
+``BmwElement`` is the ``exactring.Combination`` on the cellular basis
+monomials.  Products go through the faithful direct sum of all cell-module
+representations: the coordinates of a product are read back from its
+cell-module matrices by ``towers.cellular_terms``, the straightening shared
+with the Brauer tower.
 The defining relations are certified as matrix identities and the basis
 count matches (2n-1)!!, so the matrix model is the presented algebra.
 """
@@ -29,7 +30,7 @@ from .combin import (
     superstandard,
     tab_perm,
 )
-from .exactring import BMW_VARS, CoeffFraction, bmw_z
+from .exactring import BMW_VARS, CoeffFraction, Combination, bmw_z
 from .hecke import _delta, _q_power, cell_row, row_stabilizer, to_murphy
 from .linalg import identity_matrix, mat_mul
 
@@ -370,46 +371,15 @@ def rho_of_word(n: int, word):
     return towers.rho_of_word("bmw", n, word)
 
 
-class BmwElement:
+class BmwElement(Combination):
     """An element of B_n(q,r) in cellular coordinates.
 
     ``terms`` maps monomials (lambda, (s,v), (t,u)) to coefficients; the
     monomial is the basis element T_v* T_{d(s)}* m_lambda T_{d(t)} T_u.
     """
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: dict):
-        self.n = n
-        self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
-
-    @classmethod
-    def zero(cls, n: int) -> "BmwElement":
-        return cls(n, {})
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, BmwElement) and self.n == other.n
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __add__(self, other: "BmwElement") -> "BmwElement":
-        if self.n != other.n:
-            raise ValueError("mismatched n")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return BmwElement(self.n, out)
-
-    def __sub__(self, other: "BmwElement") -> "BmwElement":
-        return self + other.scale(_const(-1))
-
-    def scale(self, c: CoeffFraction) -> "BmwElement":
-        return BmwElement(self.n, {k: x * c for k, x in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    __slots__ = ()
+    VARS = BMW_VARS
 
     def __mul__(self, other: "BmwElement") -> "BmwElement":
         return bmw_mul(self, other)
@@ -438,8 +408,7 @@ def bmw_word(word, n: int) -> BmwElement:
 
 def bmw_mul(a: BmwElement, b: BmwElement) -> BmwElement:
     from .towers import _rho_mul
-    if a.n != b.n:
-        raise ValueError("mismatched n")
+    a._check(b)
     return bmw_to_cellular(a.n, _rho_mul(bmw_element_rho(a),
                                          bmw_element_rho(b)))
 

@@ -2,10 +2,11 @@
 
 A diagram is a perfect matching on the 2n points {1..n} (top row) and
 {-1..-n} (bottom row).  Multiplication stacks diagrams and converts each
-closed loop into a factor of z.  An element acts on each cell module
-S^lambda through the arc-chain engine below, which works modulo the
-diagrams with more arcs and the more dominant layers of equal size.  The
-coordinates of an element on the cellular basis
+closed loop into a factor of z; ``BrauerElement`` is the
+``exactring.Combination`` on diagrams with that product.  An element acts
+on each cell module S^lambda through the arc-chain engine below, which
+works modulo the diagrams with more arcs and the more dominant layers of
+equal size.  The coordinates of an element on the cellular basis
 (d(s)v)^{-1} m_lambda d(t)u are read back from those cell-module matrices
 by ``towers.cellular_terms``, the straightening shared with the BMW tower.
 """
@@ -20,7 +21,7 @@ from .combin import (
     layer_shapes,
     tab_perm,
 )
-from .exactring import BRAUER_VARS, CoeffFraction
+from .exactring import BRAUER_VARS, CoeffFraction, Combination
 from .hecke import cell_row, row_stabilizer, to_murphy
 from .linalg import mat_mul
 
@@ -124,18 +125,11 @@ def br_compose(a, b, n: int):
     return frozenset(pairs), loops
 
 
-class BrauerElement:
+class BrauerElement(Combination):
     """Finitely supported map diagram -> coefficient in Q(z)."""
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: dict):
-        self.n = n
-        self.terms = {d: c for d, c in terms.items() if not c.is_zero()}
-
-    @classmethod
-    def zero(cls, n: int) -> "BrauerElement":
-        return cls(n, {})
+    __slots__ = ()
+    VARS = BR_VARS
 
     @classmethod
     def one(cls, n: int) -> "BrauerElement":
@@ -156,39 +150,6 @@ class BrauerElement:
     @classmethod
     def perm(cls, w: Permutation) -> "BrauerElement":
         return cls.from_diagram(perm_diagram(w), w.n)
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for d, c in other.terms.items():
-            terms[d] = terms[d] + c if d in terms else c
-        return BrauerElement(self.n, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return BrauerElement(self.n, {d: -c for d, c in self.terms.items()})
-
-    def scale(self, c: CoeffFraction):
-        return BrauerElement(self.n, {d: x * c for d, x in self.terms.items()})
-
-    def coeff(self, d) -> CoeffFraction:
-        return self.terms.get(d, _const(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, BrauerElement) and self.n == other.n
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
 
     def __mul__(self, other):
         self._check(other)

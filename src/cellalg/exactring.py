@@ -29,6 +29,9 @@ scaled by the image denominators, with one reduction at the end.
 in :mod:`cellalg.linalg`: polynomial dicts in general, and plain ints when
 no variable is left.  So values at a rational point run on Python ints
 (``*``, ``-``, exact ``//`` and one ``math.gcd``) through the same code.
+
+``Combination`` is the one linear structure of the elements of ``hecke``,
+``brauer`` and ``bmw``.
 """
 
 from __future__ import annotations
@@ -509,6 +512,61 @@ class CoeffFraction:
         if not (den_s.isdigit() or _is_atom_power(den_s)):
             den_s = f"({den_s})"
         return f"{num_s}/{den_s}"
+
+
+class Combination:
+    """Finitely supported map basis key -> nonzero CoeffFraction over the
+    class attribute ``VARS``, at a fixed rank ``n``: the linear structure of
+    the algebra elements, whose subclasses add constructors and ``__mul__``.
+    An operand of another class or another ``n`` raises ValueError."""
+
+    __slots__ = ("n", "terms")
+    VARS: tuple = ()
+
+    def __init__(self, n: int, terms: dict):
+        self.n = n
+        self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
+
+    @classmethod
+    def zero(cls, n: int):
+        return cls(n, {})
+
+    def _check(self, other):
+        if type(other) is not type(self):
+            raise ValueError(f"cannot combine {type(self).__name__} "
+                             f"with {type(other).__name__}")
+        if other.n != self.n:
+            raise ValueError(f"rank mismatch: {self.n} vs {other.n}")
+
+    def __add__(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            terms[k] = terms[k] + c if k in terms else c
+        return type(self)(self.n, terms)
+
+    def __sub__(self, other):
+        self._check(other)
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)(self.n, {k: -c for k, c in self.terms.items()})
+
+    def scale(self, c: CoeffFraction):
+        return type(self)(self.n, {k: x * c for k, x in self.terms.items()})
+
+    def coeff(self, key) -> CoeffFraction:
+        return self.terms.get(key) or CoeffFraction.const(0, self.VARS)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self.n == other.n
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self.n, frozenset(self.terms.items())))
 
 
 def _is_atom_power(s: str) -> bool:

@@ -1,6 +1,7 @@
 """The Iwahori-Hecke algebra H_n(q^2) of the symmetric group.
 
-Elements are stored on the word basis {X_w : w in S_n}.  The module provides
+Elements are ``exactring.Combination``s on the word basis {X_w : w in S_n};
+``HeckeElement`` adds only its constructors and product.  The module provides
 the cellular (Murphy) basis c_{uv} = X_{d(u)}* c_lambda X_{d(v)}, the change
 of basis to it (``to_murphy``), cell ("Specht") modules as quotient
 coordinates, the Murphy-layer projection ``cell_row`` shared by both towers
@@ -35,7 +36,8 @@ from .combin import (
     superstandard,
     tab_perm,
 )
-from .exactring import BMW_VARS, BRAUER_VARS, CoeffFraction, Ring, ring
+from .exactring import (BMW_VARS, BRAUER_VARS, CoeffFraction, Combination,
+                        Ring, ring)
 
 HK_VARS = BMW_VARS
 
@@ -59,19 +61,11 @@ def _q_power(k: int) -> CoeffFraction:
     return _q() ** k
 
 
-class HeckeElement:
+class HeckeElement(Combination):
     """Finitely supported map Permutation -> coefficient, fixed rank n."""
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: dict):
-        self.n = n
-        self.terms = {w: c for w, c in terms.items() if not c.is_zero()}
-
-    # -- constructors ---------------------------------------------------
-    @classmethod
-    def zero(cls, n: int) -> "HeckeElement":
-        return cls(n, {})
+    __slots__ = ()
+    VARS = HK_VARS
 
     @classmethod
     def one(cls, n: int) -> "HeckeElement":
@@ -84,40 +78,6 @@ class HeckeElement:
     @classmethod
     def gen(cls, i: int, n: int) -> "HeckeElement":
         return cls.x(Permutation.s(i, n))
-
-    # -- linear structure -------------------------------------------------
-    def _check(self, other: "HeckeElement"):
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms[w] + c if w in terms else c
-        return HeckeElement(self.n, terms)
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + (-other)
-
-    def __neg__(self) -> "HeckeElement":
-        return HeckeElement(self.n, {w: -c for w, c in self.terms.items()})
-
-    def scale(self, c: CoeffFraction) -> "HeckeElement":
-        return HeckeElement(self.n, {w: x * c for w, x in self.terms.items()})
-
-    def coeff(self, w: Permutation) -> CoeffFraction:
-        return self.terms.get(w, _const(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, HeckeElement) and self.n == other.n
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
 
     def __mul__(self, other: "HeckeElement") -> "HeckeElement":
         self._check(other)

@@ -387,15 +387,26 @@ def _linear_roots(x):
     constant denominator: returns (the sorted roots with multiplicity, the
     degree left).  A nonzero root a/b in lowest terms has a | p(0) and
     b | lead(p) for the primitive numerator p (rational root theorem), and
-    ``poly_divexact`` divides b*z - a out of p in Z[z] (Gauss's lemma)."""
+    |a/b| is at most the root bound of its sign, so the numerators are the
+    divisors of p(0) up to b times that bound.  ``poly_divexact`` divides
+    b*z - a out of p in Z[z] (Gauss's lemma)."""
     if any(e != (0,) for e in x.den) or not x.num:
         raise ValueError("not a nonzero polynomial")
     low = min(x.num)[0]  # zero roots come off by an exponent shift
     p = {(e - low,): c for (e,), c in x.num.items()}
     p = poly_divexact(p, {(0,): gcd(*p.values())}, 1)
     roots = [Fraction(0)] * low
-    for root in {Fraction(sign * a, b) for a in _divisors(p[(0,)])
-                 for b in _divisors(p[max(p)]) for sign in (1, -1)}:
+    coeffs = [p.get((k,), 0) for k in range(max(p)[0] + 1)]
+    candidates = set()
+    for sign in (1, -1):
+        bound = _positive_root_bound([c * sign ** k
+                                      for k, c in enumerate(coeffs)])
+        if bound:
+            dens = _divisors(coeffs[-1])
+            nums = _divisors_up_to(coeffs[0], dens[-1] * bound)
+            candidates.update(Fraction(sign * a, b) for b in dens
+                              for a in nums if a <= b * bound)
+    for root in candidates:
         linear = {(1,): root.denominator, (0,): -root.numerator}
         while len(p) > 1:
             try:
@@ -404,6 +415,40 @@ def _linear_roots(x):
                 break
             roots.append(root)
     return sorted(roots), max(p)[0]
+
+
+def _positive_root_bound(coeffs):
+    """An integer at least every positive real root of the polynomial with
+    these coefficients (lowest degree first, nonzero lead c_d): Kioustelidis'
+    bound 2 max |c_{d-i} / c_d|^(1/i) over the coefficients of sign opposite
+    to the lead, each root rounded up, or 0 if there is none (then there is
+    no positive root)."""
+    d, lead = len(coeffs) - 1, coeffs[-1]
+    bound = 0
+    for i in range(1, d + 1):
+        c = coeffs[d - i]
+        if c * lead < 0:
+            bound = max(bound, _root_ceil(-(-abs(c) // abs(lead)), i))
+    return 2 * bound
+
+
+def _root_ceil(m, k):
+    """The least integer u with u^k >= m, for m >= 1: Newton's method on
+    integers from 2^ceil(bits(m)/k) down to the floor of the k-th root."""
+    u = 1 << -(-m.bit_length() // k)
+    while True:
+        v = ((k - 1) * u + m // u ** (k - 1)) // k
+        if v >= u:
+            return u if u ** k >= m else u + 1
+        u = v
+
+
+def _divisors_up_to(a, limit):
+    """Sorted positive divisors of a nonzero a up to limit, by trial
+    division up to limit or through ``_divisors``, whichever tries fewer."""
+    if limit <= isqrt(abs(a)):
+        return [d for d in range(1, limit + 1) if a % d == 0]
+    return [d for d in _divisors(a) if d <= limit]
 
 
 def _divisors(a):

@@ -5,6 +5,7 @@ oracle.
 sympy is a test-only dependency: without it this module is skipped.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,27 @@ def test_linear_roots_with_coefficients_of_other_denominators():
     two = CoeffFraction.const(2, BRAUER_VARS)
     p = (x - two) * (two * x - one) / two
     assert _linear_roots(p) == ([Fraction(1, 2), Fraction(2)], 0)
+
+
+def test_linear_roots_of_large_constant_terms_stay_fast():
+    # trial division up to the square root of p(0) = 3^40 5^40 or 10^20 + 1
+    # would not finish; the root bounds (50 and 160 for the first) leave
+    # 20 candidates, and none for z^2 + 10^20 + 1, which has no real root
+    z = sympy.Symbol("z")
+    zz = CoeffFraction.var("z", BRAUER_VARS)
+
+    def const(c):
+        return CoeffFraction.const(c, BRAUER_VARS)
+
+    cases = [((zz - const(3)) ** 40 * (zz + const(5)) ** 40
+              * (zz * zz + const(1)) ** 3,
+              (z - 3) ** 40 * (z + 5) ** 40 * (z ** 2 + 1) ** 3),
+             (zz * zz + const(10 ** 20 + 1), z ** 2 + 10 ** 20 + 1)]
+    for x, expr in cases:
+        start = time.perf_counter()
+        split = _linear_roots(x)
+        assert time.perf_counter() - start < 1
+        assert split == _linear_split_by_sympy(expr, z)
 
 
 BOUND = 12

@@ -21,7 +21,9 @@ from cellalg.specsim import (
     Verdict,
     _certificate_specs,
     _divisors,
+    _divisors_up_to,
     _rational_power_exponent,
+    _root_ceil,
     certify,
     conjecture_evidence,
     conjecture_poly,
@@ -507,6 +509,22 @@ def test_divisors_match_brute_force():
         assert _divisors(a) == expected
         assert _divisors(-a) == expected
     assert _divisors(2 ** 17) == [2 ** k for k in range(18)]
+
+
+def test_divisors_up_to_match_brute_force():
+    # limits on both sides of the square root take both routes
+    for a in range(1, 400):
+        for limit in (1, 5, 19, 20, 21, 500):
+            expected = [d for d in range(1, min(a, limit) + 1) if a % d == 0]
+            assert _divisors_up_to(a, limit) == expected
+            assert _divisors_up_to(-a, limit) == expected
+
+
+def test_root_ceil_is_the_least_integer_root():
+    for m in list(range(1, 600)) + [3 ** 40 * 5 ** 40, 2 ** 200 + 1]:
+        for k in range(1, 90 if m > 600 else 7):
+            u = _root_ceil(m, k)
+            assert u ** k >= m > (u - 1) ** k
 
 
 # -- conjecture harness --------------------------------------------------------------
