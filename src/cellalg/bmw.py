@@ -308,8 +308,7 @@ def _bmw_gen_matrix_compute(lam, n: int, kind: str, i: int):
         # T_i^{-1} = T_i - (q - q^{-1})(1 - E_i), from T_i and E_i as
         # bmw_gen_matrix gives them, so cache overrides are used
         delta = _delta()
-        rows = [[x if y.is_zero() else x + delta * y
-                 for x, y in zip(t_row, e_row)]
+        rows = [[x + delta * y for x, y in zip(t_row, e_row)]
                 for t_row, e_row in zip(bmw_gen_matrix(lam, n, "T", i),
                                         bmw_gen_matrix(lam, n, "E", i))]
         for a, row in enumerate(rows):

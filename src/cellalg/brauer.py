@@ -74,54 +74,58 @@ def diagram_arcs(d) -> int:
 
 
 def br_compose(a, b, n: int):
-    """Stack a over b; return (result diagram, number of closed loops)."""
-    # nodes: ("t", i) top of a, ("m", i) shared middle, ("b", i) bottom of b
-    adj = {}
+    """Stack a over b; return (result diagram, number of closed loops).
 
-    def add_edge(x, y):
-        adj.setdefault(x, []).append(y)
-        adj.setdefault(y, []).append(x)
-
-    for pair in a:
-        p, q = tuple(pair)
-        add_edge(("t", p) if p > 0 else ("m", -p),
-                 ("t", q) if q > 0 else ("m", -q))
-    for pair in b:
-        p, q = tuple(pair)
-        add_edge(("m", p) if p > 0 else ("b", -p),
-                 ("m", q) if q > 0 else ("b", -q))
-
-    seen = set()
+    The bottom point -k of a meets the top point k of b in the middle row.
+    Each strand of the result is followed from one of its ends through the
+    middle row, alternating between a and b; middle points that no strand
+    reaches lie on closed loops.
+    """
+    up, down = {}, {}
+    for partner, d in ((up, a), (down, b)):
+        for pair in d:
+            p, q = pair
+            partner[p] = q
+            partner[q] = p
+    met = set()  # middle points on a strand
     pairs = []
-    # trace paths starting from each boundary point
-    for start in [("t", i) for i in range(1, n + 1)] + \
-                 [("b", i) for i in range(1, n + 1)]:
-        if start in seen:
+    done = set()
+    for start in range(1, n + 1):  # strands from the top of a
+        if start in done:
             continue
-        seen.add(start)
-        prev, cur = start, adj[start][0]
-        while cur[0] == "m":
-            seen.add(cur)
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            prev, cur = cur, nxt
-        seen.add(cur)
-        ends = []
-        for node in (start, cur):
-            kind, i = node
-            ends.append(i if kind == "t" else -i)
-        pairs.append(frozenset(ends))
+        x = up[start]
+        while x < 0:  # middle point -x, continue into b
+            met.add(-x)
+            x = down[-x]
+            if x < 0:
+                break  # bottom point of b
+            met.add(x)
+            x = up[-x]
+        done.add(x)
+        pairs.append(frozenset((start, x)))
+    # the strands left join two bottom points of b: one that reached the
+    # top of a was followed from there
+    for start in range(-1, -n - 1, -1):
+        if start in done:
+            continue
+        x = down[start]
+        while x > 0:
+            met.add(x)
+            x = -up[-x]
+            met.add(x)
+            x = down[x]
+        done.add(x)
+        pairs.append(frozenset((start, x)))
     loops = 0
-    for i in range(1, n + 1):
-        node = ("m", i)
-        if node in seen or node not in adj:
+    for k in range(1, n + 1):
+        if k in met:
             continue
         loops += 1
-        prev, cur = node, adj[node][0]
-        seen.add(node)
-        while cur != node:
-            seen.add(cur)
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            prev, cur = cur, nxt
+        while k not in met:  # around the loop: down through b, up through a
+            met.add(k)
+            k = down[k]
+            met.add(k)
+            k = -up[-k]
     return frozenset(pairs), loops
 
 
@@ -312,34 +316,27 @@ def _decode_chain(d, f: int, n: int):
     return (u, Permutation(img))
 
 
-def _lift_chain(key, f: int, n: int) -> Permutation:
-    """Canonical permutation representative of a decoded (upper, coset) key."""
-    u, v = key
-    img = [v(p) for p in range(1, 2 * f + 1)]
-    img += [v(u(p) + 2 * f) for p in range(1, n - 2 * f + 1)]
-    return Permutation(img)
-
-
-def _fast_seed(lam, n: int, t: StdTableau, u: Permutation) -> dict:
-    """m_lambda d(t) u as coded arc-chain terms."""
+@lru_cache(maxsize=None)
+def _fast_seed(lam, n: int, t: StdTableau, u: Permutation) -> tuple:
+    """m_lambda d(t) u as ((arc-chain diagram, coefficient), ...), built once
+    per (lambda, n, t, u) and shared by every generator and element that
+    acts on it (a tuple, so no caller can change it)."""
     f = (n - sum(lam)) // 2
     terms = {}
-    one = _const(1)
+    d = tab_perm(t) * u
     for w0 in row_stabilizer(lam, n):
-        w = w0 * tab_perm(t) * u
-        key = _decode_chain(_encode_chain(w, f), f, n)
-        terms[key] = terms[key] + one if key in terms else one
-    return terms
+        diagram = _encode_chain(w0 * d, f)
+        terms[diagram] = terms.get(diagram, 0) + 1
+    return tuple((diagram, _const(c)) for diagram, c in terms.items())
 
 
-def _fast_apply(terms: dict, gen, f: int, n: int) -> dict:
-    """Coded arc-chain terms times the diagram gen, modulo diagrams with
-    more than f arcs."""
+def _fast_apply(seed: tuple, gen, f: int, n: int) -> dict:
+    """Arc-chain seed terms times the diagram gen, modulo diagrams with
+    more than f arcs, as coded {(upper permutation, coset rep): c}."""
     z = _z()
     out = {}
-    for key, c in terms.items():
-        d, loops = br_compose(_encode_chain(_lift_chain(key, f, n), f),
-                              gen, n)
+    for diagram, c in seed:
+        d, loops = br_compose(diagram, gen, n)
         if diagram_arcs(d) > f:
             continue
         c2 = c * z ** loops if loops else c

@@ -583,11 +583,32 @@ def run(argv):
             report["parameters"]["spec"] = args.spec_text
         report["result"] = payload
         report["timing"] = {"seconds": round(time.monotonic() - start, 6)}
-        print(json.dumps(report, indent=2))
-    else:
+        lines = [json.dumps(report, indent=2)]
+    try:
+        if sys.stdout is None:  # the process started without descriptor 1
+            raise OSError("standard output is closed")
         for line in lines:
             print(line)
+        sys.stdout.flush()
+    except OSError as exc:  # e.g. the reader closed the pipe
+        _silence_stdout()
+        with contextlib.suppress(OSError):
+            print("error: cannot write the output: {}".format(exc),
+                  file=sys.stderr)
+        return 2
     return 0
+
+
+def _silence_stdout():
+    """Point the stdout descriptor at devnull, so that the flush at
+    interpreter exit cannot fail on the same stream again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # no stream, or an in-memory one without a descriptor
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main():

@@ -222,6 +222,12 @@ def poly_divexact(a: dict, b: dict, nvars: int) -> dict:
     return _join(q, nvars)
 
 
+@lru_cache(maxsize=None)
+def _unit_poly(nvars: int) -> dict:
+    """The constant polynomial 1, shared: compare with it, never change it."""
+    return poly_const(1, nvars)
+
+
 def _poly_sign_norm(a: dict) -> dict:
     if a and poly_lead_coeff(a) < 0:
         return poly_neg(a)
@@ -359,8 +365,7 @@ class CoeffFraction:
         return not self.num
 
     def is_one(self) -> bool:
-        nv = len(self.vars)
-        return self.num == poly_const(1, nv) and self.den == poly_const(1, nv)
+        return self.num == self.den == _unit_poly(len(self.vars))
 
     def is_constant(self) -> bool:
         nv = len(self.vars)
@@ -380,21 +385,36 @@ class CoeffFraction:
         if self.vars != other.vars:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
 
+    # A zero operand, a factor 1, and two polynomials (denominator 1) need no
+    # gcd: the result is already canonical.
+
     def __add__(self, other: "CoeffFraction") -> "CoeffFraction":
         self._check(other)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        if self.den == other.den == _unit_poly(len(self.vars)):
+            return CoeffFraction(self.vars, poly_add(self.num, other.num),
+                                 self.den, _reduced=True)
         num = poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den))
         return CoeffFraction(self.vars, num, poly_mul(self.den, other.den))
 
     def __sub__(self, other: "CoeffFraction") -> "CoeffFraction":
-        self._check(other)
-        num = poly_sub(poly_mul(self.num, other.den), poly_mul(other.num, self.den))
-        return CoeffFraction(self.vars, num, poly_mul(self.den, other.den))
+        return self + (-other)
 
     def __neg__(self) -> "CoeffFraction":
         return CoeffFraction(self.vars, poly_neg(self.num), self.den, _reduced=True)
 
     def __mul__(self, other: "CoeffFraction") -> "CoeffFraction":
         self._check(other)
+        if not self.num or other.is_one():
+            return self
+        if not other.num or self.is_one():
+            return other
+        if self.den == other.den == _unit_poly(len(self.vars)):
+            return CoeffFraction(self.vars, poly_mul(self.num, other.num),
+                                 self.den, _reduced=True)
         return CoeffFraction(self.vars, poly_mul(self.num, other.num),
                              poly_mul(self.den, other.den))
 

@@ -8,11 +8,15 @@ coordinates, the Murphy-layer projection ``cell_row`` shared by both towers
 and the Specht modules, Jucys-Murphy elements D_i, and the permutation-module
 elements attached to semistandard tableaux.
 
-The change of basis is one elimination and one replay on the operations of
+The Murphy rows c_{uv} and the change of basis live on the operations of
 ``exactring.ring``: Laurent polynomials in ring(1) at generic q (the BMW
-tower), Python ints in ring(0) at q = 1 (the Brauer tower).  ``to_murphy``
-adds the ring columns of the terms that share a coefficient, so it forms one
-fraction product per (distinct coefficient, coordinate), not per term.
+tower), Python ints in ring(0) at q = 1 (the Brauer tower).  A row is formed
+in its ring by ``_murphy_row``, one letter of d(v) at a time, and
+``murphy_element`` is its CoeffFraction view; the change of basis is one
+elimination of those rows and one replay per X_u.  ``to_murphy`` adds the
+ring columns of the terms that share a coefficient, and the numerators times
+those sums of the coefficients that share a denominator, so it forms one
+fraction per (distinct denominator, coordinate), not per term.
 
 Coefficients live in the two-variable fraction field on ("q", "r") so that
 these elements embed directly into the tangle-algebra computations; the
@@ -37,7 +41,7 @@ from .combin import (
     tab_perm,
 )
 from .exactring import (BMW_VARS, BRAUER_VARS, CoeffFraction, Combination,
-                        Ring, ring)
+                        Ring, poly_add, poly_mul, ring)
 
 HK_VARS = BMW_VARS
 
@@ -173,11 +177,11 @@ def murphy_index(n: int):
 
 
 def murphy_element(lam, u: StdTableau, v: StdTableau) -> HeckeElement:
-    """c_{uv} = X_{d(u)}* c_lambda X_{d(v)}."""
-    n = u.n
-    c = hk_c_mu(lam, n)
-    left = hk_star(HeckeElement.x(tab_perm(u)))
-    return left * c * HeckeElement.x(tab_perm(v))
+    """c_{uv} = X_{d(u)}* c_lambda X_{d(v)}, the CoeffFraction view of its
+    Laurent row (``_murphy_row`` in ring(1))."""
+    return HeckeElement(u.n, {
+        Permutation(img): _fraction(x, HK_VARS)
+        for img, x in _murphy_row(lam, u, v, ring(1)).items()})
 
 
 @lru_cache(maxsize=None)
@@ -197,10 +201,13 @@ def _perm_order(n: int):
 # replay take their operations from one exactring ring: ring(1), Laurent
 # polynomials {(k,): c} with k of either sign and units +-q^k, at generic q
 # (the BMW tower), and ring(0), Python ints with units +-1, at q = 1 (the
-# Brauer tower).  A column is memoised as {position in murphy_index(m): ring
-# value}, each distinct value stored once.  ``to_murphy`` groups the terms of
-# its input by coefficient, adds the ring columns of each group, and forms one
-# CoeffFraction product per (coefficient, position).
+# Brauer tower).  The rows c_{st} are formed in the same ring by
+# ``_murphy_row``, with no HeckeElement product.  A column is memoised as
+# {position in murphy_index(m): ring value}, each distinct value stored once.
+# ``to_murphy`` groups the terms of its input by coefficient and adds the ring
+# columns of each group; the numerators of the coefficients with one
+# denominator D, times those sums, add up as polynomials, and each position
+# forms one fraction per D.
 
 
 def _murphy_ring(vars: tuple) -> Ring:
@@ -213,26 +220,28 @@ def _murphy_ring(vars: tuple) -> Ring:
     raise ValueError("no Murphy change of basis over {}".format(vars))
 
 
-def _laurent(c: CoeffFraction, R: Ring):
-    """A coefficient in Z[q, q^-1] as an element of R: a Laurent polynomial
-    in ring(1), its value at q = 1 in ring(0)."""
-    (k, r), d = next(iter(c.den.items()))
-    if len(c.den) > 1 or d != 1 or r or any(e[1] for e in c.num):
-        raise AssertionError("Murphy coefficient outside Z[q, q^-1]")
-    if R is ring(0):
-        return sum(c.num.values())
-    return {(e[0] - k,): x for e, x in c.num.items()}
+def _lift(x, vars: tuple) -> dict:
+    """A nonzero ring value as a polynomial dict over vars, the exponent of
+    q possibly negative."""
+    if type(x) is int:
+        return {(0,) * len(vars): x}
+    pad = (0,) * (len(vars) - 1)
+    return {(k,) + pad: c for (k,), c in x.items()}
+
+
+def _over(num: dict, den: dict, vars: tuple) -> CoeffFraction:
+    """The canonical num/den, both multiplied by the power of the first
+    variable that clears the negative exponents of num."""
+    low = min(e[0] for e in num)
+    if low < 0:
+        num = {(e[0] - low,) + e[1:]: c for e, c in num.items()}
+        den = {(e[0] - low,) + e[1:]: c for e, c in den.items()}
+    return CoeffFraction(vars, num, den)
 
 
 def _fraction(x, vars: tuple) -> CoeffFraction:
-    """The canonical CoeffFraction of a nonzero ring value: an integer at
-    q = 1, else the Laurent numerator shifted by its lowest negative
-    exponent, over that power of q."""
-    if type(x) is int:
-        return CoeffFraction.const(x, vars)
-    low = min(0, min(x)[0])
-    return CoeffFraction(vars, {(k - low, 0): c for (k,), c in x.items()},
-                         {(-low, 0): 1}, _reduced=True)
+    """The canonical CoeffFraction of a nonzero ring value."""
+    return _over(_lift(x, vars), {(0,) * len(vars): 1}, vars)
 
 
 def _unit_inverse(x):
@@ -245,6 +254,38 @@ def _unit_inverse(x):
         if c in (1, -1):
             return {(-k,): c}
     return None
+
+
+def _murphy_row(lam, s: StdTableau, t: StdTableau, R: Ring) -> dict:
+    """c_{st} = X_{d(s)}* c_lambda X_{d(t)} in R, as {one-line image of w:
+    nonzero coefficient of X_w}.
+
+    X_{d(s)^-1} X_w = X_{d(s)^-1 w} for w in the row stabilizer, since d(s)
+    is a distinguished coset representative and lengths add; X_{d(t)} then
+    acts one letter at a time, X_w X_i = X_{w s_i} if l(w s_i) > l(w), else
+    X_{w s_i} + delta X_w, with delta = q - q^-1 in ring(1) and 0 in ring(0).
+    """
+    def q_power(k):
+        return R.const(1) if R is ring(0) else {(k,): 1}
+
+    add, mul = R.add, R.mul
+    delta = R.sub(q_power(1), q_power(-1))
+    d = tab_perm(s).inverse()
+    row = {(d * w).img: q_power(w.length())
+           for w in row_stabilizer(lam, s.n)}
+    for i in tab_perm(t).reduced_word():
+        out = {}
+        for img, c in row.items():
+            a, b = img.index(i), img.index(i + 1)
+            swapped = list(img)
+            swapped[a], swapped[b] = i + 1, i
+            swapped = tuple(swapped)
+            out[swapped] = add(out[swapped], c) if swapped in out else c
+            if a > b and delta:  # w s_i is shorter than w
+                c = mul(c, delta)
+                out[img] = add(out[img], c) if img in out else c
+        row = out
+    return {img: x for img, x in row.items() if x}
 
 
 # each distinct ring value of the memoised steps and columns, stored once
@@ -268,15 +309,14 @@ def _murphy_steps(m: int, vars: tuple) -> tuple:
     """
     R = _murphy_ring(vars)
     mul, sub, zero = R.mul, R.sub, R.const(0)
-    perms, pos = _perm_order(m)
+    perms = _perm_order(m)[0]
     if len(murphy_index(m)) != len(perms):
         raise AssertionError("cellular basis size must be m!")
+    pos = {w.img: i for i, w in enumerate(perms)}
     rows = [{} for _ in perms]
     for j, (lam, u, v) in enumerate(murphy_index(m)):
-        for w, c in murphy_element(lam, u, v).terms.items():
-            x = _laurent(c, R)
-            if x:
-                rows[pos[w]][j] = x
+        for img, x in _murphy_row(lam, u, v, R).items():
+            rows[pos[img]][j] = x
     free = set(range(len(rows)))
     steps = []
     for j in range(len(rows)):
@@ -331,23 +371,34 @@ def _murphy_column(m: int, vars: tuple, u: Permutation) -> dict:
 def to_murphy(m: int, part: dict, vars: tuple) -> dict:
     """Murphy coordinates {(lambda, s, t): c} of sum c * X_u over the
     permutations u of 1..m, at generic q over HK_VARS and at q = 1 (the
-    symmetric group) over BRAUER_VARS."""
+    symmetric group) over BRAUER_VARS.
+
+    The ring columns of the u that share a coefficient are added first.
+    Coefficients that share a denominator D then add their numerators times
+    those sums as polynomials, so each coordinate forms one fraction per
+    distinct D.
+    """
     R = _murphy_ring(vars)
-    one = R.const(1)
     groups = {}
     for u, c in part.items():
         groups.setdefault(c, []).append(u)
-    out = {}
+    by_den = {}  # denominator -> (denominator, {position: numerator})
     for c, us in groups.items():
         acc = {}
         for u in us:
             for j, x in _murphy_column(m, vars, u).items():
                 acc[j] = R.add(acc[j], x) if j in acc else x
+        den, sums = by_den.setdefault(frozenset(c.den.items()), (c.den, {}))
         for j, x in acc.items():
-            if not x:
-                continue
-            term = c if x == one else c * _fraction(x, vars)
-            out[j] = out[j] + term if j in out else term
+            if x:
+                p = poly_mul(c.num, _lift(x, vars))
+                sums[j] = poly_add(sums[j], p) if j in sums else p
+    out = {}
+    for den, sums in by_den.values():
+        for j, p in sums.items():
+            if p:
+                c = _over(p, den, vars)
+                out[j] = out[j] + c if j in out else c
     index = murphy_index(m)
     return {index[j]: c for j, c in out.items() if not c.is_zero()}
 

@@ -25,7 +25,6 @@ from .combin import (
     up_neighbor_data,
 )
 from .exactring import BMW_VARS, BRAUER_VARS, CoeffFraction
-from .hecke import row_stabilizer
 from .linalg import identity_matrix, invert_fraction_free, mat_mul
 
 ALGEBRAS = ("bmw", "brauer")
@@ -340,20 +339,33 @@ def build_path_basis(algebra: str, lam, n: int) -> PathBasis:
 def m_lambda_matrix(algebra: str, lam, n: int, target):
     """Right action of m_lambda = E_1 E_3 ... E_{2f-1} sum_w c(l(w)) w on
     the cell module S^target, w over the row stabilizer of the superstandard
-    lambda-tableau, with c(l) = q^l for BMW and 1 for Brauer."""
+    lambda-tableau, with c(l) = q^l for BMW and 1 for Brauer.
+
+    The sum is a product over the rows of the tableau.  On a row with letters
+    a+1..a+k it is P_2 P_3 ... P_k, with the coset sums
+    P_j = 1 + c(1) s_{a+j-1} + c(2) s_{a+j-1} s_{a+j-2} + ...
+    + c(j-1) s_{a+j-1} ... s_{a+1}: each w in S_j is w'd for one w' in
+    S_{j-1} and one distinguished right coset representative d among these
+    words, with l(w) = l(w') + l(d).  So a row takes k(k-1)/2 letter
+    products instead of one per letter of every w.
+    """
     ops = _ops(algebra)
     lam, target = check_partition(lam), check_partition(target)
     f = (n - sum(lam)) // 2
     units = identity_matrix(len(cell_index(target, n)), ops.vars)
-    chain = _apply_letters(ops, units, target, n,
-                           [("E", i) for i in range(1, 2 * f, 2)])
-    acc = None
-    for w in row_stabilizer(lam, n):
-        coeff = ops.step_coeff(w.length())
-        piece = [[x * coeff for x in row] for row in _apply_letters(
-            ops, chain, target, n, ops.perm_letters(w))]
-        acc = piece if acc is None else \
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(acc, piece)]
+    acc = _apply_letters(ops, units, target, n,
+                         [("E", i) for i in range(1, 2 * f, 2)])
+    kind = ops.gen_kinds[0]
+    for row in superstandard(lam, n).rows:
+        a = row[0] - 1
+        for j in range(2, len(row) + 1):
+            cur, coset_sum = acc, acc
+            for i in range(1, j):
+                cur = _apply_letters(ops, cur, target, n, [(kind, a + j - i)])
+                coeff = ops.step_coeff(i)
+                coset_sum = [[x + y * coeff for x, y in zip(rs, rc)]
+                             for rs, rc in zip(coset_sum, cur)]
+            acc = coset_sum
     return acc
 
 

@@ -12,6 +12,8 @@ here reach the same answers by exact linear algebra on the diagram basis:
   elements at once.
 
 They are slow (normal equations over every diagram), so use them at n <= 4.
+``graph_compose`` is diagram stacking by a generic path trace over a graph
+of the three rows, the oracle of ``brauer.br_compose``.
 """
 
 from functools import lru_cache
@@ -28,6 +30,53 @@ from cellalg.linalg import ColumnSolver
 
 def _const(c):
     return CoeffFraction.const(c, BRAUER_VARS)
+
+
+def graph_compose(a, b, n: int):
+    """Stack a over b by tracing paths in the graph on the top row of a, the
+    shared middle row and the bottom row of b: (diagram, closed loops)."""
+    adj = {}
+
+    def add_edge(x, y):
+        adj.setdefault(x, []).append(y)
+        adj.setdefault(y, []).append(x)
+
+    for pair in a:
+        p, q = tuple(pair)
+        add_edge(("t", p) if p > 0 else ("m", -p),
+                 ("t", q) if q > 0 else ("m", -q))
+    for pair in b:
+        p, q = tuple(pair)
+        add_edge(("m", p) if p > 0 else ("b", -p),
+                 ("m", q) if q > 0 else ("b", -q))
+    seen = set()
+    pairs = []
+    for start in [("t", i) for i in range(1, n + 1)] + \
+                 [("b", i) for i in range(1, n + 1)]:
+        if start in seen:
+            continue
+        seen.add(start)
+        prev, cur = start, adj[start][0]
+        while cur[0] == "m":
+            seen.add(cur)
+            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
+            prev, cur = cur, nxt
+        seen.add(cur)
+        pairs.append(frozenset(i if kind == "t" else -i
+                               for kind, i in (start, cur)))
+    loops = 0
+    for i in range(1, n + 1):
+        node = ("m", i)
+        if node in seen:
+            continue
+        loops += 1
+        prev, cur = node, adj[node][0]
+        seen.add(node)
+        while cur != node:
+            seen.add(cur)
+            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
+            prev, cur = cur, nxt
+    return frozenset(pairs), loops
 
 
 @lru_cache(maxsize=None)

@@ -15,6 +15,7 @@ from cellalg.combin import (
     superstandard,
 )
 from cellalg.exactring import BRAUER_VARS, CoeffFraction, brauer_frac
+from cellalg import brauer
 from cellalg.brauer import (
     BrauerElement,
     all_diagrams,
@@ -26,6 +27,7 @@ from cellalg.brauer import (
     br_to_cellular,
     br_from_cellular,
     br_basis_element,
+    br_cell_matrix,
     br_word,
     e_diagram,
     identity_diagram,
@@ -38,6 +40,7 @@ from brauer_reference import (
     br_to_cell_coords,
     dense_module_matrix,
     dense_to_cellular,
+    graph_compose,
 )
 
 
@@ -73,6 +76,14 @@ def test_compose_e1_e1_one_loop():
     d, loops = br_compose(e_diagram(1, 3), e_diagram(1, 3), 3)
     assert d == e_diagram(1, 3)
     assert loops == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_compose_matches_graph_trace(n):
+    diagrams = all_diagrams(n)
+    for a in diagrams:
+        for b in diagrams:
+            assert br_compose(a, b, n) == graph_compose(a, b, n)
 
 
 def test_compose_identity():
@@ -265,6 +276,26 @@ def test_module_matrix_matches_dense_solver(n):
             slow = dense_module_matrix(lam, n, e)
             assert [[str(x) for x in row] for row in fast] == \
                 [[str(x) for x in row] for row in slow]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("first", ["module", "generator"])
+def test_shared_seed_gives_one_answer_in_either_order(n, first, monkeypatch):
+    # br_module_matrix and br_cell_matrix read the same memoised seeds; a
+    # reader that changed one would make the other depend on call order
+    monkeypatch.setattr(brauer, "_gen_matrix_overrides", {})
+    brauer._fast_seed.cache_clear()
+    brauer._br_cell_matrix_compute.cache_clear()
+    for lam in layer_shapes(n):
+        for i in range(1, n):
+            calls = [lambda: br_module_matrix(lam, n, BrauerElement.s(i, n)),
+                     lambda: br_cell_matrix(lam, n, "s", i)]
+            if first == "generator":
+                calls.reverse()
+            a, b = (call() for call in calls)
+            assert a == b
+    assert all(type(brauer._fast_seed(lam, n, t, u)) is tuple
+               for lam in layer_shapes(n) for t, u in cell_index(lam, n))
 
 
 # -- Jucys-Murphy ---------------------------------------------------------------------

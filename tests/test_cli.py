@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -256,6 +258,32 @@ def test_gram_certify_exit_3_on_pole(capsys, monkeypatch):
                     "--spec", "r=-q"]) == 3
     err = capsys.readouterr().err
     assert err.count("pole") == 2 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", [["--json"], []])
+def test_exit_2_when_the_reader_closed_the_pipe(fmt):
+    # the read end is closed before the process starts, so its first write
+    # meets a broken pipe whatever the output size and timing
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cellalg.cli", "certify", "--algebra",
+             "brauer", "--n", "6", "--spec", "z=2"] + fmt,
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_exit_2_without_stdout(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", None)
+    assert cli.run(["dim", "--algebra", "brauer", "--n", "2"]) == 2
+    assert "standard output is closed" in capsys.readouterr().err
 
 
 # -- determinism ---------------------------------------------------------------------

@@ -252,6 +252,32 @@ def test_inverse_and_subtraction(vars, data):
         assert _same(a * a.inverse(), CoeffFraction.const(1, vars))
 
 
+@st.composite
+def _operands(draw, vars):
+    """Zero, one, a polynomial (denominator 1) or a general fraction: the
+    operands that take the gcd-free paths of +, - and * and the rest."""
+    kind = draw(st.sampled_from(["zero", "one", "polynomial", "fraction"]))
+    if kind in ("zero", "one"):
+        return CoeffFraction.const(int(kind == "one"), vars)
+    x = draw(fractions_over(vars, degree=2))
+    return CoeffFraction(vars, x.num, exactring.poly_const(1, len(vars))) \
+        if kind == "polynomial" else x
+
+
+@pytest.mark.parametrize("vars", FIELD_VARS)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_gcd_free_paths_match_cross_multiplication(vars, data):
+    # each result against the textbook formula, reduced by the constructor
+    a, b = data.draw(_operands(vars)), data.draw(_operands(vars))
+    left, right = poly_mul(a.num, b.den), poly_mul(b.num, a.den)
+    den = poly_mul(a.den, b.den)
+    for value, num in ((a + b, exactring.poly_add(left, right)),
+                       (a - b, exactring.poly_sub(left, right)),
+                       (a * b, poly_mul(a.num, b.num))):
+        assert _same(value, CoeffFraction(vars, num, den))
+
+
 # -- one-pass substitution against term-by-term evaluation ---------------------------
 
 def _termwise_substitute(x, assignment):

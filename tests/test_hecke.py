@@ -19,10 +19,11 @@ from cellalg.combin import (
     type_map,
 )
 from cellalg.exactring import (BMW_VARS, BRAUER_VARS, CoeffFraction,
-                               parse_fraction)
+                               parse_fraction, ring)
 from cellalg.hecke import (
     _fraction,
     _murphy_column,
+    _murphy_row,
     _perm_order,
     HeckeElement,
     hk_c_mu,
@@ -221,17 +222,43 @@ def test_murphy_element_star_swap():
     assert hk_star(murphy_element(lam, u, v)) == murphy_element(lam, v, u)
 
 
+def _product_murphy_element(lam, s, t):
+    """c_{st} from HeckeElement products, independent of the ring rows."""
+    return (hk_star(HeckeElement.x(tab_perm(s))) * hk_c_mu(lam, s.n)
+            * HeckeElement.x(tab_perm(t)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_murphy_rows_match_hecke_products(m):
+    # the ring rows against the product oracle, as canonical strings: the
+    # Laurent row in ring(1), and at q = 1 (each oracle coefficient is a
+    # Laurent polynomial over a power of q, so its value is the sum of the
+    # numerator's coefficients) the int row in ring(0)
+    for lam, s, t in murphy_index(m):
+        oracle = _product_murphy_element(lam, s, t).terms
+        laurent = _murphy_row(lam, s, t, ring(1))
+        assert {img: str(_fraction(x, BMW_VARS))
+                for img, x in laurent.items()} == \
+            {w.img: str(c) for w, c in oracle.items()}
+        at_q1 = {w.img: sum(c.num.values()) for w, c in oracle.items()}
+        assert {img: str(_fraction(x, BRAUER_VARS)) for img, x in
+                _murphy_row(lam, s, t, ring(0)).items()} == \
+            {img: str(CoeffFraction.const(x, BRAUER_VARS))
+             for img, x in at_q1.items() if x}
+        assert murphy_element(lam, s, t).terms == oracle
+
+
 def _dense_murphy_matrix(m, vars):
     """The Murphy-to-X_w matrix as CoeffFractions: generic q from
-    murphy_element over BMW_VARS; at q = 1 over BRAUER_VARS from the group
-    products d(s)^-1 w d(t), w in the row stabilizer."""
+    HeckeElement products over BMW_VARS; at q = 1 over BRAUER_VARS from the
+    group products d(s)^-1 w d(t), w in the row stabilizer."""
     perms = [Permutation(img) for img in permutations(range(1, m + 1))]
     pos = {w: i for i, w in enumerate(perms)}
     zero = CoeffFraction.const(0, vars)
     matrix = [[zero] * len(perms) for _ in perms]
     for j, (lam, s, t) in enumerate(murphy_index(m)):
         if vars == BMW_VARS:
-            for w, c in murphy_element(lam, s, t).terms.items():
+            for w, c in _product_murphy_element(lam, s, t).terms.items():
                 matrix[pos[w]][j] = c
         else:
             for w in row_stabilizer(lam, m):

@@ -39,6 +39,7 @@ from cellalg.brauer import (
     br_to_cellular,
     diagram_arcs,
 )
+from cellalg.hecke import row_stabilizer
 from cellalg.linalg import identity_matrix, mat_mul
 from cellalg.towers import (
     PathBasis,
@@ -139,6 +140,42 @@ def test_gram_columns_match_dense_word_products(algebra, nmax):
             assert [[str(x) for x in row]
                     for row in gram_matrix(algebra, lam, n)] == \
                 [[str(x) for x in row] for row in _dense_gram(algebra, lam, n)]
+
+
+def _per_w_m_lambda(algebra, lam, n, target):
+    """m_lambda on S^target as it was built before the coset factorisation:
+    the E-chain, then one letter word per w in the row stabilizer, scaled by
+    c(l(w)) and summed."""
+    ops = towers._ops(algebra)
+    f = (n - sum(lam)) // 2
+    units = identity_matrix(len(cell_index(target, n)), ops.vars)
+    chain = towers._apply_letters(ops, units, target, n,
+                                  [("E", i) for i in range(1, 2 * f, 2)])
+    acc = None
+    for w in row_stabilizer(lam, n):
+        coeff = ops.step_coeff(w.length())
+        piece = [[x * coeff for x in row] for row in towers._apply_letters(
+            ops, chain, target, n, ops.perm_letters(w))]
+        acc = piece if acc is None else \
+            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(acc, piece)]
+    return acc
+
+
+@pytest.mark.parametrize("algebra,ns", [("bmw", (2, 3, 4)),
+                                        ("brauer", (3, 4, 5))])
+def test_m_lambda_coset_factorisation_matches_per_w_sum(algebra, ns):
+    # every target, not only lambda: cellular_terms acts by m_lambda on all
+    # the cell modules of the level
+    pairs = 0
+    for n in ns:
+        for lam in layer_shapes(n):
+            for mu in layer_shapes(n):
+                got = towers.m_lambda_matrix(algebra, lam, n, mu)
+                want = _per_w_m_lambda(algebra, lam, n, mu)
+                assert [[str(x) for x in row] for row in got] == \
+                    [[str(x) for x in row] for row in want]
+                pairs += 1
+    assert pairs == {"bmw": 9 + 16 + 64, "brauer": 16 + 64 + 121}[algebra]
 
 
 @pytest.mark.parametrize("algebra,lam,n", [("brauer", (1,), 3),
