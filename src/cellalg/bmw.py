@@ -12,9 +12,11 @@ T_i^{-1} = T_i - (q - q^{-1})(1 - E_i) is derived from those two.
 
 ``BmwElement`` is the ``exactring.Combination`` on the cellular basis
 monomials.  Products go through the faithful direct sum of all cell-module
-representations: the coordinates of a product are read back from its
-cell-module matrices by ``towers.cellular_terms``, the straightening shared
-with the Brauer tower.
+representations, which ``towers`` builds for both towers: the matrices of a
+generator word (``towers.rho_of_word``), of an element
+(``towers.element_rho``) and of a Jucys-Murphy operator
+(``towers.jm_matrix``); the coordinates of a product are read back from its
+cell-module matrices by ``towers.cellular_terms``.
 The defining relations are certified as matrix identities and the basis
 count matches (2n-1)!!, so the matrix model is the presented algebra.
 """
@@ -31,8 +33,7 @@ from .combin import (
     tab_perm,
 )
 from .exactring import BMW_VARS, CoeffFraction, Combination, bmw_z
-from .hecke import _delta, _q_power, cell_row, row_stabilizer, to_murphy
-from .linalg import identity_matrix, mat_mul
+from .hecke import _delta, _q_power, cell_row, row_stabilizer
 
 
 def _const(c) -> CoeffFraction:
@@ -319,36 +320,8 @@ def _bmw_gen_matrix_compute(lam, n: int, kind: str, i: int):
     rows = []
     for t, u in cell_index(lam, n):
         terms = _apply_gen_terms(_seed_terms(lam, n, t, u), (kind, i), n, f)
-        rows.append(cell_row(_upper_terms(terms, n, f), lam, n, to_murphy,
-                             zero))
+        rows.append(cell_row(_upper_terms(terms, n, f), lam, n, zero))
     return rows
-
-
-def bmw_word_matrix(lam, n: int, word):
-    """Matrix of a product of generators on S^lambda."""
-    from .towers import word_matrix
-    return word_matrix("bmw", lam, n, word)
-
-
-def perm_word(w: Permutation, inverse: bool = False):
-    word = w.reduced_word()
-    if inverse:
-        word = tuple(reversed(word))
-    return [("T", i) for i in word]
-
-
-# -- Jucys-Murphy operators -----------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def bmw_jm_matrix(lam, n: int, k: int):
-    """Matrix of L_k on S^lambda; L_1 = 1 and L_k = T_{k-1} L_{k-1} T_{k-1}."""
-    lam = check_partition(lam)
-    if not 1 <= k <= n:
-        raise ValueError("index out of range")
-    if k == 1:
-        return identity_matrix(len(cell_index(lam, n)), BMW_VARS)
-    t = bmw_gen_matrix(lam, n, "T", k - 1)
-    return mat_mul(mat_mul(t, bmw_jm_matrix(lam, n, k - 1)), t)
 
 
 # -- the full algebra on cellular coordinates ------------------------------------------
@@ -362,12 +335,6 @@ def bmw_cell_index(n: int):
             for tu in idx:
                 out.append((lam, sv, tu))
     return tuple(out)
-
-
-def rho_of_word(n: int, word):
-    """Block-diagonal matrices of a generator word on all cell modules."""
-    from . import towers
-    return towers.rho_of_word("bmw", n, word)
 
 
 class BmwElement(Combination):
@@ -387,11 +354,8 @@ class BmwElement(Combination):
         return "BmwElement(n={}, {} terms)".format(self.n, len(self.terms))
 
 
-def bmw_element_rho(e: BmwElement):
-    """Cell-module matrices of an element (block-diagonal model)."""
-    from .towers import element_rho
-    return element_rho("bmw", e.n, e.terms)
-
+# ``towers`` imports this module, so the functions below import it when
+# first called.
 
 def bmw_to_cellular(n: int, rho) -> BmwElement:
     """Cellular coordinates of an element given by its cell-module matrices
@@ -402,23 +366,15 @@ def bmw_to_cellular(n: int, rho) -> BmwElement:
 
 def bmw_word(word, n: int) -> BmwElement:
     """The product of a sequence of generators in the cellular basis."""
-    return bmw_to_cellular(n, rho_of_word(n, word))
+    from .towers import rho_of_word
+    return bmw_to_cellular(n, rho_of_word("bmw", n, word))
 
 
 def bmw_mul(a: BmwElement, b: BmwElement) -> BmwElement:
-    from .towers import _rho_mul
+    from .towers import _rho_mul, element_rho
     a._check(b)
-    return bmw_to_cellular(a.n, _rho_mul(bmw_element_rho(a),
-                                         bmw_element_rho(b)))
-
-
-def bmw_mul_right_gen(e: BmwElement, kind: str, i: int) -> BmwElement:
-    """Exact right multiplication by a generator T_i, T_i^{-1} or E_i."""
-    from .towers import _rho_mul
-    if not 1 <= i < e.n:
-        raise ValueError("generator index out of range")
-    rho = _rho_mul(bmw_element_rho(e), rho_of_word(e.n, [(kind, i)]))
-    return bmw_to_cellular(e.n, rho)
+    return bmw_to_cellular(a.n, _rho_mul(element_rho("bmw", a.n, a.terms),
+                                         element_rho("bmw", b.n, b.terms)))
 
 
 def bmw_star(e: BmwElement) -> BmwElement:
@@ -435,37 +391,10 @@ def bmw_m_lambda(lam, n: int) -> BmwElement:
     return BmwElement(n, {(lam, (t, one), (t, one)): _const(1)})
 
 
-def bmw_cell_action(vec: dict, lam, n: int, kind: str, i: int) -> dict:
-    """Action of a generator on a cell-module vector over cell_index."""
-    lam = check_partition(lam)
-    index = cell_index(lam, n)
-    pos = {tu: j for j, tu in enumerate(index)}
-    mat = bmw_gen_matrix(lam, n, kind, i)
-    out = {}
-    for tu, c in vec.items():
-        for j, cell in enumerate(mat[pos[tu]]):
-            if cell.is_zero():
-                continue
-            key = index[j]
-            term = c * cell
-            out[key] = out[key] + term if key in out else term
-    return {k: c for k, c in out.items() if not c.is_zero()}
-
-
-def _rho_jm(n: int, i: int):
-    return {lam: bmw_jm_matrix(lam, n, i) for lam in layer_shapes(n)}
-
-
 def bmw_jm(i: int, n: int) -> BmwElement:
     """The operator L_i (L_1 = 1, L_i = T_{i-1} L_{i-1} T_{i-1})."""
+    from .towers import jm_matrix
     if not 1 <= i <= n:
         raise ValueError("index out of range")
-    return bmw_to_cellular(n, _rho_jm(n, i))
-
-
-def bmw_content(t: StdTableau, k: int) -> CoeffFraction:
-    """Eigenvalue P_t(k): q^{2(j-i)} when box (i,j) is added at step k,
-    q^{2(i-j)} r^{-2} when it is removed."""
-    from .combin import path_of_tableau
-    from .towers import path_content
-    return path_content("bmw", path_of_tableau(t), k)
+    return bmw_to_cellular(n, {lam: jm_matrix("bmw", lam, n, i)
+                               for lam in layer_shapes(n)})

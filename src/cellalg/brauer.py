@@ -22,8 +22,7 @@ from .combin import (
     tab_perm,
 )
 from .exactring import BRAUER_VARS, CoeffFraction, Combination
-from .hecke import cell_row, row_stabilizer, to_murphy
-from .linalg import mat_mul
+from .hecke import cell_row, row_stabilizer
 
 BR_VARS = BRAUER_VARS
 
@@ -370,7 +369,7 @@ def _br_cell_matrix_compute(lam, n: int, kind: str, i: int):
     gen = s_diagram(i, n) if kind == "s" else e_diagram(i, n)
     zero = _const(0)
     return [cell_row(_fast_apply(_fast_seed(lam, n, t, u), gen, f, n),
-                     lam, n, to_murphy, zero)
+                     lam, n, zero)
             for t, u in cell_index(lam, n)]
 
 
@@ -388,7 +387,7 @@ def br_module_matrix(lam, n: int, b: BrauerElement):
             for key, x in _fast_apply(seed, d, f, n).items():
                 acc[key] = acc[key] + x * c if key in acc else x * c
         rows.append(cell_row({k: c for k, c in acc.items() if not c.is_zero()},
-                             lam, n, to_murphy, zero))
+                             lam, n, zero))
     return rows
 
 
@@ -400,19 +399,3 @@ def br_to_cellular(e: BrauerElement) -> dict:
     return cellular_terms("brauer", e.n, {
         lam: br_module_matrix(lam, e.n, e) for lam in layer_shapes(e.n)})
 
-
-@lru_cache(maxsize=None)
-def br_jm_matrix(lam, n: int, k: int):
-    """Matrix of L_k on S^lambda; L_1 = 0 and
-    L_k = s_{k-1} - E_{k-1} + s_{k-1} L_{k-1} s_{k-1}."""
-    lam = check_partition(lam)
-    if not 1 <= k <= n:
-        raise ValueError("index out of range")
-    dim = len(cell_index(lam, n))
-    if k == 1:
-        return [[_const(0)] * dim for _ in range(dim)]
-    s = br_cell_matrix(lam, n, "s", k - 1)
-    e = br_cell_matrix(lam, n, "E", k - 1)
-    inner = mat_mul(mat_mul(s, br_jm_matrix(lam, n, k - 1)), s)
-    return [[s[a][b] - e[a][b] + inner[a][b] for b in range(dim)]
-            for a in range(dim)]

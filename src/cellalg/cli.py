@@ -485,12 +485,24 @@ _HANDLERS = {
     "cache": _cmd_cache,
 }
 
-_NEEDS_ALGEBRA = {"dim", "basis", "gram", "transition", "jm", "filtration",
-                  "certify", "gram-certify", "hom", "cache"}
-_NEEDS_N = {"dim", "basis", "gram", "transition", "jm", "filtration",
-            "certify", "gram-certify", "conjecture", "cache"}
-_NEEDS_SHAPE = {"basis", "gram", "transition", "jm", "filtration", "hom"}
-_TAKES_SPEC = {"gram", "certify", "gram-certify", "hom"}
+# The input flags each subcommand reads; it requires all of them but --spec
+# and rejects the others.  --json and --cache-dir are accepted everywhere.
+_TOWER = ("algebra", "n", "lambda")
+_READS = {
+    "dim": ("algebra", "n"),
+    "basis": _TOWER,
+    "gram": _TOWER + ("spec",),
+    "transition": _TOWER,
+    "jm": _TOWER,
+    "filtration": _TOWER,
+    "certify": ("algebra", "n", "spec"),
+    "gram-certify": ("algebra", "n", "spec"),
+    "hom": ("algebra", "lambda", "mu", "spec"),
+    "conjecture": ("n",),
+    "cache": ("algebra", "n"),
+}
+_FLAG_DEST = {"algebra": "algebra", "n": "n", "lambda": "shape_text",
+              "mu": "mu", "spec": "spec_text"}
 # the commands that act by generator matrices; only these load --cache-dir
 # (cache itself writes it), since building a cache costs far more than
 # answering dim, certify or hom
@@ -528,22 +540,24 @@ def _build_parser():
 
 def _validate(args):
     cmd = args.command
-    if cmd in _NEEDS_ALGEBRA and args.algebra is None:
+    reads = _READS[cmd]
+    for flag, dest in _FLAG_DEST.items():
+        if flag not in reads and getattr(args, dest) is not None:
+            raise CliError("{} does not accept --{}".format(cmd, flag))
+    if "algebra" in reads and args.algebra is None:
         raise CliError("{} requires --algebra".format(cmd))
-    if cmd in _NEEDS_N:
+    if "n" in reads:
         if args.n is None:
             raise CliError("{} requires --n".format(cmd))
         if not 1 <= args.n <= MAX_N or (cmd == "conjecture" and args.n < 2):
             raise CliError("--n out of range")
     args.shape = None
-    if cmd in _NEEDS_SHAPE:
+    if "lambda" in reads:
         args.shape = _parse_shape(args.shape_text)
         if cmd != "hom":
             _check_shape(args.shape, args.n)
     args.spec = None
     if args.spec_text is not None:
-        if cmd not in _TAKES_SPEC:
-            raise CliError("{} does not accept --spec".format(cmd))
         try:
             args.spec = Specialization.parse(args.spec_text,
                                              _ops(args.algebra).vars)

@@ -423,7 +423,7 @@ def _cell_columns(lam, n: int) -> dict:
     return {(t.hat(), u): j for j, (t, u) in enumerate(cell_index(lam, n))}
 
 
-def cell_row(upper: dict, lam, n: int, to_murphy, zero) -> list:
+def cell_row(upper: dict, lam, n: int, zero) -> list:
     """One row of a generator matrix on the cell module S^lambda.
 
     ``upper`` is the image of one basis vector modulo the next filtration
@@ -432,9 +432,10 @@ def cell_row(upper: dict, lam, n: int, to_murphy, zero) -> list:
     (relabelled 1..m) and v is a distinguished coset representative.  The
     upper part of each coset is expanded in the Murphy basis of H_m by
     ``to_murphy(m, {u: c}, zero.vars)``, which returns the nonzero
-    coordinates {(mu, s, t): c}.  Coordinates on more dominant shapes lie deeper in the
-    filtration and are dropped; the lambda-layer coordinate c_{t^lambda t}
-    is the entry at (t, v) of the row over cell_index(lam, n).
+    coordinates {(mu, s, t): c}.  Coordinates on more dominant shapes lie
+    deeper in the filtration and are dropped; the lambda-layer coordinate
+    c_{t^lambda t} is the entry at (t, v) of the row over
+    cell_index(lam, n).
     """
     lam = check_partition(lam)
     m = sum(lam)
@@ -484,7 +485,7 @@ def specht_action_matrix(lam, n: int, h: HeckeElement):
     for s in specht_basis(lam, n):
         elt = c_lam * HeckeElement.x(tab_perm(s)) * h
         rows.append(cell_row({(w, one): c for w, c in elt.terms.items()},
-                             lam, n, to_murphy, _const(0)))
+                             lam, n, _const(0)))
     return rows
 
 

@@ -5,6 +5,14 @@ whose subquotients are the cell modules S^mu over the one-box neighbors
 mu of lambda.  Iterating the construction produces a basis of S^lambda
 indexed by the up-down (Bratteli) paths of shape lambda, on which the
 Jucys-Murphy operators act triangularly with explicit diagonal values.
+
+Both towers run through the same routines here; ``_BmwOps`` and
+``_BrauerOps`` hold what differs: the generator matrices, the letters of a
+permutation, the coset-sum coefficients, the step contents and the
+Jucys-Murphy recurrence (``jm_matrix``).  The cell-module matrices of a
+generator word (``word_matrix``, ``rho_of_word``) and of an element on the
+cellular basis (``element_rho``), and the way back from such matrices to
+cellular coordinates (``cellular_terms``), serve both towers.
 """
 
 from functools import lru_cache
@@ -42,10 +50,6 @@ class _BmwOps:
         return _bmw.bmw_gen_matrix(lam, n, kind, i)
 
     @staticmethod
-    def jm_matrix(lam, n, k):
-        return _bmw.bmw_jm_matrix(lam, n, k)
-
-    @staticmethod
     def perm_letters(w):
         return [("T", i) for i in w.reduced_word()]
 
@@ -65,6 +69,10 @@ class _BmwOps:
             return _qr_power(2 * (j - i), 0)
         return _qr_power(2 * (i - j), -2)
 
+    # L_1 = 1 and L_k = T_{k-1} L_{k-1} T_{k-1}; the central combination
+    # is the product of the L_k
+    jm_start = 1
+    jm_adds_s_minus_e = False
     central_is_product = True
 
 
@@ -78,10 +86,6 @@ class _BrauerOps:
     @staticmethod
     def gen_matrix(lam, n, kind, i):
         return _brauer.br_cell_matrix(lam, n, kind, i)
-
-    @staticmethod
-    def jm_matrix(lam, n, k):
-        return _brauer.br_jm_matrix(lam, n, k)
 
     @staticmethod
     def perm_letters(w):
@@ -104,6 +108,10 @@ class _BrauerOps:
         return (CoeffFraction.const(i - j + 1, BRAUER_VARS)
                 - CoeffFraction.var("z", BRAUER_VARS))
 
+    # L_1 = 0 and L_k = s_{k-1} L_{k-1} s_{k-1} + s_{k-1} - E_{k-1}; the
+    # central combination is the sum of the L_k
+    jm_start = 0
+    jm_adds_s_minus_e = True
     central_is_product = False
 
 
@@ -218,6 +226,20 @@ def _apply_letters(ops, rows, lam, n, letters):
     return rows
 
 
+def _coset_sum(ops, rows, lam, n, top, length):
+    """Each row vector of S^lambda times the coset sum
+    sum_{i=0..length} c(i) s_top s_{top-1} ... s_{top-i+1}, with c(0) = 1,
+    c(i) = ``ops.step_coeff(i)`` and s the first generator kind."""
+    kind = ops.gen_kinds[0]
+    cur = acc = rows
+    for i in range(1, length + 1):
+        cur = _apply_letters(ops, cur, lam, n, [(kind, top - i + 1)])
+        coeff = ops.step_coeff(i)
+        acc = [[x + y * coeff for x, y in zip(ra, rc)]
+               for ra, rc in zip(acc, cur)]
+    return acc
+
+
 def y_element(algebra: str, lam, mu, n: int) -> YElement:
     """The generator y^lambda_mu of the restriction filtration layer N^mu."""
     ops = _ops(algebra)
@@ -245,13 +267,7 @@ def y_element(algebra: str, lam, mu, n: int) -> YElement:
     base = _apply_letters(ops, [seed], lam, n,
                           ops.inverse_letters(w_word))[0]
     depth = lam[row - 1] if row - 1 < len(lam) else 0
-    acc = list(base)
-    cur = base
-    for i in range(1, depth + 1):
-        cur = _apply_letters(ops, [cur], lam, n,
-                             [(ops.gen_kinds[0], a - i)])[0]
-        coeff = ops.step_coeff(i)
-        acc = [x + y * coeff for x, y in zip(acc, cur)]
+    acc = _coset_sum(ops, [base], lam, n, a - 1, depth)[0]
     return YElement(algebra, n, lam, mu, acc)
 
 
@@ -355,17 +371,10 @@ def m_lambda_matrix(algebra: str, lam, n: int, target):
     units = identity_matrix(len(cell_index(target, n)), ops.vars)
     acc = _apply_letters(ops, units, target, n,
                          [("E", i) for i in range(1, 2 * f, 2)])
-    kind = ops.gen_kinds[0]
     for row in superstandard(lam, n).rows:
         a = row[0] - 1
         for j in range(2, len(row) + 1):
-            cur, coset_sum = acc, acc
-            for i in range(1, j):
-                cur = _apply_letters(ops, cur, target, n, [(kind, a + j - i)])
-                coeff = ops.step_coeff(i)
-                coset_sum = [[x + y * coeff for x, y in zip(rs, rc)]
-                             for rs, rc in zip(coset_sum, cur)]
-            acc = coset_sum
+            acc = _coset_sum(ops, acc, target, n, a + j - 1, j - 1)
     return acc
 
 
@@ -561,12 +570,40 @@ def restriction_filtration_check(algebra: str, lam, n: int) -> dict:
     return report
 
 
+# -- Jucys-Murphy operators ----------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def jm_matrix(algebra: str, lam, n: int, k: int):
+    """Matrix of the Jucys-Murphy operator L_k on S^lambda.
+
+    L_1 = ``ops.jm_start`` and L_k = g L_{k-1} g for the first generator
+    g of index k - 1 (T_{k-1} or s_{k-1}), plus s_{k-1} - E_{k-1} where
+    ``ops.jm_adds_s_minus_e`` (the one-parameter tower).
+    """
+    ops = _ops(algebra)
+    lam = check_partition(lam)
+    if not 1 <= k <= n:
+        raise ValueError("index out of range")
+    if k == 1:
+        dim = len(cell_index(lam, n))
+        start = CoeffFraction.const(ops.jm_start, ops.vars)
+        zero = CoeffFraction.const(0, ops.vars)
+        return [[start if a == b else zero for b in range(dim)]
+                for a in range(dim)]
+    g = ops.gen_matrix(lam, n, ops.gen_kinds[0], k - 1)
+    out = mat_mul(mat_mul(g, jm_matrix(algebra, lam, n, k - 1)), g)
+    if ops.jm_adds_s_minus_e:
+        e = ops.gen_matrix(lam, n, "E", k - 1)
+        out = [[x + y - z for x, y, z in zip(ro, rg, re)]
+               for ro, rg, re in zip(out, g, e)]
+    return out
+
+
 # -- Jucys-Murphy triangularity ------------------------------------------------------
 
 def jm_triangularity(algebra: str, lam, n: int) -> dict:
     """Check that every L_k is triangular on the path basis with diagonal
     P_t(k); returns the per-path diagonal values."""
-    ops = _ops(algebra)
     lam = check_partition(lam)
     pb = build_path_basis(algebra, lam, n)
     report = {
@@ -574,7 +611,7 @@ def jm_triangularity(algebra: str, lam, n: int) -> dict:
         "diagonals": {t: [] for t in pb.paths}, "failures": [],
     }
     for k in range(1, n + 1):
-        mat = pb.conjugate(ops.jm_matrix(lam, n, k))
+        mat = pb.conjugate(jm_matrix(algebra, lam, n, k))
         for a, t in enumerate(pb.paths):
             for b, u in enumerate(pb.paths):
                 if a == b:
@@ -599,37 +636,23 @@ def central_scalar(algebra: str, lam, n: int) -> CoeffFraction:
     acts on S^lambda; raises if the action is not scalar."""
     ops = _ops(algebra)
     lam = check_partition(lam)
-    dim = len(cell_index(lam, n))
-    acc = None
-    for k in range(2, n + 1):
-        mat = ops.jm_matrix(lam, n, k)
+    t_max = maximal_path(lam, n)
+    acc = alpha = None
+    for k in range(1, n + 1):
+        mat = jm_matrix(algebra, lam, n, k)
+        c = path_content(algebra, t_max, k)
         if acc is None:
-            acc = mat
+            acc, alpha = mat, c
         elif ops.central_is_product:
-            acc = mat_mul(acc, mat)
+            acc, alpha = mat_mul(acc, mat), alpha * c
         else:
             acc = [[x + y for x, y in zip(ra, rb)]
                    for ra, rb in zip(acc, mat)]
-    t_max = maximal_path(lam, n)
-    alpha = None
-    for k in range(2, n + 1):
-        c = path_content(algebra, t_max, k)
-        if alpha is None:
-            alpha = c
-        elif ops.central_is_product:
-            alpha = alpha * c
-        else:
             alpha = alpha + c
-    if n == 1:
-        alpha = CoeffFraction.const(1 if ops.central_is_product else 0,
-                                    ops.vars)
-        acc = identity_matrix(dim, ops.vars) if ops.central_is_product \
-            else [[CoeffFraction.const(0, ops.vars)] * dim
-                  for _ in range(dim)]
-    for a in range(dim):
-        for b in range(dim):
+    for a, row in enumerate(acc):
+        for b, x in enumerate(row):
             expected = alpha if a == b else alpha - alpha
-            if acc[a][b] != expected:
+            if x != expected:
                 raise AssertionError(
                     "central combination failed to act as a scalar")
     return alpha

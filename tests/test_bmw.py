@@ -10,6 +10,7 @@ from cellalg.combin import (
     dominance,
     enumerate_std,
     layer_shapes,
+    path_of_tableau,
     superstandard,
     tab_perm,
 )
@@ -17,23 +18,24 @@ from cellalg.exactring import BMW_VARS, CoeffFraction, bmw_z, parse_fraction
 from cellalg.hecke import HeckeElement, hk_c_mu, hk_to_murphy
 from cellalg.bmw import (
     BmwElement,
-    bmw_cell_action,
     bmw_cell_index,
-    bmw_content,
     bmw_gen_matrix,
     bmw_jm,
-    bmw_jm_matrix,
     bmw_m_lambda,
     bmw_mul,
-    bmw_mul_right_gen,
     bmw_star,
     bmw_to_cellular,
     bmw_word,
-    bmw_word_matrix,
-    bmw_element_rho,
-    rho_of_word,
 )
-from cellalg.towers import gram_matrix
+from cellalg.towers import (
+    _rho_mul,
+    element_rho,
+    gram_matrix,
+    jm_matrix,
+    path_content,
+    rho_of_word,
+    word_matrix,
+)
 
 
 def frac(text):
@@ -68,6 +70,25 @@ def identity_mat(k):
 
 def zero_mat(k):
     return [[const(0)] * k for _ in range(k)]
+
+
+def content(t, k):
+    """The BMW eigenvalue P_t(k) of L_k at step k of the tableau t."""
+    return path_content("bmw", path_of_tableau(t), k)
+
+
+def cell_action(vec, lam, n, kind, i):
+    """A generator acting on a cell-module vector {(t, u): c}."""
+    index = cell_index(lam, n)
+    row = [vec.get(tu, const(0)) for tu in index]
+    out = mat_mul([row], word_matrix("bmw", lam, n, [(kind, i)]))[0]
+    return {tu: c for tu, c in zip(index, out) if not c.is_zero()}
+
+
+def mul_right_gen(e, kind, i):
+    """e times one generator, through the cell-module matrices."""
+    return bmw_to_cellular(e.n, _rho_mul(element_rho("bmw", e.n, e.terms),
+                                         rho_of_word("bmw", e.n, [(kind, i)])))
 
 
 def gen_mats(lam, n):
@@ -193,7 +214,7 @@ def test_word_tinv_expansion():
 
 def test_word_index_out_of_range():
     with pytest.raises(ValueError):
-        bmw_word_matrix((1,), 3, [("T", 3)])
+        word_matrix("bmw", (1,), 3, [("T", 3)])
 
 
 # -- right multiplication by generators --------------------------------------------
@@ -205,7 +226,7 @@ def test_mul_right_gen_coset_step():
     t = superstandard((1,), n)
     one = Permutation.identity(n)
     s2 = Permutation.s(2, n)
-    out = bmw_mul_right_gen(m, "T", 2)
+    out = mul_right_gen(m, "T", 2)
     assert out == BmwElement(n, {((1,), (t, one), (t, s2)): const(1)})
 
 
@@ -214,7 +235,7 @@ def test_mul_right_gen_quadratic_straightening():
     # T_i^2 = 1 + (q - q^-1)(T_i - r^-1 E_i)
     n = 3
     a = bmw_word([("E", 1), ("T", 2), ("T", 1)], n)
-    lhs = bmw_mul_right_gen(a, "T", 1)
+    lhs = mul_right_gen(a, "T", 1)
     assert lhs == bmw_word([("E", 1), ("T", 2), ("T", 1), ("T", 1)], n)
     d = frac("q-q^-1")
     rhs = (bmw_word([("E", 1), ("T", 2)], n) + a.scale(d)
@@ -289,9 +310,9 @@ def test_m_lambda_empty_is_e1():
 def test_m_lambda_2_at_n4_word_form():
     # m_(2) = E_1 (1 + q T_3), compared on every cell module
     n = 4
-    lhs = bmw_element_rho(bmw_m_lambda((2,), n))
-    rhs_a = rho_of_word(n, [("E", 1)])
-    rhs_b = rho_of_word(n, [("E", 1), ("T", 3)])
+    lhs = element_rho("bmw", n, bmw_m_lambda((2,), n).terms)
+    rhs_a = rho_of_word("bmw", n, [("E", 1)])
+    rhs_b = rho_of_word("bmw", n, [("E", 1), ("T", 3)])
     q = frac("q")
     for lam in lhs:
         rhs = mat_add(rhs_a[lam], mat_scale(rhs_b[lam], q))
@@ -325,7 +346,7 @@ def test_cell_action_t2_on_first_vector():
     one = Permutation.identity(n)
     s2 = Permutation.s(2, n)
     vec = {(t, one): const(1)}
-    out = bmw_cell_action(vec, lam, n, "T", 2)
+    out = cell_action(vec, lam, n, "T", 2)
     assert out == {(t, s2): const(1)}
 
 
@@ -336,8 +357,8 @@ def test_cell_action_inverse_roundtrip():
     for tu in index:
         vec = {tu: const(1)}
         for i in (1, 2):
-            fwd = bmw_cell_action(vec, lam, n, "T", i)
-            back = bmw_cell_action(fwd, lam, n, "Tinv", i)
+            fwd = cell_action(vec, lam, n, "T", i)
+            back = cell_action(fwd, lam, n, "Tinv", i)
             assert back == vec
 
 
@@ -417,7 +438,7 @@ def test_jm_product_central_n3():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_jm_matrices_commute(n):
     for lam in layer_shapes(n):
-        mats = [bmw_jm_matrix(lam, n, k) for k in range(1, n + 1)]
+        mats = [jm_matrix("bmw", lam, n, k) for k in range(1, n + 1)]
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
                 assert mat_eq(mat_mul(mats[i], mats[j]),
@@ -433,19 +454,18 @@ def test_jm_eigenvector_property(n):
         t = superstandard(lam, n)
         a = index.index((t, one))
         for k in range(1, n + 1):
-            mat = bmw_jm_matrix(lam, n, k)
+            mat = jm_matrix("bmw", lam, n, k)
             for j, cell in enumerate(mat[a]):
                 if j == a:
-                    assert cell == bmw_content(t, k)
+                    assert cell == content(t, k)
                 else:
                     assert cell.is_zero()
 
 
 def _row_scan_content(t, k):
-    """bmw_content as written before it called towers.path_content: the
-    changed box is found by scanning the row lengths of steps k-1 and k."""
+    """The BMW step content as first written: the changed box is found by
+    scanning the row lengths of steps k-1 and k."""
     from cellalg.bmw import _r_power
-    from cellalg.combin import path_of_tableau
     from cellalg.hecke import _q_power
     path = path_of_tableau(t)
     prev, cur = path[k - 1], path[k]
@@ -467,7 +487,7 @@ def test_content_matches_row_scan(n):
     for lam in layer_shapes(n):
         for t in enumerate_std(lam, n):
             for k in range(1, n + 1):
-                got, expected = bmw_content(t, k), _row_scan_content(t, k)
+                got, expected = content(t, k), _row_scan_content(t, k)
                 assert got == expected
                 assert str(got) == str(expected)
 
@@ -492,7 +512,7 @@ def test_upper_action_matches_hecke_straightening(n):
             if u != one:
                 continue
             for i in range(2 * f + 1, n):
-                out = bmw_cell_action({(t, one): const(1)}, lam, n, "T", i)
+                out = cell_action({(t, one): const(1)}, lam, n, "T", i)
                 word = [w - 2 * f for w in tab_perm(t).reduced_word()]
                 h = hk_c_mu(lam, m)
                 for w in word + [i - 2 * f]:
@@ -516,7 +536,7 @@ def test_upper_times_e_falls_into_next_layer(n):
         for b in uppers:
             for i in range(2 * f + 1, n):
                 word = chain + ([b] if b else []) + [("E", i)]
-                rho = rho_of_word(n, word)
+                rho = rho_of_word("bmw", n, word)
                 for lam in layer_shapes(n):
                     if (n - sum(lam)) // 2 <= f:
                         assert mat_eq(rho[lam],
@@ -533,7 +553,7 @@ def test_cellular_roundtrip():
             terms = {rng.choice(index): const(rng.randint(-3, 3))
                      for _ in range(3)}
             e = BmwElement(n, terms)
-            assert bmw_to_cellular(n, bmw_element_rho(e)) == e
+            assert bmw_to_cellular(n, element_rho("bmw", n, e.terms)) == e
 
 
 def test_associativity_random_monomials():

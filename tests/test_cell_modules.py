@@ -16,6 +16,7 @@ from cellalg.combin import (
     superstandard,
 )
 from cellalg.exactring import BRAUER_VARS, CoeffFraction
+from cellalg import hecke
 from cellalg.hecke import cell_row
 
 # SHA-256 of the printed generator matrices of every layer, computed before
@@ -76,49 +77,45 @@ def _const(c):
     return CoeffFraction.const(c, BRAUER_VARS)
 
 
-def _murphy_stub(coords):
-    def to_murphy(m, part, vars):
-        return coords
-    return to_murphy
+def _stub_murphy(monkeypatch, coords):
+    """Make hecke.to_murphy return coords for every input."""
+    monkeypatch.setattr(hecke, "to_murphy", lambda m, part, vars: coords)
 
 
-def test_cell_row_trivial_upper_group_sums_coefficients():
+def test_cell_row_trivial_upper_group_sums_coefficients(monkeypatch):
     lam, n = (1,), 3
     index = cell_index(lam, n)
     one = Permutation.identity(1)
     v = index[2][1]
-    row = cell_row({(one, v): _const(2)}, lam, n, None, _const(0))
+    # at m <= 1 the row is read off without a Murphy expansion
+    monkeypatch.delattr(hecke, "to_murphy")
+    row = cell_row({(one, v): _const(2)}, lam, n, _const(0))
     assert row == [_const(0), _const(0), _const(2)]
     with pytest.raises(AssertionError, match="nontrivial upper part"):
-        cell_row({(Permutation((2, 1)), v): _const(1)}, lam, n, None,
-                 _const(0))
+        cell_row({(Permutation((2, 1)), v): _const(1)}, lam, n, _const(0))
 
 
-def test_cell_row_keeps_the_lambda_layer_only():
+def test_cell_row_keeps_the_lambda_layer_only(monkeypatch):
     lam, n = (1, 1), 2
     t = superstandard(lam, n).hat()
     v = Permutation.identity(n)
     upper = {(Permutation((2, 1)), v): _const(1)}
     above = ((2,), StdTableau([[1, 2]], 2), StdTableau([[1, 2]], 2))
-    row = cell_row(upper, lam, n,
-                   _murphy_stub({above: _const(5), (lam, t, t): _const(3)}),
-                   _const(0))
-    assert row == [_const(3)]
+    _stub_murphy(monkeypatch, {above: _const(5), (lam, t, t): _const(3)})
+    assert cell_row(upper, lam, n, _const(0)) == [_const(3)]
 
 
-def test_cell_row_rejects_escapes():
+def test_cell_row_rejects_escapes(monkeypatch):
     lam, n = (2,), 2
     t = superstandard(lam, n).hat()
     below = StdTableau([[1], [2]], 2)
     upper = {(Permutation((2, 1)), Permutation.identity(n)): _const(1)}
+    _stub_murphy(monkeypatch, {((1, 1), below, below): _const(1)})
     with pytest.raises(AssertionError, match="escaped below"):
-        cell_row(upper, lam, n,
-                 _murphy_stub({((1, 1), below, below): _const(1)}),
-                 _const(0))
+        cell_row(upper, lam, n, _const(0))
+    _stub_murphy(monkeypatch, {((2, 1), StdTableau([[1, 3], [2]], 3),
+                                StdTableau([[1, 2], [3]], 3)): _const(1)})
     with pytest.raises(AssertionError, match="left tableau"):
-        cell_row(upper, (2, 1), 3,
-                 _murphy_stub({((2, 1), StdTableau([[1, 3], [2]], 3),
-                                StdTableau([[1, 2], [3]], 3)): _const(1)}),
-                 _const(0))
-    assert cell_row(upper, lam, n, _murphy_stub({(lam, t, t): _const(1)}),
-                    _const(0)) == [_const(1)]
+        cell_row(upper, (2, 1), 3, _const(0))
+    _stub_murphy(monkeypatch, {(lam, t, t): _const(1)})
+    assert cell_row(upper, lam, n, _const(0)) == [_const(1)]

@@ -182,6 +182,38 @@ def test_exit_2_on_unknown_flag(capsys):
     capsys.readouterr()
 
 
+# the input flags each subcommand reads, beside --json and --cache-dir
+READS = {
+    "dim": {"algebra", "n"},
+    "basis": {"algebra", "n", "lambda"},
+    "gram": {"algebra", "n", "lambda", "spec"},
+    "transition": {"algebra", "n", "lambda"},
+    "jm": {"algebra", "n", "lambda"},
+    "filtration": {"algebra", "n", "lambda"},
+    "certify": {"algebra", "n", "spec"},
+    "gram-certify": {"algebra", "n", "spec"},
+    "hom": {"algebra", "lambda", "mu", "spec"},
+    "conjecture": {"n"},
+    "cache": {"algebra", "n"},
+}
+FLAG_VALUES = {"algebra": "brauer", "n": "3", "lambda": "1", "mu": "1",
+               "spec": "z=4"}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command in sorted(READS)
+    for flag in sorted(FLAG_VALUES) if flag not in READS[command]])
+def test_exit_2_on_a_flag_the_subcommand_does_not_read(capsys, command,
+                                                       flag):
+    argv = [command, "--" + flag, FLAG_VALUES[flag]]
+    for name in sorted(READS[command] - {"spec"}):
+        argv += ["--" + name, FLAG_VALUES[name]]
+    assert cli.run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: {} does not accept --{}\n".format(command, flag)
+
+
 def test_exit_2_on_missing_required(capsys):
     assert cli.run(["gram", "--n", "3", "--lambda", "1"]) == 2
     assert cli.run(["gram", "--algebra", "bmw", "--lambda", "1"]) == 2
@@ -507,7 +539,7 @@ def test_bmw_cache_holds_primary_generators_only(tmp_path, capsys):
 
 def _clear_memos():
     _bmw._gen_matrix_overrides.clear()
-    for memo in (_bmw._bmw_gen_matrix_compute, _bmw.bmw_jm_matrix,
+    for memo in (_bmw._bmw_gen_matrix_compute, towers.jm_matrix,
                  towers.build_path_basis, towers.gram_matrix,
                  towers.m_lambda_matrix):
         memo.cache_clear()
@@ -579,8 +611,10 @@ SPEC_TEXT = st.one_of(
        n=st.sampled_from([0, 1, 2, 3]),
        shape=SHAPE_TEXT, mu=SHAPE_TEXT, spec=st.none() | SPEC_TEXT)
 def test_cli_fuzz_exit_codes(command, algebra, n, shape, mu, spec):
-    argv = [command, "--algebra", algebra, "--n", str(n),
-            "--lambda=" + shape, "--mu=" + mu]
+    values = {"algebra": algebra, "n": str(n), "lambda": shape, "mu": mu}
+    argv = [command] + ["--{}={}".format(flag, value)
+                        for flag, value in values.items()
+                        if flag in READS[command]]
     if spec is not None:
         argv.append("--spec=" + spec)
     out, err = io.StringIO(), io.StringIO()

@@ -22,16 +22,12 @@ from cellalg.exactring import BMW_VARS, BRAUER_VARS, CoeffFraction, parse_fracti
 from cellalg.bmw import (
     bmw_gen_matrix,
     bmw_m_lambda,
-    bmw_element_rho,
     bmw_to_cellular,
-    perm_word,
-    rho_of_word,
 )
 from cellalg.brauer import (
     BrauerElement,
     br_cell_matrix,
     br_jm,
-    br_jm_matrix,
     br_m_lambda,
     br_module_matrix,
     br_basis_element,
@@ -42,16 +38,20 @@ from cellalg.brauer import (
 from cellalg.hecke import row_stabilizer
 from cellalg.linalg import identity_matrix, mat_mul
 from cellalg.towers import (
+    _BmwOps,
     PathBasis,
     YElement,
     build_path_basis,
     central_scalar,
     down_tableau,
+    element_rho,
     gram_matrix,
+    jm_matrix,
     jm_triangularity,
     ordered_paths,
     path_content,
     restriction_filtration_check,
+    rho_of_word,
     y_element,
     _rho_add,
     _rho_mul,
@@ -88,8 +88,26 @@ def test_fast_engine_matches_solver_route(n):
 def test_fast_jm_matches_element_route(n):
     for lam in layer_shapes(n):
         for k in range(1, n + 1):
-            assert br_jm_matrix(lam, n, k) == \
+            assert jm_matrix("brauer", lam, n, k) == \
                 br_module_matrix(lam, n, br_jm(k, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bmw_jm_matches_word_product(n):
+    # L_k = T_{k-1} ... T_2 T_1 T_1 T_2 ... T_{k-1}, one word on S^lambda
+    for lam in layer_shapes(n):
+        for k in range(1, n + 1):
+            down = [("T", i) for i in range(k - 1, 0, -1)]
+            assert jm_matrix("bmw", lam, n, k) == \
+                towers.word_matrix("bmw", lam, n, down + down[::-1])
+
+
+def test_jm_matrix_rejects_bad_input():
+    for k in (0, 4):
+        with pytest.raises(ValueError, match="index out of range"):
+            jm_matrix("brauer", (1,), 3, k)
+    with pytest.raises(ValueError, match="unknown algebra"):
+        jm_matrix("hecke", (1,), 3, 2)
 
 
 def _diagram_gram(lam, n):
@@ -334,11 +352,11 @@ def _rho_m_mu_level_down(mu, n):
     """Block matrices of m_mu, formed one level down and embedded in B_n."""
     from cellalg.hecke import row_stabilizer
     g = (n - 1 - sum(mu)) // 2
-    chain = rho_of_word(n, [("E", 2 * i - 1) for i in range(1, g + 1)])
+    chain = rho_of_word("bmw", n, [("E", 2 * i - 1) for i in range(1, g + 1)])
     acc = None
     for w in row_stabilizer(mu, n - 1):
         lifted = Permutation(w.img + (n,))
-        piece = _rho_scale(rho_of_word(n, perm_word(lifted)),
+        piece = _rho_scale(rho_of_word("bmw", n, _BmwOps.perm_letters(lifted)),
                            bqr("q^{}".format(lifted.length())))
         acc = piece if acc is None else _rho_add(acc, piece)
     return _rho_mul(chain, acc)
@@ -348,7 +366,7 @@ def _bmw_rho_element(n, terms):
     """Block matrices of sum_w a_w T_w given {Permutation: coeff}."""
     acc = None
     for w, c in terms.items():
-        piece = _rho_scale(rho_of_word(n, perm_word(w)), c)
+        piece = _rho_scale(rho_of_word("bmw", n, _BmwOps.perm_letters(w)), c)
         acc = piece if acc is None else _rho_add(acc, piece)
     return acc
 
@@ -367,7 +385,8 @@ def test_y_up_matches_defining_product_bmw(n):
             y = y_element("bmw", lam, mu, n)
             word = [("E", 2 * f - 1)]
             word += [("Tinv", i) for i in reversed(w_word)]
-            rho = _rho_mul(rho_of_word(n, word), _rho_m_mu_level_down(mu, n))
+            rho = _rho_mul(rho_of_word("bmw", n, word),
+                           _rho_m_mu_level_down(mu, n))
             coords = bmw_to_cellular(n, rho).terms
             idx = cell_index(lam, n)
             for (nu, sv, tu), c in coords.items():
@@ -506,12 +525,12 @@ def test_lifted_basis_cellular_bmw(n):
     for lam in layer_shapes(n):
         pb = build_path_basis("bmw", lam, n)
         idx = pb.index
-        rho_m = bmw_element_rho(bmw_m_lambda(lam, n))
+        rho_m = element_rho("bmw", n, bmw_m_lambda(lam, n).terms)
         for s in pb.paths:
             star = None
             for w, c in pb.b_words[s].items():
-                piece = _rho_scale(rho_of_word(n, perm_word(w, inverse=True)),
-                                   c)
+                word = _BmwOps.perm_letters(w)[::-1]
+                piece = _rho_scale(rho_of_word("bmw", n, word), c)
                 star = piece if star is None else _rho_add(star, piece)
             left = _rho_mul(star, rho_m)
             for t in pb.paths:
@@ -687,20 +706,17 @@ def test_central_combination_is_scalar(algebra):
         for lam in layer_shapes(n):
             alpha = central_scalar(algebra, lam, n)
             t = maximal_path(lam, n)
-            expected = None
+            # L_1 is 1 in BMW and 0 in Brauer
+            expected = bqr("1") if algebra == "bmw" else bz("0")
             for k in range(2, n + 1):
                 c = path_content(algebra, t, k)
-                if expected is None:
-                    expected = c
-                elif algebra == "bmw":
-                    expected = expected * c
-                else:
-                    expected = expected + c
-            if expected is not None:
-                assert alpha == expected
+                expected = expected * c if algebra == "bmw" else expected + c
+            assert alpha == expected
 
 
 def test_central_scalar_examples():
+    assert str(central_scalar("bmw", (1,), 1)) == "1"
+    assert str(central_scalar("brauer", (1,), 1)) == "0"
     assert central_scalar("brauer", (), 2) == bz("1 - z")
     for n in (2, 3, 4):
         total = sum(j - 1 for j in range(1, n + 1))
