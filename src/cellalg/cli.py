@@ -20,6 +20,7 @@ import sys
 import tempfile
 import time
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .combin import cell_index, check_partition, layer_shapes
 from .exactring import PoleError, Specialization, parse_fraction
@@ -75,12 +76,26 @@ def _shape_str(lam):
     return ",".join(str(p) for p in lam) if lam else "()"
 
 
-def _fmt_matrix(rows):
-    return [[str(x) for x in row] for row in rows]
+class _Text(dict):
+    """The ``str`` of each value, formed once per distinct value: a report
+    repeats a handful of distinct coefficients many times.  Index it with
+    the value; build one per report."""
+
+    __slots__ = ()
+
+    def __missing__(self, x):
+        s = self[x] = str(x)
+        return s
 
 
-def _text_matrix(rows, indent="  "):
-    cells = _fmt_matrix(rows)
+def _fmt_matrix(rows, text=None):
+    if text is None:
+        text = _Text()
+    return [[text[x] for x in row] for row in rows]
+
+
+def _text_matrix(cells, indent="  "):
+    """Aligned text rows of a matrix already formatted by ``_fmt_matrix``."""
     if not cells or not cells[0]:
         return [indent + "(empty)"]
     widths = [max(len(cells[a][b]) for a in range(len(cells)))
@@ -89,10 +104,78 @@ def _text_matrix(rows, indent="  "):
             + "]" for row in cells]
 
 
-def _specialized(matrix, spec):
-    if spec is None:
-        return [list(row) for row in matrix]
-    return [[spec.apply(x) for x in row] for row in matrix]
+def _json_key(k):
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    if k is None or isinstance(k, (int, float)):
+        return encode_basestring_ascii(json.dumps(k))
+    raise TypeError("keys must be str, int, float, bool or None, not "
+                    + type(k).__name__)
+
+
+def _json_text(obj, sort_keys=False):
+    """``json.dumps(obj, indent=2, sort_keys=sort_keys)``, byte for byte.
+
+    With ``indent`` set, the json module encodes in pure Python, one
+    generator frame per container; this writer appends the pieces to one
+    list instead, and formats str and int items in the loop of their
+    container.  Floats, bools, None and subclasses of str and int go to
+    the C encoder, which formats them as the indented encoder does.
+    """
+    parts = []
+    out = parts.append
+
+    def write(v, nl):  # nl: the newline and indent of v's own line
+        t = type(v)
+        if t is str:
+            out(encode_basestring_ascii(v))
+        elif t is int:
+            out(int.__repr__(v))
+        elif t is list or t is tuple:
+            if not v:
+                out("[]")
+                return
+            inner = nl + "  "
+            sep = "," + inner
+            out("[" + inner)
+            for x in v:
+                tx = type(x)
+                if tx is str:
+                    out(encode_basestring_ascii(x))
+                elif tx is int:
+                    out(int.__repr__(x))
+                else:
+                    write(x, inner)
+                out(sep)
+            parts[-1] = nl + "]"  # in place of the last separator
+        elif t is dict:
+            if not v:
+                out("{}")
+                return
+            inner = nl + "  "
+            sep = "," + inner
+            out("{" + inner)
+            for k, x in sorted(v.items()) if sort_keys else v.items():
+                out((encode_basestring_ascii(k) if type(k) is str
+                     else _json_key(k)) + ": ")
+                tx = type(x)
+                if tx is str:
+                    out(encode_basestring_ascii(x))
+                elif tx is int:
+                    out(int.__repr__(x))
+                else:
+                    write(x, inner)
+                out(sep)
+            parts[-1] = nl + "}"
+        elif isinstance(v, (list, tuple)):
+            write(list(v), nl)
+        elif isinstance(v, dict):
+            write(dict(v.items()), nl)
+        else:
+            out(json.dumps(v))
+
+    write(obj, "\n")
+    return "".join(parts)
 
 
 def _check_shape(lam, n):
@@ -126,12 +209,13 @@ def _parse_matrix_key(key):
 
 def _compute_cache_body(algebra, n):
     ops = _ops(algebra)
+    text = _Text()
     body = {}
     for lam in layer_shapes(n):
         for kind in ops.gen_kinds:
             for i in range(1, n):
                 body[_matrix_key(lam, kind, i)] = _fmt_matrix(
-                    ops.gen_matrix(lam, n, kind, i))
+                    ops.gen_matrix(lam, n, kind, i), text)
     return body
 
 
@@ -152,7 +236,7 @@ def _write_cache(path, algebra, n, body):
         "sha256": digest.hexdigest(),
         "matrices": body,
     }
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    text = _json_text(data, sort_keys=True) + "\n"
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                prefix=".cache-", suffix=".tmp")
     try:
@@ -237,13 +321,18 @@ def ensure_cache(cache_dir, algebra, n):
 
 
 # -- subcommand handlers -------------------------------------------------------------
-# each returns (payload dict, iterable of text lines)
+# each returns (payload dict, iterator of text lines); a handler forms the
+# lines in a generator, so that --json formats no text it does not print
 
 def _double_factorial(n):
     out = 1
     for k in range(2 * n - 1, 0, -2):
         out *= k
     return out
+
+
+def _path_str(path):
+    return " -> ".join(_shape_str(tuple(mu)) for mu in path)
 
 
 def _cmd_dim(args):
@@ -258,19 +347,22 @@ def _cmd_dim(args):
         "double_factorial": _double_factorial(args.n),
         "shapes": shapes,
     }
-    lines = ["dimension of {} algebra at n={}: {}".format(
-        args.algebra, args.n, total)]
-    for item in shapes:
-        lines.append("  shape {:<10} paths {}".format(
-            _shape_str(tuple(item["shape"])), item["paths"]))
-    return payload, lines
+
+    def lines():
+        yield "dimension of {} algebra at n={}: {}".format(
+            args.algebra, args.n, total)
+        for item in shapes:
+            yield "  shape {:<10} paths {}".format(
+                _shape_str(tuple(item["shape"])), item["paths"])
+    return payload, lines()
 
 
 def _cmd_basis(args):
     pb = build_path_basis(args.algebra, args.shape, args.n)
+    text = _Text()
     entries = []
     for t in pb.paths:
-        words = sorted(((w.reduced_word(), str(c))
+        words = sorted(((w.reduced_word(), text[c])
                         for w, c in pb.b_words[t].items()),
                        key=lambda item: item[0])
         entries.append({
@@ -283,66 +375,78 @@ def _cmd_basis(args):
         "dimension": len(pb.paths),
         "basis": entries,
     }
-    lines = ["path basis of cell module {} at n={} ({} vectors)".format(
-        _shape_str(args.shape), args.n, len(pb.paths))]
-    for entry in entries:
-        path = " -> ".join(_shape_str(tuple(mu)) for mu in entry["path"])
-        lines.append("  " + path)
-        for term in entry["b_element"]:
-            word = "".join("s{}".format(i) for i in term["word"]) or "1"
-            lines.append("    {} * {}".format(term["coeff"], word))
-    return payload, lines
+
+    def lines():
+        yield "path basis of cell module {} at n={} ({} vectors)".format(
+            _shape_str(args.shape), args.n, len(pb.paths))
+        for entry in entries:
+            yield "  " + _path_str(entry["path"])
+            for term in entry["b_element"]:
+                word = "".join("s{}".format(i) for i in term["word"]) or "1"
+                yield "    {} * {}".format(term["coeff"], word)
+    return payload, lines()
 
 
 def _cmd_gram(args):
-    g = _specialized(gram_matrix(args.algebra, args.shape, args.n),
-                     args.spec)
-    det = _det(g)
+    g = gram_matrix(args.algebra, args.shape, args.n)
+    if args.spec is not None:
+        g = args.spec.apply_matrix(g)
     payload = {
         "shape": list(args.shape),
         "matrix": _fmt_matrix(g),
-        "determinant": str(det),
+        "determinant": str(_det(g)),
     }
-    lines = ["Gram matrix of cell module {} at n={}:".format(
-        _shape_str(args.shape), args.n)]
-    lines.extend(_text_matrix(g))
-    lines.append("determinant: {}".format(det))
-    return payload, lines
+
+    def lines():
+        yield "Gram matrix of cell module {} at n={}:".format(
+            _shape_str(args.shape), args.n)
+        yield from _text_matrix(payload["matrix"])
+        yield "determinant: {}".format(payload["determinant"])
+    return payload, lines()
 
 
 def _cmd_transition(args):
     pb = build_path_basis(args.algebra, args.shape, args.n)
-    matrix = pb.transition_matrix()
     payload = {
         "shape": list(args.shape),
         "paths": [[list(mu) for mu in t] for t in pb.paths],
-        "matrix": _fmt_matrix(matrix),
+        "matrix": _fmt_matrix(pb.transition_matrix()),
     }
-    lines = ["transition matrix (cell basis rows, path columns) for {} "
-             "at n={}:".format(_shape_str(args.shape), args.n)]
-    lines.extend(_text_matrix(matrix))
-    return payload, lines
+
+    def lines():
+        yield ("transition matrix (cell basis rows, path columns) for {} "
+               "at n={}:".format(_shape_str(args.shape), args.n))
+        yield from _text_matrix(payload["matrix"])
+    return payload, lines()
+
+
+def _failure_lines(payload):
+    for failure in payload["failures"]:
+        yield "  failure: " + failure
 
 
 def _cmd_jm(args):
     report = jm_triangularity(args.algebra, args.shape, args.n)
+    text = _Text()
     payload = {
         "shape": list(args.shape),
         "ok": report["ok"],
         "diagonals": [
             {"path": [list(mu) for mu in t],
-             "values": [str(x) for x in values]}
+             "values": [text[x] for x in values]}
             for t, values in report["diagonals"].items()],
         "failures": [repr(f) for f in report["failures"]],
     }
-    lines = ["Jucys-Murphy triangularity on {} at n={}: {}".format(
-        _shape_str(args.shape), args.n, "ok" if report["ok"] else "FAILED")]
-    for entry in payload["diagonals"]:
-        path = " -> ".join(_shape_str(tuple(mu)) for mu in entry["path"])
-        lines.append("  {}: {}".format(path, ", ".join(entry["values"])))
-    for failure in payload["failures"]:
-        lines.append("  failure: " + failure)
-    return payload, lines
+
+    def lines():
+        yield "Jucys-Murphy triangularity on {} at n={}: {}".format(
+            _shape_str(args.shape), args.n,
+            "ok" if report["ok"] else "FAILED")
+        for entry in payload["diagonals"]:
+            yield "  {}: {}".format(_path_str(entry["path"]),
+                                    ", ".join(entry["values"]))
+        yield from _failure_lines(payload)
+    return payload, lines()
 
 
 def _cmd_filtration(args):
@@ -355,21 +459,24 @@ def _cmd_filtration(args):
                       for item in report["neighbors"]],
         "failures": [repr(f) for f in report["failures"]],
     }
-    lines = ["restriction filtration of {} at n={}: {}".format(
-        _shape_str(args.shape), args.n, "ok" if report["ok"] else "FAILED")]
-    for item in payload["neighbors"]:
-        lines.append("  layer {} of dimension {}".format(
-            _shape_str(tuple(item["mu"])), item["dim"]))
-    for failure in payload["failures"]:
-        lines.append("  failure: " + failure)
-    return payload, lines
+
+    def lines():
+        yield "restriction filtration of {} at n={}: {}".format(
+            _shape_str(args.shape), args.n,
+            "ok" if report["ok"] else "FAILED")
+        for item in payload["neighbors"]:
+            yield "  layer {} of dimension {}".format(
+                _shape_str(tuple(item["mu"])), item["dim"])
+        yield from _failure_lines(payload)
+    return payload, lines()
 
 
 def _witness_payload(witnesses):
+    text = _Text()
     return [{
         "path_s": [list(mu) for mu in s],
         "path_t": [list(mu) for mu in t],
-        "shared_vector": [str(x) for x in vec],
+        "shared_vector": [text[x] for x in vec],
     } for s, t, vec in witnesses]
 
 
@@ -381,13 +488,11 @@ def _cmd_certify(args):
     }
 
     def lines():
-        # one line per witness, so built only when the text is printed
         yield "eigenvalue-vector criterion for {} at n={}: {}".format(
             args.algebra, args.n, verdict.outcome)
         for item in payload["witnesses"]:
             yield "  collision: {}  and  {}  share  ({})".format(
-                " -> ".join(_shape_str(tuple(mu)) for mu in item["path_s"]),
-                " -> ".join(_shape_str(tuple(mu)) for mu in item["path_t"]),
+                _path_str(item["path_s"]), _path_str(item["path_t"]),
                 ", ".join(item["shared_vector"]))
     return payload, lines()
 
@@ -402,17 +507,19 @@ def _cmd_gram_certify(args):
             entry["radical_dimension"] = item[3]
         layers.append(entry)
     payload = {"outcome": verdict.outcome, "layers": layers}
-    lines = ["Gram-rank criterion for {} at n={}: {}".format(
-        args.algebra, args.n, verdict.outcome)]
-    for entry in layers:
-        line = "  shape {:<10} rank {}/{}".format(
-            _shape_str(tuple(entry["shape"])), entry["rank"],
-            entry["dimension"])
-        if "radical_dimension" in entry:
-            line += "  radical dimension {}".format(
-                entry["radical_dimension"])
-        lines.append(line)
-    return payload, lines
+
+    def lines():
+        yield "Gram-rank criterion for {} at n={}: {}".format(
+            args.algebra, args.n, verdict.outcome)
+        for entry in layers:
+            line = "  shape {:<10} rank {}/{}".format(
+                _shape_str(tuple(entry["shape"])), entry["rank"],
+                entry["dimension"])
+            if "radical_dimension" in entry:
+                line += "  radical dimension {}".format(
+                    entry["radical_dimension"])
+            yield line
+    return payload, lines()
 
 
 def _cmd_hom(args):
@@ -429,11 +536,13 @@ def _cmd_hom(args):
         "obstruction_passes": possible,
         "hom_certified_zero": not possible,
     }
-    verdict = ("necessary condition holds (inconclusive)" if possible
-               else "obstruction fails: Hom is certified zero")
-    lines = ["homomorphism obstruction {} -> {}: {}".format(
-        _shape_str(args.shape), _shape_str(mu), verdict)]
-    return payload, lines
+
+    def lines():
+        verdict = ("necessary condition holds (inconclusive)" if possible
+                   else "obstruction fails: Hom is certified zero")
+        yield "homomorphism obstruction {} -> {}: {}".format(
+            _shape_str(args.shape), _shape_str(mu), verdict)
+    return payload, lines()
 
 
 def _cmd_conjecture(args):
@@ -447,28 +556,30 @@ def _cmd_conjecture(args):
         "agrees": report["agrees"],
         "nonlinear_remainder_degree": report["nonlinear_remainder_degree"],
     }
-    lines = [
-        "Gram-determinant root evidence at n={} (shape {}):".format(
-            report["n"], _shape_str(report["lam"])),
-        "  computed roots: {}".format(
-            ", ".join(payload["roots"]) or "(none)"),
-        "  expected roots: {}".format(", ".join(payload["expected_roots"])),
-        "  agreement: {}".format(report["agrees"]),
-    ]
-    if report["nonlinear_remainder_degree"] > 0:
-        lines.append("  nonlinear remainder of degree {}".format(
-            report["nonlinear_remainder_degree"]))
-    return payload, lines
+
+    def lines():
+        yield "Gram-determinant root evidence at n={} (shape {}):".format(
+            report["n"], _shape_str(report["lam"]))
+        yield "  computed roots: {}".format(
+            ", ".join(payload["roots"]) or "(none)")
+        yield "  expected roots: {}".format(
+            ", ".join(payload["expected_roots"]))
+        yield "  agreement: {}".format(report["agrees"])
+        if report["nonlinear_remainder_degree"] > 0:
+            yield "  nonlinear remainder of degree {}".format(
+                report["nonlinear_remainder_degree"])
+    return payload, lines()
 
 
 def _cmd_cache(args):
     if args.cache_dir is None:
         raise CliError("cache subcommand requires --cache-dir")
     status = ensure_cache(args.cache_dir, args.algebra, args.n)
-    payload = dict(status)
-    lines = ["cache {}: {} ({} matrices)".format(
-        status["status"], status["path"], status["entries"])]
-    return payload, lines
+
+    def lines():
+        yield "cache {}: {} ({} matrices)".format(
+            status["status"], status["path"], status["entries"])
+    return dict(status), lines()
 
 
 _HANDLERS = {
@@ -597,7 +708,7 @@ def run(argv):
             report["parameters"]["spec"] = args.spec_text
         report["result"] = payload
         report["timing"] = {"seconds": round(time.monotonic() - start, 6)}
-        lines = [json.dumps(report, indent=2)]
+        lines = [_json_text(report)]
     try:
         if sys.stdout is None:  # the process started without descriptor 1
             raise OSError("standard output is closed")

@@ -834,6 +834,23 @@ class Specialization:
             raise ValueError("value does not live over the source ring")
         return x.substitute(self.assignment)
 
+    def apply_matrix(self, rows) -> list:
+        """``apply`` on every entry of a matrix, once per distinct entry:
+        Gram and generator matrices repeat a few distinct values.  Entries
+        are visited in row order, so the first one with a pole raises the
+        PoleError that entry-by-entry application would raise."""
+        images = {}
+        out = []
+        for row in rows:
+            new = []
+            for x in row:
+                y = images.get(x)
+                if y is None:
+                    y = images[x] = self.apply(x)
+                new.append(y)
+            out.append(new)
+        return out
+
     def __repr__(self):
         body = ", ".join(f"{k}={v}" for k, v in self.assignment.items())
         return f"Specialization({body})"

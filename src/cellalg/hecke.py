@@ -11,12 +11,13 @@ elements attached to semistandard tableaux.
 The Murphy rows c_{uv} and the change of basis live on the operations of
 ``exactring.ring``: Laurent polynomials in ring(1) at generic q (the BMW
 tower), Python ints in ring(0) at q = 1 (the Brauer tower).  A row is formed
-in its ring by ``_murphy_row``, one letter of d(v) at a time, and
-``murphy_element`` is its CoeffFraction view; the change of basis is one
-elimination of those rows and one replay per X_u.  ``to_murphy`` adds the
-ring columns of the terms that share a coefficient, and the numerators times
-those sums of the coefficients that share a denominator, so it forms one
-fraction per (distinct denominator, coordinate), not per term.
+in its ring by ``_murphy_row``, at generic q one letter of d(v) at a time and
+at q = 1 as one product per row-stabilizer element, and ``murphy_element``
+is its CoeffFraction view; the change of basis is one elimination of those
+rows and one replay per X_u.  ``to_murphy`` adds the ring columns of the
+terms that share a coefficient, and the numerators times those sums of the
+coefficients that share a denominator, so it forms one fraction per
+(distinct denominator, coordinate), not per term.
 
 Coefficients live in the two-variable fraction field on ("q", "r") so that
 these elements embed directly into the tangle-algebra computations; the
@@ -263,15 +264,17 @@ def _murphy_row(lam, s: StdTableau, t: StdTableau, R: Ring) -> dict:
     X_{d(s)^-1} X_w = X_{d(s)^-1 w} for w in the row stabilizer, since d(s)
     is a distinguished coset representative and lengths add; X_{d(t)} then
     acts one letter at a time, X_w X_i = X_{w s_i} if l(w s_i) > l(w), else
-    X_{w s_i} + delta X_w, with delta = q - q^-1 in ring(1) and 0 in ring(0).
+    X_{w s_i} + delta X_w, with delta = q - q^-1 in ring(1).  In ring(0)
+    delta = 0, so the row is X_{d(s)^-1 w d(t)} with coefficient 1 for each
+    w in the row stabilizer.
     """
-    def q_power(k):
-        return R.const(1) if R is ring(0) else {(k,): 1}
-
-    add, mul = R.add, R.mul
-    delta = R.sub(q_power(1), q_power(-1))
     d = tab_perm(s).inverse()
-    row = {(d * w).img: q_power(w.length())
+    if R is ring(0):
+        dt = tab_perm(t)
+        return {(d * w * dt).img: 1 for w in row_stabilizer(lam, s.n)}
+    add, mul = R.add, R.mul
+    delta = {(1,): 1, (-1,): -1}  # q - q^-1
+    row = {(d * w).img: {(w.length(),): 1}
            for w in row_stabilizer(lam, s.n)}
     for i in tab_perm(t).reduced_word():
         out = {}
@@ -281,7 +284,7 @@ def _murphy_row(lam, s: StdTableau, t: StdTableau, R: Ring) -> dict:
             swapped[a], swapped[b] = i + 1, i
             swapped = tuple(swapped)
             out[swapped] = add(out[swapped], c) if swapped in out else c
-            if a > b and delta:  # w s_i is shorter than w
+            if a > b:  # w s_i is shorter than w
                 c = mul(c, delta)
                 out[img] = add(out[img], c) if img in out else c
         row = out

@@ -216,7 +216,7 @@ def _full_rank_at_a_point(g, points):
     point is usable (undecided: full rank may still hold)."""
     for point in points:
         try:
-            values = [[point.apply(x) for x in row] for row in g]
+            values = point.apply_matrix(g)
         except PoleError:
             continue
         return rank(values) == len(g)
@@ -241,9 +241,7 @@ def gram_rank_certify(algebra, n, spec=None):
         if _full_rank_at_a_point(g, points):
             r = dim
         else:
-            if spec is not None:
-                g = [[spec.apply(x) for x in row] for row in g]
-            r = rank([list(row) for row in g])
+            r = rank(g if spec is None else spec.apply_matrix(g))
         report.append((lam, r, dim))
         if r < dim:
             drops.append((lam, r, dim, dim - r))

@@ -109,6 +109,43 @@ def test_certify_text_and_json_reports_pinned(capsys):
     assert witnesses[0]["shared_vector"] == ["0", "1", "-1", "-2"]
 
 
+# SHA-256 of the text output (no --json) of one query per subcommand
+TEXT_REPORTS = {
+    "dim --algebra brauer --n 4":
+        "9452063e171775c69cc6e60857d8576ffea4bdafcc7304b728809c06e25a1452",
+    "basis --algebra bmw --n 3 --lambda 1":
+        "66a29f120023601c8b21f40854e0e012a03ca15fc818e0409a1d39739e3e3b86",
+    "gram --algebra bmw --n 3 --lambda 1":
+        "3ac799d2437776a00dd7a0c4e17067f0415113e3685fd3b28253685d13f03fe2",
+    "gram --algebra brauer --n 4 --lambda 2 --spec z=3":
+        "3ba0c029c17c6f9196e7d5a7ec5f419eb719ea19192d83f025c765adc72a3152",
+    "transition --algebra bmw --n 3 --lambda 1":
+        "cd230812313351d8c7bd80a0b95fa13c2888e032b8268215b3ae1975ad2f612e",
+    "jm --algebra bmw --n 3 --lambda 1":
+        "8650733cbdfcf2d554cb550b7433f3fdf36e89c557aff9d16bd5c73f73ade58a",
+    "filtration --algebra brauer --n 4 --lambda 2":
+        "6be8c237805abc7bb793046d2451cd8de000ab771eb3e838579c25c196313b52",
+    "certify --algebra brauer --n 4 --spec z=4":
+        "8d16de0bacfe55f998284f7a721d885bfaefa3fced63d4a0d750e94dc2daadcc",
+    "gram-certify --algebra brauer --n 3 --spec z=1":
+        "e751f63d30dbbe5c2e119c23a3880fe217ef665d5c4cb5befe5741931ee6e5d8",
+    "hom --algebra brauer --lambda 3 --mu 1 --spec z=4":
+        "0332836f2c45cde165540d180ba4536fb4b86a523e2de6b97b3988ca07cf9ff0",
+    "conjecture --n 3":
+        "612c27be97d3974282505632643506914df49af2b182d053f127571541be011f",
+    "cache --algebra bmw --n 3 --cache-dir DIR":
+        "3b06f63683b6b5d1261b51092be54cdb9e5c3c5a3f79274cc210898d86461bf9",
+}
+
+
+@pytest.mark.parametrize("query", sorted(TEXT_REPORTS))
+def test_text_reports_pinned(tmp_path, capsys, query):
+    argv = [str(tmp_path) if arg == "DIR" else arg for arg in query.split()]
+    assert cli.run(argv) == 0
+    out = capsys.readouterr().out.replace(str(tmp_path), "DIR")
+    assert hashlib.sha256(out.encode()).hexdigest() == TEXT_REPORTS[query]
+
+
 def test_gram_certify_degenerate(capsys):
     report = run_json(capsys, ["gram-certify", "--algebra", "brauer",
                                "--n", "3", "--spec", "z=1", "--json"])
@@ -351,6 +388,64 @@ def test_reused_parser_keeps_no_state(capsys):
     assert cli._build_parser.cache_info().misses == 1
 
 
+# -- the JSON writer -----------------------------------------------------------------
+
+JSON_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(['"', "\\", "[]{},:", '{"a": [1, 2]}', "\x00\x1f\x7f\n\t",
+                     "\u00e9\u20ac\U0001d11e", "\ud800", ""]))
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-2 ** 100, max_value=2 ** 100),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 1e300, float("nan"), float("inf"),
+                     float("-inf")]),
+    JSON_TEXT)
+JSON_KEYS = st.one_of(JSON_TEXT, st.integers(), st.floats(), st.booleans(),
+                      st.none())
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(JSON_KEYS, inner, max_size=4)),
+    max_leaves=24)
+
+
+def json_outcome(encode):
+    try:
+        return encode()
+    except TypeError:  # unorderable keys under sort_keys
+        return TypeError
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=JSON_VALUES, sort_keys=st.booleans())
+def test_json_writer_matches_json_dumps(value, sort_keys):
+    expected = json_outcome(
+        lambda: json.dumps(value, indent=2, sort_keys=sort_keys))
+    assert json_outcome(
+        lambda: cli._json_text(value, sort_keys=sort_keys)) == expected
+
+
+def test_json_writer_on_fixed_values():
+    value = {"s": ['"q"\\', "\u00e9\x01", "[]{},:"], "n": [0, -1, 10 ** 30],
+             "f": [-0.0, 1e300, float("nan"), float("inf"), float("-inf")],
+             "c": [True, False, None, [], {}, (), [[]], {"x": {}}],
+             1: "int key", 2.5: "float key", False: "bool key",
+             None: "none key", "t": ((1, "a"), [2, {"b": ()}])}
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        cli._json_text(value, sort_keys=True)
+    with pytest.raises(TypeError):
+        cli._json_text({(1, 2): 0})
+    with pytest.raises(TypeError):
+        cli._json_text([CoeffFraction.const(1, BMW_VARS)])
+    for top in ("x", 3, 2.5, None, True, [], {}):
+        assert cli._json_text(top) == json.dumps(top, indent=2)
+
+
 # -- cache ---------------------------------------------------------------------------
 
 def test_cache_write_read_write_byte_identical(tmp_path, capsys):
@@ -388,6 +483,28 @@ def test_cache_digest_pinned(tmp_path, capsys, algebra, n, digest):
                                "--cache-dir", str(tmp_path), "--json"])
     assert report["result"]["status"] == "written"
     assert json.load(open(report["result"]["path"]))["sha256"] == digest
+
+
+# SHA-256 of the whole cache file, which pins its layout as well: the
+# json.dumps(indent=2, sort_keys=True) text of the file object plus "\n"
+@pytest.mark.parametrize("algebra,n,digest", [
+    ("bmw", 3,
+     "5941bb0f6f86d41304024294a72c960948f28ce18de61ea880a932669ff3e5ba"),
+    ("bmw", 4,
+     "006e95d24c570e47e258ff6646f977116cac4c31ca332a0cee39eedd5ed18626"),
+    ("brauer", 4,
+     "38f9149e751743e8ed1f2ddc1fc38df96a17a305ab8d3767c9eb5582093fe226"),
+    ("brauer", 5,
+     "1d7c879bd5bc30def4ec2f780b923ca855d3c4302fec07ca58515f0b70ef017d"),
+])
+def test_cache_file_bytes_pinned(tmp_path, capsys, algebra, n, digest):
+    report = run_json(capsys, ["cache", "--algebra", algebra, "--n", str(n),
+                               "--cache-dir", str(tmp_path), "--json"])
+    assert report["result"]["status"] == "written"
+    data = open(report["result"]["path"], "rb").read()
+    assert hashlib.sha256(data).hexdigest() == digest
+    assert data.decode() == json.dumps(json.loads(data), indent=2,
+                                       sort_keys=True) + "\n"
 
 
 def test_cache_version_bump_recomputes(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Every query of the benchmark catalog, answered in process through
 ``cli.run``, against its stored digest in ``cellbench/digests.json`` (the
-SHA-256 of the JSON report without its ``timing`` field)."""
+SHA-256 of the JSON report without its ``timing`` field), and printed in the
+layout of ``json.dumps(report, indent=2)``."""
 
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -21,6 +23,9 @@ def test_every_catalog_query_matches_its_digest():
         with contextlib.redirect_stdout(out):
             code = cli.run(list(query) + ["--json"])
         reason = catalog.check_output(query, code, out.getvalue(), digests)
+        if reason is None and out.getvalue() != json.dumps(
+                json.loads(out.getvalue()), indent=2) + "\n":
+            reason = "not in the layout of json.dumps(indent=2)"
         if reason is not None:
             failures.append((catalog.key(query), reason))
     assert not failures

@@ -34,7 +34,7 @@ from cellalg.specsim import (
     necessary_condition_note,
 )
 from cellalg.linalg import rank
-from cellalg.towers import gram_matrix, ordered_paths
+from cellalg.towers import _ops, gram_matrix, ordered_paths
 
 
 def bqr(s):
@@ -420,6 +420,49 @@ def test_gram_rank_certify_pole_at_the_point_still_raises(monkeypatch):
     monkeypatch.setattr(specsim, "gram_matrix", lambda a, lam, n: [[trap]])
     with pytest.raises(PoleError):
         gram_rank_certify("bmw", 2, Specialization.parse("r=-q", BMW_VARS))
+
+
+# the working set's gram queries, and its gram-certify specs on every layer
+WORKING_SET_GRAMS = [
+    ("bmw", 4, (3, 1), "q=5,r=-3"), ("brauer", 4, (), "z=1/2"),
+    ("bmw", 3, (1,), "r=q^-5"), ("bmw", 4, (1, 1), "r=q"),
+    ("brauer", 5, (1,), "z=1/2"), ("brauer", 6, (), "z=-3"),
+] + [(algebra, n, lam, text)
+     for algebra, n, texts in (
+         ("brauer", 3, ("z=-9/2", "z=-3", "z=2", "z=1/2")),
+         ("brauer", 4, ("z=-9/2", "z=-5/2", "z=-3", "z=-6")),
+         ("bmw", 3, ("q=-2,r=5", "q=1/2,r=2", "r=-q^-2", "r=q^-5")),
+         ("bmw", 4, ("q=-2,r=5", "q=1/2,r=2", "r=-q^3", "r=-q^4")))
+     for text in texts for lam in layer_shapes(n)]
+
+
+@pytest.mark.parametrize("algebra,n,lam,text", WORKING_SET_GRAMS)
+def test_apply_matrix_matches_per_entry_apply(algebra, n, lam, text):
+    spec = Specialization.parse(text, _ops(algebra).vars)
+    g = gram_matrix(algebra, lam, n)
+    got = spec.apply_matrix(g)
+    expected = [[spec.apply(x) for x in row] for row in g]
+    assert got == expected
+    assert [[str(x) for x in row] for row in got] == \
+        [[str(x) for x in row] for row in expected]
+
+
+def test_apply_matrix_pole_raises_as_per_entry_apply():
+    # r = 0 set by hand (Specialization refuses it): the BMW Gram entries
+    # carry powers of r in their denominators
+    spec = Specialization.parse("r=q", BMW_VARS)
+    spec.assignment["r"] = CoeffFraction.const(0, spec.target_vars)
+    g = gram_matrix("bmw", (1,), 3)
+    with pytest.raises(PoleError) as got:
+        spec.apply_matrix(g)
+    with pytest.raises(PoleError) as expected:
+        [[spec.apply(x) for x in row] for row in g]
+    assert str(got.value) == str(expected.value)
+    # a pole after entries without one, repeated
+    trap = CoeffFraction.var("r", BMW_VARS).inverse()
+    one = CoeffFraction.const(1, BMW_VARS)
+    with pytest.raises(PoleError):
+        spec.apply_matrix([[one, one], [trap, trap]])
 
 
 # -- Hom obstructions ----------------------------------------------------------------
