@@ -1,14 +1,20 @@
-"""The Birman-Murakami-Wenzl algebra B_n(q,r).
+"""The Birman-Murakami-Wenzl algebra B_n(q,r), and the chain-word engine
+that gives the cell modules of both towers.
 
-Everything is built on a "chain word" rewriting engine: a chain word is
-E_1 E_3 ... E_{2f-1} T_x with x an arbitrary permutation, and the engine
-knows how to multiply a chain word by T_i or E_i modulo the next filtration
-layer, and how to normalize a chain word into the canonical shape
+A chain word is E_1 E_3 ... E_{2f-1} T_x with x an arbitrary permutation.
+The engine multiplies a chain word by T_i or E_i modulo the next filtration
+layer, and normalizes a chain word into the canonical shape
 E-chain * T_u * T_v with u in the upper subgroup <s_i : 2f < i < n> and v a
 distinguished coset representative.  Projecting the upper part onto its
-Murphy-basis layer (``hecke.cell_row``, shared with the Brauer tower) then
-yields the action of T_i and E_i on each cell module; the matrix of
-T_i^{-1} = T_i - (q - q^{-1})(1 - E_i) is derived from those two.
+Murphy-basis layer (``hecke.cell_row``) then yields the action of any
+combination of generator words on each cell module (``cell_rows``).
+
+The engine runs over a variable tuple.  Over ``BMW_VARS`` it is B_n(q,r)
+with loop value ``bmw_z()``.  Over ``BRAUER_VARS`` it has q = r = 1, so
+q - q^{-1} = 0 and T_i = T_i^{-1} is the transposition s_i, and loop
+value z: every relation it uses is then a relation of the Brauer algebra
+B_n(z), which is how ``brauer`` gets its cell modules.  The matrix of
+T_i^{-1} = T_i - (q - q^{-1})(1 - E_i) is derived from those of T_i and E_i.
 
 ``BmwElement`` is the ``exactring.Combination`` on the cellular basis
 monomials.  Products go through the faithful direct sum of all cell-module
@@ -22,6 +28,7 @@ count matches (2n-1)!!, so the matrix model is the presented algebra.
 """
 
 from functools import lru_cache
+from typing import NamedTuple
 
 from .combin import (
     Permutation,
@@ -33,16 +40,39 @@ from .combin import (
     tab_perm,
 )
 from .exactring import BMW_VARS, CoeffFraction, Combination, bmw_z
-from .hecke import _delta, _q_power, cell_row, row_stabilizer
+from .hecke import cell_row, row_stabilizer
 
 
 def _const(c) -> CoeffFraction:
     return CoeffFraction.const(c, BMW_VARS)
 
 
+class _Params(NamedTuple):
+    one: CoeffFraction
+    q: CoeffFraction
+    r: CoeffFraction
+    delta: CoeffFraction  # q - q^{-1}
+    z: CoeffFraction  # the loop value
+
+
 @lru_cache(maxsize=None)
-def _r_power(k: int) -> CoeffFraction:
-    return CoeffFraction.var("r", BMW_VARS) ** k
+def _params(vars: tuple) -> _Params:
+    """The engine's constants over vars, which is part of every memo key."""
+    one = CoeffFraction.const(1, vars)
+    if vars == BMW_VARS:
+        q, r = CoeffFraction.var("q", vars), CoeffFraction.var("r", vars)
+        return _Params(one, q, r, q - q.inverse(), bmw_z())
+    return _Params(one, one, one, one - one, CoeffFraction.var("z", vars))
+
+
+@lru_cache(maxsize=None)
+def _q_power(k: int, vars: tuple) -> CoeffFraction:
+    return _params(vars).q ** k
+
+
+@lru_cache(maxsize=None)
+def _r_power(k: int, vars: tuple) -> CoeffFraction:
+    return _params(vars).r ** k
 
 
 # -- the chain-word engine -------------------------------------------------------
@@ -71,7 +101,7 @@ def _longer_left(x: Permutation, j: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _lstr(s, x: Permutation, n: int, f: int):
+def _lstr(s, x: Permutation, n: int, f: int, vars: tuple):
     """E-chain * T_{j_1}^{e_1} ... T_{j_m}^{e_m} * T_x modulo the next layer.
 
     ``s`` is the string of (index, sign) pairs ordered outermost first, with
@@ -81,30 +111,28 @@ def _lstr(s, x: Permutation, n: int, f: int):
     it must be absorbed into the chain before the context is released.
     """
     if not s:
-        return ((x, _const(1)),)
+        return ((x, _params(vars).one),)
     j, sign = s[-1]
     rest = s[:-1]
     sx = x.lmul_s(j)
-    delta = _delta()
+    delta = _params(vars).delta
+    # T_j T_x = T_{s_j x} when s_j x is longer, and T_j^{-1} T_x likewise
+    # when it is shorter
+    if _longer_left(x, j) == (sign == 1):
+        return _lstr(rest, sx, n, f, vars)
+    out = list(_lstr(rest, sx, n, f, vars))
     if sign == 1:
-        if _longer_left(x, j):
-            return _lstr(rest, sx, n, f)
-        out = list(_scaled(_lstr(rest, sx, n, f), _const(1)))
-        out.extend(_scaled(_lstr(rest, x, n, f), delta))
-        out.extend(_scaled(_lstr_e(rest, j, sx, n, f),
-                           -delta * _r_power(-1)))
-        return _merge(out)
-    # T_j^{-1} = T_j - (q - q^{-1})(1 - E_j)
-    if not _longer_left(x, j):
-        return _lstr(rest, sx, n, f)
-    out = list(_scaled(_lstr(rest, sx, n, f), _const(1)))
-    out.extend(_scaled(_lstr(rest, x, n, f), -delta))
-    out.extend(_scaled(_lstr_e(rest, j, x, n, f), delta))
+        out.extend(_scaled(_lstr(rest, x, n, f, vars), delta))
+        out.extend(_scaled(_lstr_e(rest, j, sx, n, f, vars),
+                           -delta * _r_power(-1, vars)))
+    else:  # T_j^{-1} = T_j - (q - q^{-1})(1 - E_j)
+        out.extend(_scaled(_lstr(rest, x, n, f, vars), -delta))
+        out.extend(_scaled(_lstr_e(rest, j, x, n, f, vars), delta))
     return _merge(out)
 
 
 @lru_cache(maxsize=None)
-def _lstr_e(s, j: int, y: Permutation, n: int, f: int):
+def _lstr_e(s, j: int, y: Permutation, n: int, f: int, vars: tuple):
     """E-chain * (string s) * E_j * T_y modulo the next layer.
 
     All string indices exceed j.  For j above the chain the whole term
@@ -118,28 +146,28 @@ def _lstr_e(s, j: int, y: Permutation, n: int, f: int):
         return ()
     if j % 2 == 1:  # j odd, j <= 2f - 1
         if not s:
-            return ((y, bmw_z()),)
+            return ((y, _params(vars).z),)
         j1, e1 = s[-1]
         if j1 == j + 1:
-            return _scaled(_lstr(s[:-1], y, n, f), _r_power(e1))
+            return _scaled(_lstr(s[:-1], y, n, f, vars), _r_power(e1, vars))
         # every string letter commutes with E_j
-        return _scaled(_lstr(s, y, n, f), bmw_z())
+        return _scaled(_lstr(s, y, n, f, vars), _params(vars).z)
     # j even, j <= 2f
-    return _lstr(s + ((j, 1), (j - 1, 1)), y, n, f)
+    return _lstr(s + ((j, 1), (j - 1, 1)), y, n, f, vars)
 
 
 @lru_cache(maxsize=None)
-def _emul(x: Permutation, i: int, n: int, f: int):
+def _emul(x: Permutation, i: int, n: int, f: int, vars: tuple):
     """E-chain * T_x * E_i modulo the next layer."""
     xi = x.inverse()
     k, l = xi(i), xi(i + 1)
     if l < k:
-        return _scaled(_emul(x.rmul_s(i), i, n, f), _r_power(-1))
+        return _scaled(_emul(x.rmul_s(i), i, n, f, vars), _r_power(-1, vars))
     if l == k + 1:
         if k % 2 == 1 and k <= 2 * f - 1:
-            return ((x, bmw_z()),)
+            return ((x, _params(vars).z),)
         if k % 2 == 0 and k <= 2 * f:
-            return _lstr_e((), k, x, n, f)
+            return _lstr_e((), k, x, n, f, vars)
         return ()
     # l > k + 1: the strand between positions k and l is threaded out
     if k > 2 * f:
@@ -150,32 +178,31 @@ def _emul(x: Permutation, i: int, n: int, f: int):
         return 1 if x(j) > i + 1 else -1
 
     string = tuple((j, eps(j)) for j in range(l - 1, k, -1))
-    return _lstr_e(string, k, wp, n, f)
+    return _lstr_e(string, k, wp, n, f, vars)
 
 
 @lru_cache(maxsize=None)
-def _rmul(x: Permutation, i: int, n: int, f: int):
+def _rmul(x: Permutation, i: int, n: int, f: int, vars: tuple):
     """E-chain * T_x * T_i modulo the next layer."""
     sx = x.rmul_s(i)
+    one, delta = _params(vars).one, _params(vars).delta
     if _longer_right(x, i):
-        return ((sx, _const(1)),)
-    delta = _delta()
-    out = [(sx, _const(1)), (x, delta)]
-    out.extend(_scaled(_emul(sx, i, n, f), -delta * _r_power(-1)))
+        return ((sx, one),)
+    out = [(sx, one), (x, delta)]
+    out.extend(_scaled(_emul(sx, i, n, f, vars), -delta * _r_power(-1, vars)))
     return _merge(out)
 
 
 @lru_cache(maxsize=None)
-def _normalize(x: Permutation, n: int, f: int):
+def _normalize(x: Permutation, n: int, f: int, vars: tuple):
     """Write the chain word E T_x as sum of E T_u T_v with u upper and v a
     distinguished coset representative, modulo the next layer.
 
     Returns a tuple of ((u, v), coefficient) pairs.
     """
-    delta = _delta()
-    rinv = _r_power(-1)
+    delta, rinv = _params(vars).delta, _r_power(-1, vars)
     done = []
-    work = [(Permutation.identity(n), x, _const(1))]
+    work = [(Permutation.identity(n), x, _params(vars).one)]
     while work:
         u, v, c = work.pop()
         # phase 1: pull upper descents of v into u
@@ -186,11 +213,8 @@ def _normalize(x: Permutation, n: int, f: int):
                 break
         if i is not None:
             sv = v.lmul_s(i)
-            usi = u.rmul_s(i)
-            if _longer_right(u, i):
-                work.append((usi, sv, c))
-            else:
-                work.append((usi, sv, c))
+            work.append((u.rmul_s(i), sv, c))
+            if not _longer_right(u, i):
                 work.append((u, sv, c * delta))
                 # the E_i cross term dies in the next layer
             continue
@@ -251,10 +275,11 @@ def _normalize(x: Permutation, n: int, f: int):
 
 # -- cell modules ------------------------------------------------------------------
 
-def _seed_terms(lam, n: int, t: StdTableau, u: Permutation):
+@lru_cache(maxsize=None)
+def _seed_terms(lam, n: int, t: StdTableau, u: Permutation, vars: tuple):
     """m_lambda T_{d(t)} T_u as chain words (lengths are additive)."""
     d = tab_perm(t)
-    return tuple((w * d * u, _q_power(w.length()))
+    return tuple((w * d * u, _q_power(w.length(), vars))
                  for w in row_stabilizer(lam, n))
 
 
@@ -263,28 +288,50 @@ def _hat_perm(u: Permutation, f: int, m: int) -> Permutation:
     return Permutation([u(i + 2 * f) - 2 * f for i in range(1, m + 1)])
 
 
-def _upper_terms(terms, n: int, f: int) -> dict:
+def _upper_terms(terms, n: int, f: int, vars: tuple) -> dict:
     """Normalized chain-word terms as {(upper part on 1..m, coset rep): c}."""
     m = n - 2 * f
     out = {}
     for x, c in terms:
-        for (u, v), d in _normalize(x, n, f):
+        for (u, v), d in _normalize(x, n, f, vars):
             key = (_hat_perm(u, f, m), v)
             out[key] = out[key] + c * d if key in out else c * d
     return {key: c for key, c in out.items() if not c.is_zero()}
 
 
-def _apply_gen_terms(terms, gen, n: int, f: int):
+def _apply_gen_terms(terms, gen, n: int, f: int, vars: tuple):
     kind, i = gen
     out = []
     for x, c in terms:
         if kind == "T":
-            out.extend(_scaled(_rmul(x, i, n, f), c))
+            out.extend(_scaled(_rmul(x, i, n, f, vars), c))
         elif kind == "E":
-            out.extend(_scaled(_emul(x, i, n, f), c))
+            out.extend(_scaled(_emul(x, i, n, f, vars), c))
         else:
             raise ValueError("unknown generator kind {!r}".format(kind))
     return _merge(out)
+
+
+def cell_rows(lam, n: int, vars: tuple, element) -> list:
+    """Matrix of sum c * word on the cell module S^lambda over vars (rows =
+    images), for element a sequence of (word, c) pairs whose words are
+    sequences of ("T", i) and ("E", i) letters.  Each row is projected by
+    ``hecke.cell_row`` once."""
+    lam = check_partition(lam)
+    f = (n - sum(lam)) // 2
+    zero = CoeffFraction.const(0, vars)
+    rows = []
+    for t, u in cell_index(lam, n):
+        seed = _seed_terms(lam, n, t, u, vars)
+        out = []
+        for word, c in element:
+            terms = seed
+            for gen in word:
+                terms = _apply_gen_terms(terms, gen, n, f, vars)
+            out.extend(_scaled(terms, c))
+        rows.append(cell_row(_upper_terms(_merge(out), n, f, vars),
+                             lam, n, zero))
+    return rows
 
 
 # precomputed action matrices may be installed here (keyed by
@@ -308,20 +355,14 @@ def _bmw_gen_matrix_compute(lam, n: int, kind: str, i: int):
     if kind == "Tinv":
         # T_i^{-1} = T_i - (q - q^{-1})(1 - E_i), from T_i and E_i as
         # bmw_gen_matrix gives them, so cache overrides are used
-        delta = _delta()
+        delta = _params(BMW_VARS).delta
         rows = [[x + delta * y for x, y in zip(t_row, e_row)]
                 for t_row, e_row in zip(bmw_gen_matrix(lam, n, "T", i),
                                         bmw_gen_matrix(lam, n, "E", i))]
         for a, row in enumerate(rows):
             row[a] = row[a] - delta
         return rows
-    f = (n - sum(lam)) // 2
-    zero = _const(0)
-    rows = []
-    for t, u in cell_index(lam, n):
-        terms = _apply_gen_terms(_seed_terms(lam, n, t, u), (kind, i), n, f)
-        rows.append(cell_row(_upper_terms(terms, n, f), lam, n, zero))
-    return rows
+    return cell_rows(lam, n, BMW_VARS, [(((kind, i),), _const(1))])
 
 
 # -- the full algebra on cellular coordinates ------------------------------------------

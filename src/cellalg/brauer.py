@@ -4,25 +4,26 @@ A diagram is a perfect matching on the 2n points {1..n} (top row) and
 {-1..-n} (bottom row).  Multiplication stacks diagrams and converts each
 closed loop into a factor of z; ``BrauerElement`` is the
 ``exactring.Combination`` on diagrams with that product.  An element acts
-on each cell module S^lambda through the arc-chain engine below, which
-works modulo the diagrams with more arcs and the more dominant layers of
-equal size.  The coordinates of an element on the cellular basis
-(d(s)v)^{-1} m_lambda d(t)u are read back from those cell-module matrices
-by ``towers.cellular_terms``, the straightening shared with the BMW tower.
+on each cell module S^lambda through the chain-word engine of ``bmw`` at
+q = r = 1 (``bmw.cell_rows`` over BRAUER_VARS), applied to the word that
+``diagram_word`` gives for each of its diagrams.  The coordinates of an
+element on the cellular basis (d(s)v)^{-1} m_lambda d(t)u are read back
+from those cell-module matrices by ``towers.cellular_terms``, the
+straightening shared with the BMW tower.
 """
 
 from functools import lru_cache
 
+from .bmw import cell_rows
 from .combin import (
     Permutation,
     StdTableau,
-    cell_index,
     check_partition,
     layer_shapes,
     tab_perm,
 )
 from .exactring import BRAUER_VARS, CoeffFraction, Combination
-from .hecke import cell_row, row_stabilizer
+from .hecke import row_stabilizer
 
 BR_VARS = BRAUER_VARS
 
@@ -258,90 +259,37 @@ def br_jm(i: int, n: int) -> BrauerElement:
     return s - e + s * br_jm(i - 1, n) * s
 
 
-# -- fast cell-module engine ----------------------------------------------------------
+# -- cell modules ----------------------------------------------------------------------
 #
-# Diagram multiplication never decreases the number of horizontal arcs, so
-# the span of diagrams with more than f arcs is a two-sided ideal contained
-# in the check ideal of every layer with f arcs.  Modulo that ideal, every
-# element of m_lambda B_n is a combination of diagrams whose top arcs sit at
-# the standard positions {1,2},{3,4},...,{2f-1,2f}; such a diagram is coded
-# by a pair (upper permutation, distinguished coset representative).  The
-# residual quotient by the more dominant equal-size layers is taken by
-# ``hecke.cell_row``, as in the two-parameter algebra, with the Murphy
-# change of basis of the symmetric group (``hecke.to_murphy`` at q = 1, an
-# elimination over the integers).
+# The chain-word engine of ``bmw`` over BRAUER_VARS (q = r = 1, loop value
+# z) is the Brauer algebra, with s_i acting as its letter T_i.
 
-def _encode_chain(w: Permutation, f: int):
-    """Diagram of E_1 E_3 ... E_{2f-1} w for a permutation w."""
-    n = w.n
-    pairs = []
-    for i in range(1, 2 * f, 2):
-        pairs.append(frozenset((i, i + 1)))
-        pairs.append(frozenset((-w(i), -w(i + 1))))
-    for j in range(2 * f + 1, n + 1):
-        pairs.append(frozenset((j, -w(j))))
-    return frozenset(pairs)
+_ENGINE_LETTER = {"s": "T", "E": "E"}
 
 
-def _decode_chain(d, f: int, n: int):
-    """Inverse of :func:`_encode_chain` up to the left stabilizer of the
-    arc chain: returns (upper permutation on 1..n-2f, coset rep)."""
-    bottom_arcs = []
-    through = {}
-    tops = []
+def diagram_word(d, n: int) -> tuple:
+    """A word of ("s", i) and ("E", i) letters whose product is the diagram
+    d: w_1 * E_1 E_3 ... E_{2k-1} * w_2 for a diagram with k top arcs, where
+    the one-line form of w_1^{-1} lists the top arcs and then the top ends
+    of the through strands, and that of w_2 lists the bottom arcs and then
+    the bottom ends of the same through strands."""
+    top, bottom, through = [], [], []
     for pair in d:
-        p, q = tuple(pair)
-        if p < 0 and q < 0:
-            bottom_arcs.append(tuple(sorted((-p, -q))))
-        elif p > 0 and q > 0:
-            tops.append(tuple(sorted((p, q))))
+        p, q = sorted(pair)
+        if p > 0:
+            top.append((p, q))
+        elif q < 0:
+            bottom.append((-q, -p))
         else:
-            top, bot = (p, -q) if p > 0 else (q, -p)
-            through[top] = bot
-    if sorted(tops) != [(i, i + 1) for i in range(1, 2 * f, 2)]:
-        raise AssertionError("top arcs left the standard positions")
-    bottom_arcs.sort()
-    img = [0] * n
-    used = set()
-    for i, (a, b) in enumerate(bottom_arcs):
-        img[2 * i] = a
-        img[2 * i + 1] = b
-        used.update((a, b))
-    free = sorted(set(range(1, n + 1)) - used)
-    for k, x in enumerate(free):
-        img[2 * f + k] = x
-    pos = {x: p for p, x in enumerate(img, start=1)}
-    u = Permutation(pos[through[j]] - 2 * f for j in range(2 * f + 1, n + 1))
-    return (u, Permutation(img))
-
-
-@lru_cache(maxsize=None)
-def _fast_seed(lam, n: int, t: StdTableau, u: Permutation) -> tuple:
-    """m_lambda d(t) u as ((arc-chain diagram, coefficient), ...), built once
-    per (lambda, n, t, u) and shared by every generator and element that
-    acts on it (a tuple, so no caller can change it)."""
-    f = (n - sum(lam)) // 2
-    terms = {}
-    d = tab_perm(t) * u
-    for w0 in row_stabilizer(lam, n):
-        diagram = _encode_chain(w0 * d, f)
-        terms[diagram] = terms.get(diagram, 0) + 1
-    return tuple((diagram, _const(c)) for diagram, c in terms.items())
-
-
-def _fast_apply(seed: tuple, gen, f: int, n: int) -> dict:
-    """Arc-chain seed terms times the diagram gen, modulo diagrams with
-    more than f arcs, as coded {(upper permutation, coset rep): c}."""
-    z = _z()
-    out = {}
-    for diagram, c in seed:
-        d, loops = br_compose(diagram, gen, n)
-        if diagram_arcs(d) > f:
-            continue
-        c2 = c * z ** loops if loops else c
-        key2 = _decode_chain(d, f, n)
-        out[key2] = out[key2] + c2 if key2 in out else c2
-    return {k: c for k, c in out.items() if not c.is_zero()}
+            through.append((q, -p))
+    through.sort()
+    w1 = Permutation([p for arc in sorted(top) for p in arc]
+                     + [a for a, _ in through]).inverse()
+    w2 = Permutation([p for arc in sorted(bottom) for p in arc]
+                     + [b for _, b in through])
+    return (tuple(("s", i) for i in w1.reduced_word())
+            + tuple(("E", i) for i in range(1, 2 * len(top), 2))
+            + tuple(("s", i) for i in w2.reduced_word()))
 
 
 # precomputed action matrices may be installed here (keyed by
@@ -350,12 +298,11 @@ _gen_matrix_overrides: dict = {}
 
 
 def br_cell_matrix(lam, n: int, kind: str, i: int):
-    """Matrix of a generator on S^lambda (rows = images), computed through
-    the arc-count filtration."""
+    """Matrix of a generator on S^lambda (rows = images)."""
     lam = check_partition(lam)
     if not 1 <= i < n:
         raise ValueError("generator index out of range")
-    if kind not in ("s", "E"):
+    if kind not in _ENGINE_LETTER:
         raise ValueError("unknown generator kind {!r}".format(kind))
     cached = _gen_matrix_overrides.get((lam, n, kind, i))
     if cached is not None:
@@ -365,30 +312,16 @@ def br_cell_matrix(lam, n: int, kind: str, i: int):
 
 @lru_cache(maxsize=None)
 def _br_cell_matrix_compute(lam, n: int, kind: str, i: int):
-    f = (n - sum(lam)) // 2
-    gen = s_diagram(i, n) if kind == "s" else e_diagram(i, n)
-    zero = _const(0)
-    return [cell_row(_fast_apply(_fast_seed(lam, n, t, u), gen, f, n),
-                     lam, n, zero)
-            for t, u in cell_index(lam, n)]
+    return cell_rows(lam, n, BR_VARS,
+                     [(((_ENGINE_LETTER[kind], i),), _const(1))])
 
 
 def br_module_matrix(lam, n: int, b: BrauerElement):
-    """Matrix of any element b on S^lambda (rows = images): the arc-chain
-    engine applied to each diagram of b."""
-    lam = check_partition(lam)
-    f = (n - sum(lam)) // 2
-    zero = _const(0)
-    rows = []
-    for t, u in cell_index(lam, n):
-        seed = _fast_seed(lam, n, t, u)
-        acc = {}
-        for d, c in b.terms.items():
-            for key, x in _fast_apply(seed, d, f, n).items():
-                acc[key] = acc[key] + x * c if key in acc else x * c
-        rows.append(cell_row({k: c for k, c in acc.items() if not c.is_zero()},
-                             lam, n, zero))
-    return rows
+    """Matrix of any element b on S^lambda (rows = images), from the word
+    of each diagram of b."""
+    return cell_rows(lam, n, BR_VARS, [
+        ([(_ENGINE_LETTER[kind], i) for kind, i in diagram_word(d, n)], c)
+        for d, c in b.terms.items()])
 
 
 def br_to_cellular(e: BrauerElement) -> dict:

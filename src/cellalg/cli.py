@@ -634,18 +634,18 @@ def _build_parser():
         prog="cellalg",
         description="Exact cellular-structure computations for the Brauer "
                     "and Birman-Murakami-Wenzl towers.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        p = sub.add_parser(name)
-        p.add_argument("--algebra", choices=("bmw", "brauer"))
-        p.add_argument("--n", type=int)
-        p.add_argument("--lambda", dest="shape_text", metavar="LAMBDA",
-                       help="partition as comma-separated parts, e.g. 2,1")
-        p.add_argument("--mu", help="target partition (hom only)")
-        p.add_argument("--spec", help='specialization, e.g. "z=4" or '
-                                      '"r=-q^-3"')
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--cache-dir")
+    parser.add_argument("command", choices=tuple(_HANDLERS),
+                        metavar="COMMAND",
+                        help="one of " + ", ".join(_HANDLERS))
+    parser.add_argument("--algebra", choices=("bmw", "brauer"))
+    parser.add_argument("--n", type=int)
+    parser.add_argument("--lambda", dest="shape_text", metavar="LAMBDA",
+                        help="partition as comma-separated parts, e.g. 2,1")
+    parser.add_argument("--mu", help="target partition (hom only)")
+    parser.add_argument("--spec", dest="spec_text", metavar="SPEC",
+                        help='specialization, e.g. "z=4" or "r=-q^-3"')
+    parser.add_argument("--json", action="store_true")
+    parser.add_argument("--cache-dir")
     return parser
 
 
@@ -682,7 +682,6 @@ def run(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    args.spec_text = args.spec
     start = time.monotonic()
     try:
         _validate(args)

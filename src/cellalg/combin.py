@@ -621,9 +621,8 @@ def wp_word(f: int, n: int) -> tuple:
 
 def up_neighbor_data(lam, n: int):
     """For each up-neighbor mu of lam (a node added), the data
-    (mu, a, d_word, w_word) with a = 2(f-1) + sum of the first rows of mu
-    down to the added row, d = s_a s_{a+1} ... s_{n-2} and
-    w = s_{a-1} ... s_{2f-1} s_{n-1} ... s_{2f}.
+    (mu, a, w_word) with a = 2(f-1) + sum of the first rows of mu down to
+    the added row and w = s_{a-1} ... s_{2f-1} s_{n-1} ... s_{2f}.
 
     Up-neighbors are returned in dominance order (most dominant first).
     """
@@ -637,10 +636,9 @@ def up_neighbor_data(lam, n: int):
         mu = add_node(lam, node)
         j_row = node[0]
         a = 2 * (f - 1) + sum(mu[:j_row])
-        d_word = tuple(range(a, n - 1))
         w_word = tuple(range(a - 1, 2 * f - 2, -1)) + \
             tuple(range(n - 1, 2 * f - 1, -1))
-        entries.append((mu, a, d_word, w_word))
+        entries.append((mu, a, w_word))
     entries.sort(key=lambda e: dominance_key(e[0]))
     return entries
 

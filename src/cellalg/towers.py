@@ -255,7 +255,7 @@ def y_element(algebra: str, lam, mu, n: int) -> YElement:
         return YElement(algebra, n, lam, mu, vec)
     # one box added: act on m_lambda by the inverse of the distinguished
     # permutation, then by the telescoping sum over the new row
-    for entry, a, d_word, w_word in up_neighbor_data(lam, n):
+    for entry, a, w_word in up_neighbor_data(lam, n):
         if entry == mu:
             break
     else:

@@ -1,9 +1,10 @@
 """Dense diagram-basis solvers for the Brauer algebra, kept as test oracles.
 
-The library computes cell-module matrices with the arc-chain engine
-(``brauer.br_module_matrix``) and cellular coordinates with the
-layer-by-layer straightening of ``towers.cellular_terms``.  The routines
-here reach the same answers by exact linear algebra on the diagram basis:
+The library computes cell-module matrices with the chain-word engine of
+``bmw`` at q = r = 1 (``brauer.br_module_matrix``) and cellular
+coordinates with the layer-by-layer straightening of
+``towers.cellular_terms``.  The routines here reach the same answers by
+exact linear algebra on the diagram basis:
 
 - the layer solver expresses an element of m_lambda B_n in the cellular
   spanning set of the lambda layer and every more dominant layer, and reads

@@ -478,7 +478,7 @@ def _row_scan_content(t, k):
     rows = list(cur) + [0] * (len(prev) - len(cur))
     for i, (a, b) in enumerate(zip(rows, prev)):
         if b > a:
-            return _q_power(2 * (i + 1 - b)) * _r_power(-2)
+            return _q_power(2 * (i + 1 - b)) * _r_power(-2, BMW_VARS)
     raise AssertionError
 
 

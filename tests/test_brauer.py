@@ -15,7 +15,8 @@ from cellalg.combin import (
     superstandard,
 )
 from cellalg.exactring import BRAUER_VARS, CoeffFraction, brauer_frac
-from cellalg import brauer
+from cellalg import bmw, brauer
+from cellalg.bmw import bmw_gen_matrix
 from cellalg.brauer import (
     BrauerElement,
     all_diagrams,
@@ -29,6 +30,8 @@ from cellalg.brauer import (
     br_basis_element,
     br_cell_matrix,
     br_word,
+    diagram_arcs,
+    diagram_word,
     e_diagram,
     identity_diagram,
     perm_diagram,
@@ -281,11 +284,14 @@ def test_module_matrix_matches_dense_solver(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("first", ["module", "generator"])
 def test_shared_seed_gives_one_answer_in_either_order(n, first, monkeypatch):
-    # br_module_matrix and br_cell_matrix read the same memoised seeds; a
-    # reader that changed one would make the other depend on call order
+    # br_module_matrix and br_cell_matrix read the same memoised seeds and
+    # engine memos; a reader that changed one would make the other depend
+    # on call order
     monkeypatch.setattr(brauer, "_gen_matrix_overrides", {})
-    brauer._fast_seed.cache_clear()
-    brauer._br_cell_matrix_compute.cache_clear()
+    for memo in (bmw._seed_terms, bmw._rmul, bmw._emul, bmw._lstr,
+                 bmw._lstr_e, bmw._normalize,
+                 brauer._br_cell_matrix_compute):
+        memo.cache_clear()
     for lam in layer_shapes(n):
         for i in range(1, n):
             calls = [lambda: br_module_matrix(lam, n, BrauerElement.s(i, n)),
@@ -294,8 +300,34 @@ def test_shared_seed_gives_one_answer_in_either_order(n, first, monkeypatch):
                 calls.reverse()
             a, b = (call() for call in calls)
             assert a == b
-    assert all(type(brauer._fast_seed(lam, n, t, u)) is tuple
+    assert all(type(bmw._seed_terms(lam, n, t, u, BRAUER_VARS)) is tuple
                for lam in layer_shapes(n) for t, u in cell_index(lam, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_diagram_word_round_trip(n):
+    for d in all_diagrams(n):
+        word = diagram_word(d, n)
+        assert br_word(word, n) == BrauerElement.from_diagram(d, n)
+        k = sum(1 for kind, _ in word if kind == "E")
+        assert k == diagram_arcs(d)
+
+
+def test_each_tower_keeps_its_letter_names():
+    lam, n = (1,), 3
+    for kind in ("T", "Tinv", "e", "x"):
+        with pytest.raises(ValueError, match="unknown generator kind"):
+            br_cell_matrix(lam, n, kind, 1)
+    for kind in ("s", "e", "x"):
+        with pytest.raises(ValueError, match="unknown generator kind"):
+            bmw_gen_matrix(lam, n, kind, 1)
+    with pytest.raises(ValueError, match="unknown generator kind"):
+        br_word([("T", 1)], n)
+    # the shared engine's letters are T and E, whatever the tower calls them
+    with pytest.raises(ValueError, match="unknown generator kind"):
+        bmw.cell_rows(lam, n, BRAUER_VARS, [((("s", 1),), const(1))])
+    assert br_cell_matrix(lam, n, "s", 1) == bmw.cell_rows(
+        lam, n, BRAUER_VARS, [((("T", 1),), const(1))])
 
 
 # -- Jucys-Murphy ---------------------------------------------------------------------

@@ -2,6 +2,9 @@
 list and the Murphy-layer projection ``hecke.cell_row``."""
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -30,6 +33,9 @@ PINNED = {
     ("brauer", 4): "d16b0cf41e63d3188f0bb7a3a04703a260ff1290349904dc36b8392de1143f57",
     ("brauer", 5): "80cee4ac6f1df9754dadd6cecf19d5f41d000cc6b16fc0842500a7349356622e",
 }
+# recorded from the diagram-stacking engine that brauer kept before both
+# towers ran the chain-word engine of bmw
+BRAUER_N6 = "edc39507837a0ab2e178741ef24ad32550f9bb85fe5d037b8341d5dba62779d7"
 
 ENGINES = {"bmw": (_bmw_gen_matrix_compute, ("T", "Tinv", "E")),
            "brauer": (_br_cell_matrix_compute, ("s", "E"))}
@@ -55,6 +61,20 @@ def generator_digest(algebra, n):
 @pytest.mark.parametrize("algebra,n", sorted(PINNED))
 def test_generator_matrices_pinned(algebra, n):
     assert generator_digest(algebra, n) == PINNED[(algebra, n)]
+
+
+def test_brauer_n6_generator_matrices_pinned():
+    # a child process, so that the memos of n = 6 (about 30 MB) do not stay
+    # in the test process
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hecke.__file__)))
+    code = ("from test_cell_modules import generator_digest\n"
+            "print(generator_digest('brauer', 6))\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=here,
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == BRAUER_N6
 
 
 def test_layer_shapes_most_dominant_first():

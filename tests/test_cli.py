@@ -216,7 +216,20 @@ def test_exit_2_on_unknown_flag(capsys):
     assert cli.run(["gram", "--algebra", "bmw", "--n", "3",
                     "--lambda", "1", "--frobnicate"]) == 2
     assert cli.run(["no-such-command"]) == 2
+    assert cli.run([]) == 2
+    assert cli.run(["dim", "cache", "--algebra", "bmw", "--n", "3"]) == 2
     capsys.readouterr()
+
+
+def test_one_parser_for_every_command(capsys):
+    assert cli.run(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert all(name in out for name in READS)
+    # a flag may stand before the command
+    argv = ["certify", "--algebra", "brauer", "--n", "3", "--spec", "z=4",
+            "--json"]
+    assert without_timing(run_json(capsys, argv[1:] + argv[:1])) == \
+        without_timing(run_json(capsys, argv))
 
 
 # the input flags each subcommand reads, beside --json and --cache-dir
@@ -681,10 +694,10 @@ def test_cached_process_derives_tinv_without_the_engine(tmp_path, capsys,
             requested.add(kind)
         return gen_matrix(lam, n, kind, i)
 
-    def engine_spy(terms, gen, n, f):
+    def engine_spy(terms, gen, n, f, vars):
         if n == 3:
             engine_kinds.append(gen[0])
-        return apply_gen_terms(terms, gen, n, f)
+        return apply_gen_terms(terms, gen, n, f, vars)
 
     monkeypatch.setattr(_bmw, "bmw_gen_matrix", gen_matrix_spy)
     monkeypatch.setattr(_bmw, "_apply_gen_terms", engine_spy)

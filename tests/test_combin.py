@@ -273,8 +273,7 @@ def test_up_neighbor_data_ordering_and_words():
     entries = up_neighbor_data((3, 2, 1), 10)
     shapes = [e[0] for e in entries]
     assert shapes == [(4, 2, 1), (3, 3, 1), (3, 2, 2), (3, 2, 1, 1)]
-    for mu, a, d_word, w_word in entries:
-        assert d_word == tuple(range(a, 9))
+    for mu, a, w_word in entries:
         assert w_word == tuple(range(a - 1, 2, -1)) + tuple(range(9, 3, -1))
 
 

@@ -380,7 +380,7 @@ def test_y_up_matches_defining_product_bmw(n):
         if f == 0:
             continue
         seed_left = (superstandard(lam, n), Permutation.identity(n))
-        data = {mu: w_word for mu, _a, _d, w_word in up_neighbor_data(lam, n)}
+        data = {mu: w_word for mu, _a, w_word in up_neighbor_data(lam, n)}
         for mu, w_word in data.items():
             y = y_element("bmw", lam, mu, n)
             word = [("E", 2 * f - 1)]
@@ -422,7 +422,7 @@ def test_y_up_matches_defining_product_brauer(n):
         f = (n - sum(lam)) // 2
         if f == 0:
             continue
-        for mu, a, _d_word, w_word in up_neighbor_data(lam, n):
+        for mu, a, w_word in up_neighbor_data(lam, n):
             w = word_perm(w_word, n)
             winv = BrauerElement.perm(w.inverse())
             m_mu = _br_m_mu_level_down(mu, n)
