@@ -121,9 +121,21 @@ def _json_text(obj, sort_keys=False):
     list instead, and formats str and int items in the loop of their
     container.  Floats, bools, None and subclasses of str and int go to
     the C encoder, which formats them as the indented encoder does.
+
+    A report shares tuples between its parts (a certify report repeats the
+    same path tuples in hundreds of witnesses), so the text of each exact
+    tuple is formed once per call and indentation: ``memo`` maps
+    (id(v), indent width) to it.  The key is the object's identity, never
+    its value: (1,), (True,) and (1.0,) are equal and hash alike but print
+    differently, and so do (0.0,) and (-0.0,).  Identity is exact because
+    every object the writer reaches stays alive until it returns: ``obj``
+    holds it, or ``held`` does for the copies made of subclassed
+    containers.
     """
     parts = []
     out = parts.append
+    memo = {}
+    held = []
 
     def write(v, nl):  # nl: the newline and indent of v's own line
         t = type(v)
@@ -135,6 +147,13 @@ def _json_text(obj, sort_keys=False):
             if not v:
                 out("[]")
                 return
+            if t is tuple:
+                key = (id(v), len(nl))
+                text = memo.get(key)
+                if text is not None:
+                    out(text)
+                    return
+                start = len(parts)
             inner = nl + "  "
             sep = "," + inner
             out("[" + inner)
@@ -148,6 +167,8 @@ def _json_text(obj, sort_keys=False):
                     write(x, inner)
                 out(sep)
             parts[-1] = nl + "]"  # in place of the last separator
+            if t is tuple:
+                memo[key] = "".join(parts[start:])
         elif t is dict:
             if not v:
                 out("{}")
@@ -168,9 +189,11 @@ def _json_text(obj, sort_keys=False):
                 out(sep)
             parts[-1] = nl + "}"
         elif isinstance(v, (list, tuple)):
-            write(list(v), nl)
+            held.append(list(v))
+            write(held[-1], nl)
         elif isinstance(v, dict):
-            write(dict(v.items()), nl)
+            held.append(dict(v.items()))
+            write(held[-1], nl)
         else:
             out(json.dumps(v))
 
@@ -332,7 +355,7 @@ def _double_factorial(n):
 
 
 def _path_str(path):
-    return " -> ".join(_shape_str(tuple(mu)) for mu in path)
+    return " -> ".join(_shape_str(mu) for mu in path)
 
 
 def _cmd_dim(args):
@@ -366,8 +389,8 @@ def _cmd_basis(args):
                         for w, c in pb.b_words[t].items()),
                        key=lambda item: item[0])
         entries.append({
-            "path": [list(mu) for mu in t],
-            "b_element": [{"word": list(word), "coeff": coeff}
+            "path": t,
+            "b_element": [{"word": word, "coeff": coeff}
                           for word, coeff in words],
         })
     payload = {
@@ -409,7 +432,7 @@ def _cmd_transition(args):
     pb = build_path_basis(args.algebra, args.shape, args.n)
     payload = {
         "shape": list(args.shape),
-        "paths": [[list(mu) for mu in t] for t in pb.paths],
+        "paths": pb.paths,
         "matrix": _fmt_matrix(pb.transition_matrix()),
     }
 
@@ -432,8 +455,7 @@ def _cmd_jm(args):
         "shape": list(args.shape),
         "ok": report["ok"],
         "diagonals": [
-            {"path": [list(mu) for mu in t],
-             "values": [text[x] for x in values]}
+            {"path": t, "values": [text[x] for x in values]}
             for t, values in report["diagonals"].items()],
         "failures": [repr(f) for f in report["failures"]],
     }
@@ -474,8 +496,8 @@ def _cmd_filtration(args):
 def _witness_payload(witnesses):
     text = _Text()
     return [{
-        "path_s": [list(mu) for mu in s],
-        "path_t": [list(mu) for mu in t],
+        "path_s": s,
+        "path_t": t,
         "shared_vector": [text[x] for x in vec],
     } for s, t, vec in witnesses]
 

@@ -14,8 +14,9 @@ at a point is a ring homomorphism on the local ring holding every Gram
 entry, so a nonzero determinant there is nonzero over the function field.
 Rank drops and radical dimensions come only from exact elimination.
 
-Rational roots of Gram determinants and the root-of-unity test run on
-:mod:`cellalg.exactring` polynomials, by exact division (``poly_divexact``).
+Rational roots of Gram determinants (candidates from p-adic lifting) and the
+root-of-unity test run on :mod:`cellalg.exactring` polynomials, by exact
+division (``poly_divexact``).
 """
 
 from fractions import Fraction
@@ -24,7 +25,7 @@ from math import gcd, isqrt, lcm
 
 from .combin import content_sum, dominance, layer_shapes, path_key
 from .exactring import (BMW_VARS, BRAUER_VARS, CoeffFraction, PoleError,
-                        Specialization, poly_divexact)
+                        Specialization, poly_divexact, poly_gcd)
 from .linalg import det, rank
 from .towers import _ops, gram_matrix, ordered_paths, path_content
 
@@ -383,85 +384,100 @@ _det = det
 def _linear_roots(x):
     """Split off the rational roots of a univariate polynomial over a
     constant denominator: returns (the sorted roots with multiplicity, the
-    degree left).  A nonzero root a/b in lowest terms has a | p(0) and
-    b | lead(p) for the primitive numerator p (rational root theorem), and
-    |a/b| is at most the root bound of its sign, so the numerators are the
-    divisors of p(0) up to b times that bound.  ``poly_divexact`` divides
-    b*z - a out of p in Z[z] (Gauss's lemma)."""
+    degree left).  The candidates are the rational roots of the squarefree
+    part of the primitive numerator p (``_squarefree_roots``), and
+    ``poly_divexact`` divides each b*z - a out of p in Z[z] (Gauss's lemma)
+    as often as it goes."""
     if any(e != (0,) for e in x.den) or not x.num:
         raise ValueError("not a nonzero polynomial")
     low = min(x.num)[0]  # zero roots come off by an exponent shift
     p = {(e - low,): c for (e,), c in x.num.items()}
     p = poly_divexact(p, {(0,): gcd(*p.values())}, 1)
     roots = [Fraction(0)] * low
-    coeffs = [p.get((k,), 0) for k in range(max(p)[0] + 1)]
-    candidates = set()
-    for sign in (1, -1):
-        bound = _positive_root_bound([c * sign ** k
-                                      for k, c in enumerate(coeffs)])
-        if bound:
-            dens = _divisors(coeffs[-1])
-            nums = _divisors_up_to(coeffs[0], dens[-1] * bound)
-            candidates.update(Fraction(sign * a, b) for b in dens
-                              for a in nums if a <= b * bound)
-    for root in candidates:
-        linear = {(1,): root.denominator, (0,): -root.numerator}
-        while len(p) > 1:
-            try:
-                p = poly_divexact(p, linear, 1)
-            except ValueError:
-                break
-            roots.append(root)
+    if len(p) > 1:
+        derivative = {(e - 1,): e * c for (e,), c in p.items() if e}
+        s = poly_divexact(p, poly_gcd(p, derivative, 1), 1)
+        for root in _squarefree_roots(
+                [s.get((k,), 0) for k in range(max(s)[0] + 1)]):
+            linear = {(1,): root.denominator, (0,): -root.numerator}
+            while len(p) > 1:
+                try:
+                    p = poly_divexact(p, linear, 1)
+                except ValueError:
+                    break
+                roots.append(root)
     return sorted(roots), max(p)[0]
 
 
-def _positive_root_bound(coeffs):
-    """An integer at least every positive real root of the polynomial with
-    these coefficients (lowest degree first, nonzero lead c_d): Kioustelidis'
-    bound 2 max |c_{d-i} / c_d|^(1/i) over the coefficients of sign opposite
-    to the lead, each root rounded up, or 0 if there is none (then there is
-    no positive root)."""
-    d, lead = len(coeffs) - 1, coeffs[-1]
-    bound = 0
-    for i in range(1, d + 1):
-        c = coeffs[d - i]
-        if c * lead < 0:
-            bound = max(bound, _root_ceil(-(-abs(c) // abs(lead)), i))
-    return 2 * bound
+def _squarefree_roots(s):
+    """Candidates for the rational roots of a squarefree integer polynomial
+    (coefficients lowest degree first, s(0) != 0), by p-adic lifting; every
+    rational root is among them, and the caller tests each one.
+
+    A root a/b in lowest terms has |a| <= |s(0)| and 0 < b <= |lead(s)|
+    (rational root theorem).  Modulo a prime l that divides neither lead(s)
+    nor the derivative at any root of s mod l, a/b reduces to a simple root
+    of s mod l.  Newton's method lifts each simple root mod l to a root mod
+    some m > 2 |s(0)| |lead(s)|, and a/b is the only fraction within those
+    bounds congruent to it (``_rational_reconstruction``).  The work grows
+    with the degree and the size of the coefficients, never with the number
+    or size of their divisors."""
+    lead, const = s[-1], s[0]
+    derivative = [k * c for k, c in enumerate(s)][1:]
+    ell = 1
+    while True:  # refuses only primes of lead(s) or of the discriminant
+        ell += 1
+        if lead % ell == 0 or any(ell % k == 0
+                                  for k in range(2, isqrt(ell) + 1)):
+            continue
+        reduced = [c % ell for c in s]
+        residues = [r for r in range(ell) if _horner(reduced, r, ell) == 0]
+        if all(_horner(derivative, r, ell) for r in residues):
+            break
+    limit = 2 * abs(lead) * abs(const)
+    out = []
+    for r in residues:
+        m = ell
+        while m <= limit:
+            m *= m
+            r = (r - _horner(s, r, m)
+                 * pow(_horner(derivative, r, m), -1, m)) % m
+        root = _rational_reconstruction(r, m, abs(const), abs(lead))
+        if root:
+            out.append(root)
+    return out
 
 
-def _root_ceil(m, k):
-    """The least integer u with u^k >= m, for m >= 1: Newton's method on
-    integers from 2^ceil(bits(m)/k) down to the floor of the k-th root."""
-    u = 1 << -(-m.bit_length() // k)
-    while True:
-        v = ((k - 1) * u + m // u ** (k - 1)) // k
-        if v >= u:
-            return u if u ** k >= m else u + 1
-        u = v
+def _horner(coeffs, x, m):
+    """The polynomial with these coefficients (lowest degree first) at x,
+    reduced modulo m."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % m
+    return acc
 
 
-def _divisors_up_to(a, limit):
-    """Sorted positive divisors of a nonzero a up to limit, by trial
-    division up to limit or through ``_divisors``, whichever tries fewer."""
-    if limit <= isqrt(abs(a)):
-        return [d for d in range(1, limit + 1) if a % d == 0]
-    return [d for d in _divisors(a) if d <= limit]
+def _rational_reconstruction(r, m, a_max, b_max):
+    """The fraction a/b with a = b r (mod m), |a| <= a_max and
+    0 < b <= b_max, or None if the extended Euclidean algorithm on (m, r),
+    stopped at its first remainder at most a_max, finds none.  When
+    2 a_max b_max < m, a fraction with these properties is unique and is
+    always found (von zur Gathen and Gerhard, "Modern Computer Algebra",
+    Theorem 5.26)."""
+    r0, r1, t0, t1 = m, r, 0, 1
+    while r1 > a_max:
+        k = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+    return Fraction(r1, t1) if 0 < abs(t1) <= b_max else None
 
 
-def _divisors(a):
-    """Sorted positive divisors of |a| ([1] for 0), pairing d with a // d
-    up to the integer square root."""
-    a = abs(a)
-    if a == 0:
-        return [1]
-    low = [d for d in range(1, isqrt(a) + 1) if a % d == 0]
-    return low + [a // d for d in reversed(low) if d * d != a]
-
-
+@lru_cache(maxsize=None)
 def conjecture_evidence(n):
     """Compare the rational root set of the Gram determinant of the smallest
-    one-parameter cell module at level n with the conjectured polynomial."""
+    one-parameter cell module at level n with the conjectured polynomial.
+
+    The report depends on n only, so it is memoised per process and shared
+    by every caller: read it, never mutate it."""
     if n < 2:
         raise ValueError("need n >= 2")
     k = (n - 1) // 2 if n % 2 else n // 2

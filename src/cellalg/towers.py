@@ -522,9 +522,16 @@ def restriction_filtration_check(algebra: str, lam, n: int) -> dict:
     passing through mu and its predecessors must be stable under the
     generators with index < n-1, and the induced action on the subquotient
     must match the structure constants of S^mu one level down.
+
+    The report depends on (algebra, lambda, n) only, so it is memoised per
+    process and shared by every caller: read it, never mutate it.
     """
+    return _restriction_filtration_check(algebra, check_partition(lam), n)
+
+
+@lru_cache(maxsize=None)
+def _restriction_filtration_check(algebra, lam, n):
     ops = _ops(algebra)
-    lam = check_partition(lam)
     pb = build_path_basis(algebra, lam, n)
     report = {
         "algebra": algebra, "n": n, "lam": lam, "ok": True,
@@ -603,8 +610,16 @@ def jm_matrix(algebra: str, lam, n: int, k: int):
 
 def jm_triangularity(algebra: str, lam, n: int) -> dict:
     """Check that every L_k is triangular on the path basis with diagonal
-    P_t(k); returns the per-path diagonal values."""
-    lam = check_partition(lam)
+    P_t(k); returns the per-path diagonal values.
+
+    The report depends on (algebra, lambda, n) only, so it is memoised per
+    process and shared by every caller: read it, never mutate it.
+    """
+    return _jm_triangularity(algebra, check_partition(lam), n)
+
+
+@lru_cache(maxsize=None)
+def _jm_triangularity(algebra, lam, n):
     pb = build_path_basis(algebra, lam, n)
     report = {
         "algebra": algebra, "n": n, "lam": lam, "ok": True,

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -416,12 +417,25 @@ JSON_SCALARS = st.one_of(
     JSON_TEXT)
 JSON_KEYS = st.one_of(JSON_TEXT, st.integers(), st.floats(), st.booleans(),
                       st.none())
-JSON_VALUES = st.recursive(
-    JSON_SCALARS,
-    lambda inner: st.one_of(st.lists(inner, max_size=4),
-                            st.lists(inner, max_size=4).map(tuple),
-                            st.dictionaries(JSON_KEYS, inner, max_size=4)),
-    max_leaves=24)
+
+
+def json_containers(inner):
+    return st.one_of(st.lists(inner, max_size=4),
+                     st.lists(inner, max_size=4).map(tuple),
+                     st.dictionaries(JSON_KEYS, inner, max_size=4))
+
+
+JSON_VALUES = st.recursive(JSON_SCALARS, json_containers, max_leaves=24)
+
+
+@st.composite
+def json_values_sharing_a_tuple(draw):
+    """A JSON value in which one tuple object sits at several positions and
+    depths, beside equal tuples that are other objects."""
+    shared = tuple(draw(st.lists(JSON_VALUES, max_size=3)))
+    leaves = st.one_of(JSON_SCALARS, st.just(shared),
+                       st.builds(lambda: tuple(list(shared))))
+    return draw(st.recursive(leaves, json_containers, max_leaves=24))
 
 
 def json_outcome(encode):
@@ -432,7 +446,8 @@ def json_outcome(encode):
 
 
 @settings(max_examples=200, deadline=None)
-@given(value=JSON_VALUES, sort_keys=st.booleans())
+@given(value=JSON_VALUES | json_values_sharing_a_tuple(),
+       sort_keys=st.booleans())
 def test_json_writer_matches_json_dumps(value, sort_keys):
     expected = json_outcome(
         lambda: json.dumps(value, indent=2, sort_keys=sort_keys))
@@ -457,6 +472,34 @@ def test_json_writer_on_fixed_values():
         cli._json_text([CoeffFraction.const(1, BMW_VARS)])
     for top in ("x", 3, 2.5, None, True, [], {}):
         assert cli._json_text(top) == json.dumps(top, indent=2)
+
+
+def test_json_writer_on_look_alike_tuples():
+    # equal tuples that hash alike but print differently: the writer's
+    # memo of tuple texts must tell them apart
+    look_alikes = [(1,), (True,), (1.0,), (0.0,), (-0.0,)]
+    value = {"b": [look_alikes, tuple(look_alikes)], "a": look_alikes,
+             "c": {"x": look_alikes[::-1], "y": [[look_alikes[0]]]}}
+    for sort_keys in (False, True):
+        assert cli._json_text(value, sort_keys=sort_keys) == json.dumps(
+            value, indent=2, sort_keys=sort_keys)
+
+
+@pytest.mark.parametrize("argv,report", [
+    (["jm", "--algebra", "brauer", "--n", "4", "--lambda", "2"],
+     lambda: towers.jm_triangularity("brauer", (2,), 4)),
+    (["filtration", "--algebra", "bmw", "--n", "4", "--lambda", "2"],
+     lambda: towers.restriction_filtration_check("bmw", (2,), 4)),
+    (["conjecture", "--n", "4"], lambda: specsim.conjecture_evidence(4)),
+])
+def test_cli_leaves_shared_reports_unchanged(capsys, argv, report):
+    shared = report()
+    before = copy.deepcopy(shared)
+    for extra in ([], ["--json"]):
+        assert cli.run(argv + extra) == 0
+    capsys.readouterr()
+    assert report() is shared
+    assert shared == before
 
 
 # -- cache ---------------------------------------------------------------------------
@@ -638,6 +681,7 @@ def test_cache_presence_never_changes_output(tmp_path, capsys, algebra, n):
     plain = {}
     for sub in ("gram", "transition", "jm", "filtration"):
         plain[sub] = without_timing(run_json(capsys, [sub] + base))
+    _clear_memos()  # so that the cached answers come from the loaded matrices
     cache_dir = str(tmp_path)
     for sub in ("gram", "transition", "jm", "filtration"):
         cached = run_json(capsys, [sub] + base + ["--cache-dir", cache_dir])
@@ -671,7 +715,9 @@ def _clear_memos():
     _bmw._gen_matrix_overrides.clear()
     for memo in (_bmw._bmw_gen_matrix_compute, towers.jm_matrix,
                  towers.build_path_basis, towers.gram_matrix,
-                 towers.m_lambda_matrix):
+                 towers.m_lambda_matrix, towers._jm_triangularity,
+                 towers._restriction_filtration_check,
+                 specsim.conjecture_evidence):
         memo.cache_clear()
 
 

@@ -1,7 +1,8 @@
 """Every query of the benchmark catalog, answered in process through
 ``cli.run``, against its stored digest in ``cellbench/digests.json`` (the
 SHA-256 of the JSON report without its ``timing`` field), and printed in the
-layout of ``json.dumps(report, indent=2)``."""
+layout of ``json.dumps(report, indent=2)``, once and then again from the
+memos of the same process."""
 
 import contextlib
 import io
@@ -18,14 +19,18 @@ import catalog  # noqa: E402
 def test_every_catalog_query_matches_its_digest():
     digests = catalog.load_digests()
     failures = []
-    for query in catalog.all_queries():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.run(list(query) + ["--json"])
-        reason = catalog.check_output(query, code, out.getvalue(), digests)
-        if reason is None and out.getvalue() != json.dumps(
-                json.loads(out.getvalue()), indent=2) + "\n":
-            reason = "not in the layout of json.dumps(indent=2)"
-        if reason is not None:
-            failures.append((catalog.key(query), reason))
+    # the second pass answers each query again in the same process, from
+    # the memos the first pass filled: they must not change an answer
+    for answer in ("first", "repeated"):
+        for query in catalog.all_queries():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.run(list(query) + ["--json"])
+            reason = catalog.check_output(query, code, out.getvalue(),
+                                          digests)
+            if reason is None and out.getvalue() != json.dumps(
+                    json.loads(out.getvalue()), indent=2) + "\n":
+                reason = "not in the layout of json.dumps(indent=2)"
+            if reason is not None:
+                failures.append((answer, catalog.key(query), reason))
     assert not failures

@@ -148,8 +148,8 @@ def test_linear_roots_with_coefficients_of_other_denominators():
 
 def test_linear_roots_of_large_constant_terms_stay_fast():
     # trial division up to the square root of p(0) = 3^40 5^40 or 10^20 + 1
-    # would not finish; the root bounds (50 and 160 for the first) leave
-    # 20 candidates, and none for z^2 + 10^20 + 1, which has no real root
+    # would not finish; the roots come from p-adic lifting of the
+    # squarefree part instead, whose size the multiplicities do not reach
     z = sympy.Symbol("z")
     zz = CoeffFraction.var("z", BRAUER_VARS)
 
@@ -165,6 +165,49 @@ def test_linear_roots_of_large_constant_terms_stay_fast():
         split = _linear_roots(x)
         assert time.perf_counter() - start < 1
         assert split == _linear_split_by_sympy(expr, z)
+
+
+# integer polynomials whose leading coefficients reach 10^14 and beyond:
+# linear factors b z - a with large b, times a random integer polynomial
+BIG = st.integers(10 ** 14, 10 ** 22)
+COEFFS = st.integers(-60, 60) | st.integers(-10 ** 20, 10 ** 20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(factors=st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6).filter(bool)
+                                  | BIG,
+                                  st.integers(1, 40) | BIG),
+                        max_size=3),
+       rest=st.lists(COEFFS, max_size=4),
+       top=st.integers(1, 60) | BIG, sign=st.sampled_from((1, -1)))
+def test_linear_roots_of_large_leading_coefficients_match_sympy(
+        factors, rest, top, sign):
+    z = sympy.Symbol("z")
+    zz = CoeffFraction.var("z", BRAUER_VARS)
+
+    def const(c):
+        return CoeffFraction.const(c, BRAUER_VARS)
+
+    x = const(sign * top) * zz ** len(rest)
+    expr = sign * top * z ** len(rest)
+    for k, c in enumerate(rest):
+        x = x + const(c) * zz ** k
+        expr += c * z ** k
+    for a, b in factors:
+        x = x * (const(b) * zz - const(a))
+        expr *= b * z - a
+    assert _linear_roots(x) == _linear_split_by_sympy(expr, z)
+
+
+def test_linear_roots_need_no_divisors_of_the_leading_coefficient():
+    # the root 1/b has b = 10^30, or the Mersenne prime 2^89 - 1: trial
+    # division up to the square root of b would run for hours
+    zz = CoeffFraction.var("z", BRAUER_VARS)
+    for b in (10 ** 30, 2 ** 89 - 1):
+        x = (CoeffFraction.const(b, BRAUER_VARS) * zz
+             - CoeffFraction.const(1, BRAUER_VARS)) * (
+                 zz - CoeffFraction.const(2, BRAUER_VARS))
+        assert _linear_roots(x) == ([Fraction(1, b), Fraction(2)], 0)
 
 
 BOUND = 12

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +21,8 @@ from cellalg.specsim import (
     INCONCLUSIVE,
     Verdict,
     _certificate_specs,
-    _divisors,
-    _divisors_up_to,
     _rational_power_exponent,
-    _root_ceil,
+    _rational_reconstruction,
     certify,
     conjecture_evidence,
     conjecture_poly,
@@ -546,28 +545,20 @@ def test_note_root_of_unity_via_minimal_polynomial():
     assert note3["q_root_of_unity"] == 4
 
 
-def test_divisors_match_brute_force():
-    for a in range(0, 2001):
-        expected = [d for d in range(1, a + 1) if a % d == 0] if a else [1]
-        assert _divisors(a) == expected
-        assert _divisors(-a) == expected
-    assert _divisors(2 ** 17) == [2 ** k for k in range(18)]
-
-
-def test_divisors_up_to_match_brute_force():
-    # limits on both sides of the square root take both routes
-    for a in range(1, 400):
-        for limit in (1, 5, 19, 20, 21, 500):
-            expected = [d for d in range(1, min(a, limit) + 1) if a % d == 0]
-            assert _divisors_up_to(a, limit) == expected
-            assert _divisors_up_to(-a, limit) == expected
-
-
-def test_root_ceil_is_the_least_integer_root():
-    for m in list(range(1, 600)) + [3 ** 40 * 5 ** 40, 2 ** 200 + 1]:
-        for k in range(1, 90 if m > 600 else 7):
-            u = _root_ceil(m, k)
-            assert u ** k >= m > (u - 1) ** k
+def test_rational_reconstruction_finds_every_fraction_in_its_bounds():
+    # every a/b with |a| <= a_max, 0 < b <= b_max and b prime to m comes
+    # back from its residue a * b^-1 mod m when 2 a_max b_max < m
+    for m, a_max, b_max in ((7 ** 3, 12, 14), (2 ** 9, 15, 16), (101, 5, 10),
+                            (3 ** 10, 40, 700)):
+        assert 2 * a_max * b_max < m
+        for b in range(1, b_max + 1):
+            if gcd(b, m) != 1:
+                continue
+            for a in range(-a_max, a_max + 1):
+                if gcd(a, b) == 1:
+                    r = a * pow(b, -1, m) % m
+                    assert (_rational_reconstruction(r, m, a_max, b_max)
+                            == Fraction(a, b))
 
 
 # -- conjecture harness --------------------------------------------------------------
@@ -613,6 +604,18 @@ def test_conjecture_evidence_pinned(n, report):
     # the whole report; the benchmark digests cover conjecture only at
     # n = 3 and 4
     assert conjecture_evidence(n) == report
+
+
+def test_conjecture_evidence_has_one_memo_entry_per_level():
+    conjecture_evidence.cache_clear()
+    report = conjecture_evidence(3)
+    assert conjecture_evidence(3) is report
+    assert conjecture_evidence.cache_info().currsize == 1
+    conjecture_evidence.cache_clear()
+    assert conjecture_evidence(3) == report
+    with pytest.raises(ValueError):
+        conjecture_evidence(1)
+    assert conjecture_evidence.cache_info().currsize == 1
 
 
 def test_conjecture_evidence_even_levels_reported_honestly():

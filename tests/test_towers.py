@@ -671,6 +671,23 @@ def _one_box_apart(mu, lam):
     return all(d >= 0 for d in diffs) and sum(diffs) == 1
 
 
+@pytest.mark.parametrize("check,memo", [
+    (jm_triangularity, towers._jm_triangularity),
+    (restriction_filtration_check, towers._restriction_filtration_check)])
+@pytest.mark.parametrize("algebra,lam,n", [("brauer", (2, 1), 5),
+                                           ("bmw", (1,), 3)])
+def test_tower_reports_have_one_memo_entry_per_shape(check, memo, algebra,
+                                                     lam, n):
+    # a list and its tuple normalise to one key; the report is shared, and
+    # equal to one computed afresh
+    memo.cache_clear()
+    report = check(algebra, list(lam), n)
+    assert check(algebra, lam, n) is report
+    assert memo.cache_info().currsize == 1
+    memo.cache_clear()
+    assert check(algebra, lam, n) == report
+
+
 # -- restriction filtration ----------------------------------------------------------
 
 @pytest.mark.parametrize("algebra,nmax", [("bmw", 4), ("brauer", 4)])
