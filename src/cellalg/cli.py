@@ -12,14 +12,13 @@ JSON output is deterministic across runs with equal inputs, except for the
 trailing ``timing`` field.
 """
 
-import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 import tempfile
 import time
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from .combin import cell_index, check_partition, layer_shapes
@@ -494,12 +493,18 @@ def _cmd_filtration(args):
 
 
 def _witness_payload(witnesses):
+    """The witnesses as dicts; the witnesses of one bucket share one tuple
+    of contents, and its strings stay one tuple, which the writer renders
+    once."""
     text = _Text()
-    return [{
-        "path_s": s,
-        "path_t": t,
-        "shared_vector": [text[x] for x in vec],
-    } for s, t, vec in witnesses]
+    strings = {}  # id of a shared vector -> its strings
+    out = []
+    for s, t, vec in witnesses:
+        shared = strings.get(id(vec))
+        if shared is None:
+            shared = strings[id(vec)] = tuple(map(text.__getitem__, vec))
+        out.append({"path_s": s, "path_t": t, "shared_vector": shared})
+    return out
 
 
 def _cmd_certify(args):
@@ -650,25 +655,149 @@ _READS_CACHE = {"basis", "gram", "transition", "jm", "filtration",
 MAX_N = 8
 
 
-@lru_cache(maxsize=None)
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="cellalg",
-        description="Exact cellular-structure computations for the Brauer "
-                    "and Birman-Murakami-Wenzl towers.")
-    parser.add_argument("command", choices=tuple(_HANDLERS),
-                        metavar="COMMAND",
-                        help="one of " + ", ".join(_HANDLERS))
-    parser.add_argument("--algebra", choices=("bmw", "brauer"))
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--lambda", dest="shape_text", metavar="LAMBDA",
-                        help="partition as comma-separated parts, e.g. 2,1")
-    parser.add_argument("--mu", help="target partition (hom only)")
-    parser.add_argument("--spec", dest="spec_text", metavar="SPEC",
-                        help='specialization, e.g. "z=4" or "r=-q^-3"')
-    parser.add_argument("--json", action="store_true")
-    parser.add_argument("--cache-dir")
-    return parser
+_HELP = """\
+usage: cellalg COMMAND [--algebra {bmw,brauer}] [--n N] [--lambda LAMBDA]
+               [--mu MU] [--spec SPEC] [--json] [--cache-dir CACHE_DIR]
+
+Exact cellular-structure computations for the Brauer and
+Birman-Murakami-Wenzl towers.
+
+commands:
+  dim, basis, gram, transition, jm, filtration, certify, gram-certify,
+  hom, conjecture, cache
+
+flags:
+  -h, --help             show this help and exit
+  --algebra {bmw,brauer}
+  --n N                  the level, 1 to 8
+  --lambda LAMBDA        partition as comma-separated parts, e.g. 2,1
+  --mu MU                target partition (hom only)
+  --spec SPEC            specialization, e.g. "z=4" or "r=-q^-3"
+  --json                 print the report as JSON
+  --cache-dir CACHE_DIR  directory of the generator-matrix cache\
+"""
+
+# Each flag: the attribute it sets and the function that turns its text into
+# the value, or None for a switch.  Every long flag may be shortened to a
+# prefix, which is unique because their first letters differ.
+_FLAGS = {
+    "-h": ("help", None),
+    "--help": ("help", None),
+    "--algebra": ("algebra", lambda text: _choice(text, ("bmw", "brauer"))),
+    "--n": ("n", int),
+    "--lambda": ("shape_text", str),
+    "--mu": ("mu", str),
+    "--spec": ("spec_text", str),
+    "--json": ("json", None),
+    "--cache-dir": ("cache_dir", str),
+}
+# a word that starts with "-" but reads as a negative number is a value
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _choice(text, choices):
+    if text not in choices:
+        raise ValueError("invalid choice: {!r}".format(text))
+    return text
+
+
+class _Args:
+    """The parsed command line: one attribute per flag, None when absent
+    (False for --json), plus ``shape`` and ``spec`` set by ``_validate``."""
+
+    command = algebra = n = shape_text = mu = spec_text = cache_dir = None
+    shape = spec = None
+    json = False
+
+
+def _classify(arg):
+    """(flag, explicit value) for a flag, (None, None) for a word or (None,
+    arg) for an unknown flag, as argparse reads one argument: "--n=3" gives
+    an explicit value, and "-h" may carry a tail of more "h"s."""
+    if arg[:1] != "-" or arg == "-":
+        return None, None
+    if arg in _FLAGS:
+        return arg, None
+    if arg[1] != "-":
+        if arg[:2] == "-h":  # a short flag: its tail is an explicit value
+            return "-h", arg[3:] if arg[2] == "=" else arg[2:]
+    else:
+        name, eq, value = arg.partition("=")
+        matches = [flag for flag in _FLAGS if flag.startswith(name)]
+        if len(matches) > 1:  # only "--=..."
+            raise CliError("ambiguous option: " + arg)
+        if matches:
+            return matches[0], (value if eq else None)
+    if _NEGATIVE_NUMBER.match(arg) or " " in arg:
+        return None, None
+    return None, arg
+
+
+def _parse_argv(argv):
+    """The parsed arguments, or the exit code: 0 after printing the help,
+    2 after an error.
+
+    Reads what the argparse parser of earlier versions read, to the same
+    values: flags before or after the command, "--flag=value", unique
+    prefixes of long flags, and a "--" after which every argument is a
+    word.  A failing value or choice, a flag without its value and a switch
+    given one are refused where they stand; unknown flags, surplus words and
+    a missing command are refused at the end, so a --help before them still
+    prints the help.  One difference: argparse read "--flag=--" as an empty
+    list, which the handlers could not take, and this parser reads "--"."""
+    args = _Args()
+    at = argv.index("--") if "--" in argv else len(argv)
+    try:
+        kinds = [_classify(arg) for arg in argv[:at]]
+        surplus = False
+        command_at = None
+        i = 0
+        while i < at:
+            flag, value = kinds[i]
+            i += 1
+            if flag is None:
+                if value is not None or command_at is not None:
+                    surplus = True  # an unknown flag or a second word
+                else:
+                    command_at = i - 1
+                    args.command = _choice(argv[command_at], _HANDLERS)
+                continue
+            attr, convert = _FLAGS[flag]
+            if convert is None:
+                if flag == "-h" and value and not value.strip("h"):
+                    value = None  # "-hh": the help, twice
+                if value is not None:
+                    raise CliError("{} takes no value".format(flag))
+                if attr == "help":
+                    print(_HELP)
+                    return 0
+                args.json = True
+                continue
+            if value is None:
+                if i == at or kinds[i] != (None, None):
+                    raise CliError("{} expects a value".format(flag))
+                value = argv[i]
+                i += 1
+            try:
+                setattr(args, attr, convert(value))
+            except ValueError as exc:
+                raise CliError("bad value for {}: {}".format(flag, exc))
+        words = argv[at + 1:]
+        if at < len(argv) and command_at != at - 1:
+            # "--" belongs to the command right before it, or else to the
+            # command right after it
+            if command_at is None and words:
+                args.command = _choice(words.pop(0), _HANDLERS)
+            else:
+                surplus = True
+        if args.command is None:
+            raise CliError("missing COMMAND, one of " + ", ".join(_HANDLERS))
+        if surplus or words:
+            raise CliError("unrecognized arguments")
+    except (CliError, ValueError) as exc:
+        print("error: {}".format(exc), file=sys.stderr)
+        return 2
+    return args
 
 
 def _validate(args):
@@ -699,11 +828,9 @@ def _validate(args):
 
 
 def run(argv):
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _parse_argv(argv)
+    if isinstance(args, int):
+        return args
     start = time.monotonic()
     try:
         _validate(args)

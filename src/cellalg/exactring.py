@@ -23,7 +23,9 @@ Specializations substitute variables either by rationals or by
 symbolic expressions in the remaining variables (for example
 ``r -> -q^-3``); symbolic substitutions are applied before any numeric
 evaluation.  A substitution is one pass over numerator and denominator,
-scaled by the image denominators, with one reduction at the end.
+scaled by the image denominators, with one reduction at the end; when every
+image is one term over one term, the pass maps each term by int coefficient
+powers and a shift of its exponent, with no polynomial products.
 
 ``ring(nvars)`` names the operations of that pass and of the Bareiss kernel
 in :mod:`cellalg.linalg`: polynomial dicts in general, and plain ints when
@@ -470,10 +472,13 @@ class CoeffFraction:
         vanishes.
 
         With image n_i/d_i and D_i the degree of variable i in num and den,
-        both are multiplied by prod d_i^D_i, so each term c*x^e becomes the
-        polynomial c * prod n_i^e_i * d_i^(D_i - e_i); one reduction at the
-        end gives the canonical form.  The pass runs in ``ring`` of the
-        target variable count: on ints at a rational point.
+        both are multiplied by prod d_i^D_i, so each term c*x^e becomes
+        c * prod n_i^e_i * d_i^(D_i - e_i); one reduction at the end gives
+        the canonical form.  When every image is one term over one term (a
+        rational, or a Laurent monomial such as -q^-3), that is an int
+        coefficient and a shifted exponent (``_map_terms``); otherwise the
+        pass multiplies in ``ring`` of the target variable count
+        (``_map_polys``), on ints at a rational point.
         """
         images = []
         target_vars = None
@@ -489,10 +494,61 @@ class CoeffFraction:
         if target_vars is None:
             target_vars = ()
         R = ring(len(target_vars))
+        tops = list(map(max, zip(*self.num, *self.den)))
+        if all(len(img.num) <= 1 and len(img.den) == 1 for img in images):
+            num, den = self._map_terms(images, tops, R)
+        else:
+            num, den = self._map_polys(images, tops, R)
+        if not den:
+            raise PoleError(f"denominator vanishes under {assignment}")
+        return R.fraction(target_vars, num, den)
+
+    def _map_terms(self, images, tops, R):
+        """Numerator and denominator in ``R`` under images c_i x^a_i /
+        (d_i x^b_i): the term c*x^e goes to c * prod c_i^e_i d_i^(D_i - e_i)
+        times x to the power sum e_i (a_i - b_i), and both sides are then
+        divided by the highest power of each variable that divides them.
+        At a rational point (no target variable) both are plain int sums."""
+        nt = len(images[0].vars) if images else 0
+        zero = (0,) * nt
+        maps = []  # per variable: c_i, d_i, D_i and a_i - b_i
+        for img, top in zip(images, tops):
+            (a, c), = img.num.items() or ((zero, 0),)
+            (b, d), = img.den.items()
+            maps.append((c, d, top, tuple(map(operator.sub, a, b))))
+        if not nt:  # a rational point: two sums of ints
+            sums = []
+            for p in (self.num, self.den):
+                total = 0
+                for exp, k in p.items():
+                    for (c, d, top, _), e in zip(maps, exp):
+                        k *= c ** e * d ** (top - e)
+                    total += k
+                sums.append(total)
+            return sums
+        sides = []
+        for p in (self.num, self.den):
+            out: dict = {}
+            for exp, k in p.items():
+                key = zero
+                for (c, d, top, shift), e in zip(maps, exp):
+                    k *= c ** e * d ** (top - e)
+                    if e:
+                        key = tuple(x + e * y for x, y in zip(key, shift))
+                out[key] = out.get(key, 0) + k
+            sides.append({key: k for key, k in out.items() if k})
+        low = tuple(map(min, zip(*sides[0], *sides[1])))
+        if any(low):
+            sides = [{tuple(map(operator.sub, key, low)): k
+                      for key, k in side.items()} for side in sides]
+        return R.elem(sides[0]), R.elem(sides[1])
+
+    def _map_polys(self, images, tops, R):
+        """Numerator and denominator in ``R`` under any images n_i/d_i."""
         const, mul, elem = R.const, R.mul, R.elem
         one = const(1)
         tables = []  # per variable: powers of n_i and of d_i, and D_i
-        for img, top in zip(images, map(max, zip(*self.num, *self.den))):
+        for img, top in zip(images, tops):
             nums, dens = [one], [one]
             if top:
                 n_i, d_i = elem(img.num), elem(img.den)
@@ -510,10 +566,7 @@ class CoeffFraction:
                     if e != top:
                         term = mul(term, dens[top - e])
                 out.append(term)
-        den = R.total(den)
-        if not den:
-            raise PoleError(f"denominator vanishes under {assignment}")
-        return R.fraction(target_vars, R.total(num), den)
+        return R.total(num), R.total(den)
 
     # -- formatting -----------------------------------------------------------
     def __repr__(self):

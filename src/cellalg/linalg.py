@@ -5,12 +5,15 @@ Rank, determinant, inversion and the solver classes share one Bareiss
 (fraction-free) kernel over the rows cleared of denominators.  The kernel
 takes its operations from ``exactring.ring`` of the variable count:
 polynomial dicts in general, and Python ints (``*``, ``-`` and an exact
-``//``) for values at a rational point.
+``//``) for values at a rational point.  ``rank`` always runs it on ints:
+polynomial rows are first evaluated at a power of two at which no minor
+vanishes (``_kronecker``).
 Sizes in this package stay small (a few hundred rows at most), so the
 elimination works on dense rows; ``mat_mul`` skips zero entries, since the
 generator matrices it multiplies have about one nonzero entry per row.
 """
 
+import operator
 from functools import reduce
 
 from .exactring import CoeffFraction, ring
@@ -59,10 +62,16 @@ def mat_mul(a, b):
 
 
 def rank(matrix) -> int:
+    """Rank by the int Bareiss kernel: over ring(nv >= 1), on the cleared
+    rows evaluated at a point (``_kronecker``) where no nonzero minor
+    vanishes, so the rank is exact."""
     if not matrix or not matrix[0]:
         return 0
     rows, _ = _cleared(matrix)
-    return len(_bareiss_forward(rows, len(matrix[0][0].vars))[0])
+    nv = len(matrix[0][0].vars)
+    if nv:
+        rows = _kronecker(rows, nv)
+    return len(_bareiss_forward(rows, 0)[0])
 
 
 def det(matrix) -> CoeffFraction:
@@ -136,6 +145,50 @@ def _cleared(matrix):
                      for x, d in cells])
         dens.append(den)
     return rows, dens
+
+
+def _kronecker(rows, nv):
+    """Polynomial rows in ``nv`` variables as int rows, each entry evaluated
+    at x_v = t^w_v with t = 2^B (Kronecker substitution; von zur Gathen and
+    Gerhard, "Modern Computer Algebra", section 8.4).
+
+    Let s = min(rows, columns).  Every minor of the rows has at most s rows,
+    so its degree in x_v is at most D_v, the sum of the s largest row degrees
+    in x_v, and the weights w_1 = 1, w_(v+1) = w_v (D_v + 1) send its
+    monomials to distinct powers of t.  Each coefficient of a minor is at
+    most its 1-norm, which is at most H, the product of the s largest row
+    1-norms (sums of the absolute values of all coefficients in the row).
+    B is the bit length of H, so t > H, and by Cauchy's bound no nonzero
+    polynomial in t with coefficients at most H in absolute value vanishes
+    at t.  So the minors that vanish at t are the minors that vanish, and
+    the int rows have the rank of the polynomial rows.
+    """
+    s = min(len(rows), len(rows[0]))
+    norms = sorted(sum(abs(c) for p in row for c in p.values())
+                   for row in rows)
+    bound = 1
+    for norm in norms[-s:]:
+        bound *= norm or 1
+    width = bound.bit_length()
+    weights = []
+    weight = 1
+    for v in range(nv):
+        degrees = sorted(max((e[v] for p in row for e in p), default=0)
+                         for row in rows)
+        weights.append(weight)
+        weight *= sum(degrees[-s:]) + 1
+    shifts = {}  # exponent tuple -> the bit position of its power of t
+
+    def value(p):
+        out = 0
+        for e, c in p.items():
+            shift = shifts.get(e)
+            if shift is None:
+                shift = shifts[e] = width * sum(map(operator.mul, e, weights))
+            out += c << shift
+        return out
+
+    return [[value(p) if p else 0 for p in row] for row in rows]
 
 
 def _bareiss_step(row, pivot_row, col, prev, nv):

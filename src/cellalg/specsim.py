@@ -101,45 +101,71 @@ def certify(algebra, n, spec=None):
     """Eigenvalue-vector criterion: semisimple if no two paths of distinct
     comparable shapes share a content vector.  Never certifies the negative;
     collisions are reported as Inconclusive with the colliding path pairs,
-    sorted by ``path_key`` of both paths.
+    sorted by ``path_key`` of both paths, and one tuple of specialized
+    contents per shared vector.
 
     The level's generic step contents take few distinct values (about 4n),
     so they are classed once (``_content_classes``) and only the class
-    values are specialized, in the order in which the paths first meet
-    them.  The specialized values are interned as small integers and each
-    path's vector becomes a tuple of those integers, bucketed over all
-    shapes at once.  This is exact: equal generic contents stay equal under
-    any specialization, so two specialized content vectors are equal iff
-    their interned tuples are.
+    values are specialized.  The specialized values are interned as small
+    integers and each path's vector becomes a tuple of those integers,
+    bucketed over all shapes at once (``_collisions``).  This is exact:
+    equal generic contents stay equal under any specialization, so two
+    specialized content vectors are equal iff their interned tuples are.
+    A specialization that keeps the class values distinct leaves the
+    buckets of the generic level, whose collisions are memoised.
     """
     values, rows = _content_classes(algebra, n)
     if spec is not None:
         values = [spec.apply(v) for v in values]
-    interned = {}
-    ids = [interned.setdefault(v, len(interned)) for v in values]
+        interned = {}
+        ids = [interned.setdefault(v, len(interned)) for v in values]
+    if spec is None or len(interned) == len(values):
+        if not _generic_collides(algebra, n):
+            return Verdict(CERTIFIED_SEMISIMPLE, [])
+        ids = range(len(values))
+    witnesses = []  # (rank of s, rank of t, s, t, shared vector)
+    for classes, pairs in _collisions(rows, ids):
+        vector = tuple(values[c] for c in classes)
+        witnesses.extend(pair + (vector,) for pair in pairs)
+    if not witnesses:
+        return Verdict(CERTIFIED_SEMISIMPLE, [])
+    witnesses.sort()  # ranks are distinct, so paths are never compared
+    return Verdict(INCONCLUSIVE, [w[2:] for w in witnesses])
+
+
+def _collisions(rows, ids):
+    """The collisions of the paths in ``rows`` (as from ``_content_classes``)
+    when class c takes the value numbered ids[c]: per bucket of equal
+    vectors that holds some, the class ids of its first path and the pairs
+    (rank of s, rank of t, s, t) of its paths s, t of shapes lam > mu."""
     buckets = {}  # interned vector -> rows of the paths sharing it
     for shape_rows in rows:
         for row in shape_rows:
             buckets.setdefault(tuple(map(ids.__getitem__, row[2])),
                                []).append(row)
-    witnesses = []  # (rank of s, rank of t, s, t, class ids of s)
+    out = []
     for bucket in buckets.values():
         if len(bucket) < 2:
             continue
         by_shape = {}  # a path's shape is its last node
         for row in bucket:
             by_shape.setdefault(row[0][-1], []).append(row)
-        for lam, lam_rows in by_shape.items():
-            for mu, mu_rows in by_shape.items():
-                if dominance(lam, mu) == "dominates":
-                    witnesses.extend((s[1], t[1], s[0], t[0], s[2])
-                                     for s in lam_rows for t in mu_rows)
-    if not witnesses:
-        return Verdict(CERTIFIED_SEMISIMPLE, [])
-    witnesses.sort()  # ranks are distinct, so paths are never compared
-    return Verdict(INCONCLUSIVE, [
-        (s, t, tuple(values[c] for c in classes))
-        for _, _, s, t, classes in witnesses])
+        pairs = [(s[1], t[1], s[0], t[0])
+                 for lam, lam_rows in by_shape.items()
+                 for mu, mu_rows in by_shape.items()
+                 if dominance(lam, mu) == "dominates"
+                 for s in lam_rows for t in mu_rows]
+        if pairs:
+            out.append((bucket[0][2], pairs))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _generic_collides(algebra, n):
+    """Whether two paths of distinct comparable shapes at level n share a
+    generic content vector (none do for n <= 6)."""
+    values, rows = _content_classes(algebra, n)
+    return bool(_collisions(rows, range(len(values))))
 
 
 # Points at which gram_rank_certify first tries to prove full rank: their

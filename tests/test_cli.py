@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import hashlib
@@ -226,6 +227,7 @@ def test_one_parser_for_every_command(capsys):
     assert cli.run(["--help"]) == 0
     out = capsys.readouterr().out
     assert all(name in out for name in READS)
+    assert all(flag in out for flag in list(cli._FLAGS) + ["-h"])
     # a flag may stand before the command
     argv = ["certify", "--algebra", "brauer", "--n", "3", "--spec", "z=4",
             "--json"]
@@ -385,13 +387,8 @@ def test_reused_parser_keeps_no_state(capsys):
     first = ["certify", "--algebra", "brauer", "--n", "3", "--spec", "z=4",
              "--json"]
     other = ["gram-certify", "--algebra", "brauer", "--n", "3", "--json"]
-
-    def on_a_fresh_parser(argv):
-        cli._build_parser.cache_clear()
-        return without_timing(run_json(capsys, argv))
-
-    expected = [on_a_fresh_parser(first), on_a_fresh_parser(other)]
-    cli._build_parser.cache_clear()
+    expected = [without_timing(run_json(capsys, argv))
+                for argv in (first, other)]
     got = [without_timing(run_json(capsys, first))]
     assert cli.run(first[:-1] + ["--frobnicate"]) == 2
     capsys.readouterr()
@@ -399,7 +396,114 @@ def test_reused_parser_keeps_no_state(capsys):
     got.append(without_timing(run_json(capsys, first)))
     assert got == [expected[0], expected[1], expected[0]]
     assert "spec" not in got[1]["parameters"]
-    assert cli._build_parser.cache_info().misses == 1
+
+
+# -- the argument parser -------------------------------------------------------------
+# The oracle is the argparse parser that the CLI used before its flat parser;
+# every argv must give equal values on both, or exit 2 on both.
+
+def argparse_oracle():
+    parser = argparse.ArgumentParser(prog="cellalg")
+    parser.add_argument("command", choices=tuple(cli._HANDLERS),
+                        metavar="COMMAND")
+    parser.add_argument("--algebra", choices=("bmw", "brauer"))
+    parser.add_argument("--n", type=int)
+    parser.add_argument("--lambda", dest="shape_text", metavar="LAMBDA")
+    parser.add_argument("--mu")
+    parser.add_argument("--spec", dest="spec_text", metavar="SPEC")
+    parser.add_argument("--json", action="store_true")
+    parser.add_argument("--cache-dir")
+    return parser
+
+
+ORACLE = argparse_oracle()
+PARSED = ("command", "algebra", "n", "shape_text", "mu", "spec_text", "json",
+          "cache_dir")
+
+
+def oracle_parse(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = vars(ORACLE.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+    return parsed
+
+
+def flat_parse(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        args = cli._parse_argv(list(argv))
+    if isinstance(args, int):
+        # the help goes to stdout and an error to stderr, nothing else
+        assert (out.getvalue(), err.getvalue() == "") == (
+            (cli._HELP + "\n", True) if args == 0 else ("", False))
+        return args
+    assert out.getvalue() == err.getvalue() == ""
+    return {name: getattr(args, name) for name in PARSED}
+
+
+FLAG_WORDS = ["--algebra", "--n", "--lambda", "--mu", "--spec", "--json",
+              "--cache-dir", "--help", "-h", "--alg", "--a", "--la", "--j",
+              "--c", "--he", "--s", "-hh", "-hx", "-h=", "-h=h", "--json=1",
+              "--help=", "--frobnicate", "-x", "-n", "--", "--=x", "---",
+              "-"]
+VALUE_WORDS = ["3", "4", "0", "-3", "-1", "-3.5", "-.5", "+3", " 3", "3_0",
+               "\u0663", "-\u0663", "3\n", "-3\n", "x", "", "-1,2", "2,1",
+               "()", "-q", "-q^-3", "z=4", "r=-q^-3", "a b", "-a b", "bmw",
+               "brauer", "BMW", "-h", "--"]
+ARGV = st.lists(st.one_of(
+    st.sampled_from(sorted(cli._HANDLERS) + ["bogus", "Dim"]),
+    st.sampled_from(FLAG_WORDS),
+    st.sampled_from(VALUE_WORDS),
+    # argparse reads "--flag=--" as an empty list: a separate test below
+    st.builds("{}={}".format, st.sampled_from(FLAG_WORDS[:16]),
+              st.sampled_from(VALUE_WORDS[:-1])),
+    st.text(alphabet="-=hnjx3 ", max_size=4)), max_size=8)
+
+
+@settings(max_examples=600, deadline=None)
+@given(argv=ARGV)
+def test_flat_parser_matches_argparse(argv):
+    expected = oracle_parse(argv)
+    got = flat_parse(argv)
+    assert got == expected, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["dim", "--algebra", "bmw", "--n", "3"],
+    ["--n=3", "--alg=brauer", "dim", "--json"],
+    ["--j", "dim", "--a", "bmw", "--n", "-3"],
+    ["--n", "3", "--algebra", "bmw", "--", "dim"],
+    ["--n", "3", "--algebra", "bmw", "dim", "--"],
+    ["hom", "--lambda", "-1", "--mu=-q^-3", "--spec", "a b"],
+    ["-hh", "--n", "x"], ["--n", "x", "-h"], ["-h=x"], ["--help", "--=x"],
+    ["--json=", "dim"], ["dim", "--json", "--"], ["--", "--", "dim"],
+    ["--spec", "-q", "dim"], ["dim", "dim"], [],
+])
+def test_flat_parser_matches_argparse_on_fixed_argv(argv):
+    assert flat_parse(argv) == oracle_parse(argv)
+
+
+def test_flat_parser_reads_double_dash_values_as_text(capsys):
+    # argparse read "--n=--" as an empty list, and the handlers raised a
+    # traceback on it; the flat parser reads "--", which every one refuses
+    assert flat_parse(["dim", "--spec=--"])["spec_text"] == "--"
+    for flag in ("--n", "--algebra", "--lambda", "--mu", "--spec"):
+        assert cli.run(["gram", "--algebra", "brauer", "--n", "3",
+                        "--lambda", "1", flag + "=--"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 5 and "Traceback" not in err
+
+
+def test_import_leaves_argparse_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys, cellalg.cli; "
+            "sys.exit(int('argparse' in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0
 
 
 # -- the JSON writer -----------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Tests for exact fraction-field arithmetic and specializations."""
 
+import contextlib
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -397,6 +399,111 @@ def test_substitute_poles_match_termwise_evaluation():
     spec = Specialization.parse("r=q", BMW_VARS)
     with pytest.raises(PoleError):
         spec.apply(bmw_frac("1/(q-r)"))
+
+
+# -- single-term images: the term map against the polynomial pass -------------------
+
+@st.composite
+def single_term_assignments(draw, vars):
+    """Images c*x^k/d of every source variable, with x the first source
+    variable, or rationals (the empty target tuple): 0, +-1 and others."""
+    target = draw(st.sampled_from([(), vars[:1]]))
+    out = {}
+    for name in vars:
+        c = draw(st.sampled_from([0, 1, -1, 2, -3, 5, 12]))
+        d = draw(st.sampled_from([1, 1, 2, 3, 7]))
+        out[name] = CoeffFraction.const(Fraction(c, d), target)
+        if target:
+            k = draw(st.integers(-4, 4))
+            out[name] = out[name] * CoeffFraction.monomial(
+                target, **{target[0]: k})
+    return out
+
+
+def _both_passes(x, assignment):
+    """(term map, polynomial pass) of x under ``assignment``, each reduced
+    to canonical (vars, num, den), or None where the denominator
+    vanishes."""
+    images = [assignment[name] for name in x.vars]
+    target = images[0].vars
+    R = ring(len(target))
+    tops = list(map(max, zip(*x.num, *x.den)))
+    out = []
+    for method in (CoeffFraction._map_terms, CoeffFraction._map_polys):
+        num, den = method(x, images, tops, R)
+        value = R.fraction(target, num, den) if den else None
+        out.append(None if value is None
+                   else (value.vars, value.num, value.den))
+    return out
+
+
+@pytest.mark.parametrize("vars", [BMW_VARS, BRAUER_VARS])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_term_map_matches_polynomial_pass(vars, data):
+    x = data.draw(fractions_over(vars, degree=4))
+    assignment = data.draw(single_term_assignments(vars))
+    terms, polys = _both_passes(x, assignment)
+    assert terms == polys
+    if terms is None:
+        with pytest.raises(PoleError):
+            x.substitute(assignment)
+    else:
+        got = x.substitute(assignment)
+        assert (got.vars, got.num, got.den) == terms
+
+
+POLE_ENTRIES = {
+    BMW_VARS: ["1/(q-r)", "1/(q+r)", "1/(q*r-1)", "1/(2q-1)", "r/(q-2)",
+               "1/(q^2-r)"],
+    BRAUER_VARS: ["1/z", "1/(z-1)", "1/(2z+1)", "1/(z+3)", "z/(z^2-4)"],
+}
+
+
+def _apply_matrix_visits(spec, matrix, general):
+    """The distinct entries that ``spec.apply_matrix`` specializes, in
+    order, and its result as canonical triples or the PoleError text; with
+    ``general``, every entry takes the polynomial pass."""
+    seen = []
+    apply = Specialization.apply
+
+    def recording(self, x):
+        seen.append(x)
+        return apply(self, x)
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(Specialization, "apply",
+                                              recording))
+        if general:
+            stack.enter_context(mock.patch.object(
+                CoeffFraction, "_map_terms", CoeffFraction._map_polys))
+        try:
+            rows = spec.apply_matrix(matrix)
+        except PoleError as exc:
+            return seen, str(exc)
+    return seen, [[(y.vars, y.num, y.den) for y in row] for row in rows]
+
+
+@pytest.mark.parametrize("vars", [BMW_VARS, BRAUER_VARS])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_apply_matrix_term_map_matches_polynomial_pass(vars, data):
+    assignment = data.draw(single_term_assignments(vars))
+    target = next(iter(assignment.values())).vars
+    try:
+        spec = Specialization(vars, assignment, target)
+    except ValueError:  # q, r or q - 1/q not invertible
+        assume(False)
+    entry = st.one_of(
+        fractions_over(vars, degree=2),
+        st.sampled_from(POLE_ENTRIES[vars]).map(
+            lambda text: parse_fraction(text, vars)))
+    ncols = data.draw(st.integers(1, 4))
+    matrix = data.draw(st.lists(st.lists(entry, min_size=ncols,
+                                         max_size=ncols),
+                                min_size=1, max_size=4))
+    assert _apply_matrix_visits(spec, matrix, False) == \
+        _apply_matrix_visits(spec, matrix, True)
 
 
 # -- the single-term shortcut in poly_gcd and poly_divexact --------------------------

@@ -3,8 +3,10 @@ Laplace-expansion oracles over Q(z), Q(q, r) and Q (values at a point), of
 the kernel on ints against the kernel on constant polynomials, and of the
 solver classes that share the kernel."""
 
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,16 @@ from hypothesis import strategies as st
 
 from cellalg.exactring import (BMW_VARS, BRAUER_VARS, CoeffFraction,
                                parse_fraction, poly_const, poly_divexact, ring)
+from cellalg.combin import layer_shapes
+from cellalg.exactring import Specialization
 from cellalg.linalg import (ColumnSolver, LinearSolver,
                             SingularMatrixError, TallSolver, _bareiss_forward,
-                            _bareiss_step, _cleared, det, mat_mul, rank)
+                            _bareiss_step, _cleared, _kronecker, det, mat_mul,
+                            rank)
+from cellalg.towers import _ops, gram_matrix
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "cellbench"))
+import catalog  # noqa: E402
 
 ENTRIES = {
     BRAUER_VARS: ["0", "0", "1", "-2", "3/2", "z", "z-1", "z^2+1", "1/z",
@@ -126,6 +135,101 @@ def test_kernel_on_ints_matches_kernel_on_constant_polynomials(m, nv):
         (pivots, sign, poly_const(last, nv))
     assert poly_rows == [[poly_const(x, nv) for x in row] for row in rows]
 
+
+
+# -- rank by Kronecker evaluation against the polynomial kernel ----------------------
+
+def poly_rank(m):
+    """The rank by fraction-free elimination of the cleared rows over
+    ring(nv): the polynomial kernel that rank ran before it evaluated."""
+    return len(_bareiss_forward(_cleared(m)[0], len(m[0][0].vars))[0])
+
+
+def catalog_specs(command, algebra):
+    """The --spec texts of ``command`` at ``algebra`` in the benchmark
+    catalog."""
+    return sorted({query[query.index("--spec") + 1]
+                   for query in catalog.all_queries()
+                   if query[0] == command and "--spec" in query
+                   and query[query.index("--algebra") + 1] == algebra})
+
+
+@pytest.mark.parametrize("algebra,top", [("bmw", 4), ("brauer", 5)])
+def test_rank_of_every_gram_matrix_matches_polynomial_kernel(algebra, top):
+    vars = _ops(algebra).vars
+    specs = [None] + catalog_specs("gram-certify", algebra)
+    checked = 0
+    for n in range(1, top + 1):
+        for lam in layer_shapes(n):
+            g = gram_matrix(algebra, lam, n)
+            for text in specs:
+                m = g if text is None else \
+                    Specialization.parse(text, vars).apply_matrix(g)
+                assert rank(m) == poly_rank(m), (n, lam, text)
+                checked += 1
+    assert checked > 100
+
+
+LOW_RANK_ENTRIES = {
+    ("q",): ["0", "1", "-2", "q", "q-1", "q^2+3", "1/q", "(q+1)/(q-2)",
+             "-q/3"],
+    BMW_VARS: ENTRIES[BMW_VARS],
+    BRAUER_VARS: ENTRIES[BRAUER_VARS],
+}
+
+
+@st.composite
+def low_rank_products(draw):
+    """A product of an m x k and a k x n matrix over Q(q), Q(q, r) or Q(z),
+    of rank at most k < min(m, n)."""
+    vars = draw(st.sampled_from(sorted(LOW_RANK_ENTRIES)))
+    entry = st.sampled_from([parse_fraction(text, vars)
+                             for text in LOW_RANK_ENTRIES[vars]])
+    m, n = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    k = draw(st.integers(1, min(m, n) - 1))
+    a = [[draw(entry) for _ in range(k)] for _ in range(m)]
+    b = [[draw(entry) for _ in range(n)] for _ in range(k)]
+    return mat_mul(a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(low_rank_products())
+def test_rank_of_low_rank_products_matches_polynomial_kernel(m):
+    assert rank(m) == poly_rank(m) <= min(len(m), len(m[0])) - 1
+
+
+def test_rank_survives_entries_that_vanish_at_a_small_power_of_two():
+    # q - 2^k vanishes at t = 2^k: with t a power of two just above every
+    # coefficient of every minor, no minor vanishes.  For the 1 x 1 cases
+    # that bound is 2^(k+1) (coefficients up to 2^k + 1), so t = 2^k, one
+    # bit less, loses the rank, and so does r - 2^k q under q -> t,
+    # r -> t^2.
+    q = CoeffFraction.var("q", BMW_VARS)
+    r = CoeffFraction.var("r", BMW_VARS)
+    z = CoeffFraction.var("z", BRAUER_VARS)
+    one_b, one_z = CoeffFraction.const(1, BMW_VARS), \
+        CoeffFraction.const(1, BRAUER_VARS)
+    for k in range(80):
+        c = 2 ** k
+        cb, cz = CoeffFraction.const(c, BMW_VARS), \
+            CoeffFraction.const(c, BRAUER_VARS)
+        cases = [
+            ([[z - cz]], 1),
+            ([[q - cb]], 1),
+            ([[r - cb * q]], 1),
+            ([[z, cz], [one_z, one_z]], 2),
+            ([[q, cb], [one_b, one_b]], 2),
+            ([[r, cb * q], [one_b, one_b]], 2),
+            ([[q - cb, cb], [cb, q - cb]], 2),
+            ([[q, cb], [q, cb]], 1),
+        ]
+        for m, expected in cases:
+            assert rank(m) == poly_rank(m) == expected, (k, m)
+    # evaluated at t = 2^k itself, [[q, 2^k], [1, 1]] loses its rank
+    assert len(_bareiss_forward([[8, 8], [1, 1]], 0)[0]) == 1
+    rows = _kronecker(_cleared([[q, CoeffFraction.const(8, BMW_VARS)],
+                                [one_b, one_b]])[0], 2)
+    assert rows[1] == [1, 1] and rows[0][0] > 8
 
 def test_integer_step_raises_on_inexact_division():
     # the entry (1*1 - 1*2) / 2 leaves a remainder over Z and over Z[x]

@@ -1,5 +1,7 @@
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,9 @@ from cellalg.specsim import (
 )
 from cellalg.linalg import rank
 from cellalg.towers import _ops, gram_matrix, ordered_paths
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "cellbench"))
+import catalog  # noqa: E402
 
 
 def bqr(s):
@@ -180,6 +185,64 @@ def test_certify_matches_pairwise_reference(algebra, spec, collides):
         if n <= 6:
             witnesses += len(got.evidence)
     assert bool(witnesses) == collides
+
+
+def _full_bucketing_certify(algebra, n, spec=None):
+    """certify without its shortcut: every path bucketed by its interned
+    vector, every pair of a bucket tested for dominance, and one vector
+    tuple formed per witness."""
+    values, rows = specsim._content_classes(algebra, n)
+    if spec is not None:
+        values = [spec.apply(v) for v in values]
+    interned = {}
+    ids = [interned.setdefault(v, len(interned)) for v in values]
+    buckets = {}
+    for shape_rows in rows:
+        for row in shape_rows:
+            buckets.setdefault(tuple(ids[c] for c in row[2]), []).append(row)
+    witnesses = sorted(
+        (s[1], t[1], s[0], t[0], tuple(values[c] for c in s[2]))
+        for bucket in buckets.values() for s in bucket for t in bucket
+        if dominance(s[0][-1], t[0][-1]) == "dominates")
+    if not witnesses:
+        return Verdict(CERTIFIED_SEMISIMPLE, [])
+    return Verdict(INCONCLUSIVE, [w[2:] for w in witnesses])
+
+
+WORKING_SET_CERTIFY = sorted({
+    (query[query.index("--algebra") + 1], query[query.index("--spec") + 1])
+    for query in catalog.working_set() if query[0] == "certify"})
+
+
+@pytest.mark.parametrize("algebra,text", WORKING_SET_CERTIFY)
+def test_certify_shortcut_and_shared_vectors_match_full_bucketing(
+        monkeypatch, algebra, text):
+    spec = _spec(algebra, text)
+    bucketed = []
+    collisions = specsim._collisions
+    monkeypatch.setattr(specsim, "_collisions",
+                        lambda rows, ids: bucketed.append(n) or
+                        collisions(rows, ids))
+    shortcuts = 0
+    for n in range(1, 7):
+        values, _ = specsim._content_classes(algebra, n)
+        merges = len(set(spec.apply(v) for v in values)) < len(values)
+        assert not specsim._generic_collides(algebra, n)  # memoised here
+        bucketed.clear()
+        got = certify(algebra, n, spec)
+        expected = _full_bucketing_certify(algebra, n, spec)
+        # the shortcut: no merged classes, no bucketing
+        assert bucketed == ([n] if merges else [])
+        shortcuts += not merges
+        assert got.outcome == expected.outcome
+        assert [(s, t, [str(x) for x in v]) for s, t, v in got.evidence] == \
+            [(s, t, [str(x) for x in v]) for s, t, v in expected.evidence]
+        # one shared tuple per distinct vector
+        ids = {}
+        for _, _, v in got.evidence:
+            ids.setdefault(v, set()).add(id(v))
+        assert all(len(same) == 1 for same in ids.values())
+    assert shortcuts >= 1
 
 
 @pytest.mark.parametrize("algebra,text", [("bmw", "r=q^-1"),
