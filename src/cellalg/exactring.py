@@ -23,14 +23,15 @@ Specializations substitute variables either by rationals or by
 symbolic expressions in the remaining variables (for example
 ``r -> -q^-3``); symbolic substitutions are applied before any numeric
 evaluation.  A substitution is one pass over numerator and denominator,
-scaled by the image denominators, with one reduction at the end; when every
-image is one term over one term, the pass maps each term by int coefficient
-powers and a shift of its exponent, with no polynomial products.
+scaled by the image denominators, with one reduction at the end.
 
 ``ring(nvars)`` names the operations of that pass and of the Bareiss kernel
 in :mod:`cellalg.linalg`: polynomial dicts in general, and plain ints when
 no variable is left.  So values at a rational point run on Python ints
 (``*``, ``-``, exact ``//`` and one ``math.gcd``) through the same code.
+The one other pass is for Laurent-monomial images over remaining
+variables: it maps each term by int coefficient powers and a shift of its
+exponent, with no polynomial products.
 
 ``Combination`` is the one linear structure of the elements of ``hecke``,
 ``brauer`` and ``bmw``.
@@ -428,9 +429,14 @@ class CoeffFraction:
                              poly_mul(self.den, other.num))
 
     def inverse(self) -> "CoeffFraction":
+        """den/num: a canonical fraction swapped needs no gcd, only the sign
+        of its new denominator."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return CoeffFraction(self.vars, self.den, self.num)
+        num, den = self.den, self.num
+        if poly_lead_coeff(den) < 0:
+            num, den = poly_neg(num), poly_neg(den)
+        return CoeffFraction(self.vars, num, den, _reduced=True)
 
     def __pow__(self, e: int) -> "CoeffFraction":
         """Power by repeated squaring."""
@@ -474,11 +480,11 @@ class CoeffFraction:
         With image n_i/d_i and D_i the degree of variable i in num and den,
         both are multiplied by prod d_i^D_i, so each term c*x^e becomes
         c * prod n_i^e_i * d_i^(D_i - e_i); one reduction at the end gives
-        the canonical form.  When every image is one term over one term (a
-        rational, or a Laurent monomial such as -q^-3), that is an int
-        coefficient and a shifted exponent (``_map_terms``); otherwise the
-        pass multiplies in ``ring`` of the target variable count
-        (``_map_polys``), on ints at a rational point.
+        the canonical form.  The pass multiplies in ``ring`` of the target
+        variable count (``_map_polys``), on plain ints at a rational point.
+        When some variable remains and every image is a Laurent monomial
+        (such as -q^-3), each term is instead an int coefficient and a
+        shifted exponent (``_map_terms``), with no polynomial products.
         """
         images = []
         target_vars = None
@@ -495,7 +501,8 @@ class CoeffFraction:
             target_vars = ()
         R = ring(len(target_vars))
         tops = list(map(max, zip(*self.num, *self.den)))
-        if all(len(img.num) <= 1 and len(img.den) == 1 for img in images):
+        if target_vars and all(len(img.num) <= 1 and len(img.den) == 1
+                               for img in images):
             num, den = self._map_terms(images, tops, R)
         else:
             num, den = self._map_polys(images, tops, R)
@@ -504,28 +511,17 @@ class CoeffFraction:
         return R.fraction(target_vars, num, den)
 
     def _map_terms(self, images, tops, R):
-        """Numerator and denominator in ``R`` under images c_i x^a_i /
-        (d_i x^b_i): the term c*x^e goes to c * prod c_i^e_i d_i^(D_i - e_i)
-        times x to the power sum e_i (a_i - b_i), and both sides are then
-        divided by the highest power of each variable that divides them.
-        At a rational point (no target variable) both are plain int sums."""
-        nt = len(images[0].vars) if images else 0
-        zero = (0,) * nt
+        """Numerator and denominator in ``R`` under Laurent-monomial images
+        c_i x^a_i / (d_i x^b_i) over at least one variable: the term c*x^e
+        goes to c * prod c_i^e_i d_i^(D_i - e_i) times x to the power
+        sum e_i (a_i - b_i), and both sides are then divided by the highest
+        power of each variable that divides them."""
+        zero = (0,) * len(images[0].vars)
         maps = []  # per variable: c_i, d_i, D_i and a_i - b_i
         for img, top in zip(images, tops):
             (a, c), = img.num.items() or ((zero, 0),)
             (b, d), = img.den.items()
             maps.append((c, d, top, tuple(map(operator.sub, a, b))))
-        if not nt:  # a rational point: two sums of ints
-            sums = []
-            for p in (self.num, self.den):
-                total = 0
-                for exp, k in p.items():
-                    for (c, d, top, _), e in zip(maps, exp):
-                        k *= c ** e * d ** (top - e)
-                    total += k
-                sums.append(total)
-            return sums
         sides = []
         for p in (self.num, self.den):
             out: dict = {}
@@ -829,7 +825,7 @@ class Specialization:
     ``assignment`` maps each source variable to a CoeffFraction over
     ``target_vars`` (possibly the empty tuple, i.e. a rational).  For the
     two-parameter ring the images of q, r and q - q^-1 must be units; this
-    is checked at construction.
+    is checked at construction (q - q^-1 vanishes exactly when q^2 = 1).
     """
 
     def __init__(self, source_vars: tuple, assignment: dict, target_vars: tuple = ()):
@@ -851,9 +847,9 @@ class Specialization:
         if self.source_vars == BMW_VARS:
             q = self.assignment["q"]
             r = self.assignment["r"]
-            for label, value in (("q", q), ("r", r),
-                                 ("q-q^-1", q - q.inverse() if not q.is_zero() else q)):
-                if value.is_zero():
+            for label, zero in (("q", q.is_zero()), ("r", r.is_zero()),
+                                ("q-q^-1", (q * q).is_one())):
+                if zero:
                     raise ValueError(f"specialization does not invert {label}")
 
     @classmethod
@@ -907,9 +903,3 @@ class Specialization:
     def __repr__(self):
         body = ", ".join(f"{k}={v}" for k, v in self.assignment.items())
         return f"Specialization({body})"
-
-
-def specialize(x: CoeffFraction, s: Specialization) -> CoeffFraction:
-    """Ring homomorphism applied to one value; PoleError on vanishing
-    denominator."""
-    return s.apply(x)

@@ -9,10 +9,12 @@ a definite negative answer only ever comes from Gram-rank computations.
 A cellular algebra is semisimple iff every cell form is nondegenerate
 (Graham and Lehrer, Invent. Math. 123, 1996), so ``gram_rank_certify`` is
 the exact check.  Over a symbolic specialization (or none) it first tries to
-prove full rank at one rational point of the target variables: evaluation
-at a point is a ring homomorphism on the local ring holding every Gram
-entry, so a nonzero determinant there is nonzero over the function field.
-Rank drops and radical dimensions come only from exact elimination.
+prove full rank at one rational point of the target variables
+(``CERTIFICATE_POINT``): evaluation at a point is a ring homomorphism on the
+local ring holding every Gram entry, so a nonzero determinant there is
+nonzero over the function field.  A shape whose point is refused, is a pole
+or drops rank gets the exact rank of its specialized matrix
+(``linalg.rank``); rank drops and radical dimensions come only from there.
 
 Rational roots of Gram determinants (candidates from p-adic lifting) and the
 root-of-unity test run on :mod:`cellalg.exactring` polynomials, by exact
@@ -168,86 +170,15 @@ def _generic_collides(algebra, n):
     return bool(_collisions(rows, range(len(values))))
 
 
-# Points at which gram_rank_certify first tries to prove full rank: their
+# The point at which gram_rank_certify first tries to prove full rank: its
 # coordinates go, in order, to the variables that the spec leaves free.  Any
 # point is sound; a good one is no root of a Gram determinant.  Brauer
 # determinants vanish at rational z only in [-2n, 2n] (Rui, J. Combin.
-# Theory A 111, 2005), so 17 is no root up to n = 8.  The BMW points are no
-# roots of unity, and with both q and r free they satisfy no r = +-q^k.  With
-# one of them fixed, only the first coordinate is used, and the composed
-# point may lie on such a locus ("r=17" at q = 17 gives r = q), where ranks
-# drop; such a point is skipped unless the spec's own images lie on it.
-# Later points stand in when a point is refused, skipped or is a pole.
-CERTIFICATE_POINTS = ((17, 19), (23, 29), (31, 37))
-
-
-def _certificate_specs(algebra, spec):
-    """Numeric specializations: ``spec`` (or the identity) followed by each
-    usable point of CERTIFICATE_POINTS; none for a numeric ``spec``."""
-    vars = _ops(algebra).vars
-    if spec is None:
-        spec = Specialization(vars, {}, vars)
-    if not spec.target_vars:
-        return ()
-    # Specialization hashes by identity, so the memo key is its images
-    return _composed_points(vars, spec.target_vars,
-                            tuple(spec.assignment.items()), CERTIFICATE_POINTS)
-
-
-@lru_cache(maxsize=None)
-def _composed_points(vars, target_vars, images, points):
-    images = dict(images)
-    out = []
-    on_locus = {}  # k -> whether the spec's images satisfy r = +-q^k
-    for point in points:
-        at = {v: CoeffFraction.const(c, ()) for v, c in zip(target_vars, point)}
-        try:
-            s = Specialization(vars, {name: img.substitute(at)
-                                      for name, img in images.items()})
-        except (ValueError, PoleError):
-            continue
-        if vars == BMW_VARS:
-            k = _rational_power_exponent(s.assignment["q"].as_rational(),
-                                         s.assignment["r"].as_rational())
-            # on r = +-q^k: keep the point only if the spec's images are too
-            if k is not None:
-                if k not in on_locus:
-                    power = images["q"] ** k
-                    on_locus[k] = images["r"] in (power, -power)
-                if not on_locus[k]:
-                    continue
-        out.append(s)
-    return tuple(out)
-
-
-def _rational_power_exponent(q, r):
-    """The k with r = +-q^k, for nonzero rationals q, r with q not +-1, or
-    None.  In lowest terms, |r| = |q|^k with k >= 0 says that the numerator
-    and denominator of |r| are the k-th powers of those of |q|; k < 0 swaps
-    the numerator and denominator of q.  As |q| is not 1, k is unique."""
-    c, d = abs(r.numerator), r.denominator
-    a, b = abs(q.numerator), q.denominator
-    for a, b, step in ((a, b, 1), (b, a, -1)):
-        pa = pb = 1
-        k = 0
-        while pa <= c and pb <= d:  # a or b exceeds 1, so this ends
-            if pa == c and pb == d:
-                return k
-            pa, pb, k = pa * a, pb * b, k + step
-    return None
-
-
-def _full_rank_at_a_point(g, points):
-    """True if the Gram matrix ``g`` has full rank at the first point of
-    ``points`` where no entry has a pole; False when that rank drops or no
-    point is usable (undecided: full rank may still hold)."""
-    for point in points:
-        try:
-            values = point.apply_matrix(g)
-        except PoleError:
-            continue
-        return rank(values) == len(g)
-    return False
+# Theory A 111, 2005), so 17 is no root up to n = 8.  For BMW, 17 is no root
+# of unity and 19 is no +-17^k.  With q or r fixed by the spec, the composed
+# point may be refused, a pole, or on a locus r = +-q^k ("r=17" at q = 17
+# gives r = q), where ranks drop; the exact rank then decides.
+CERTIFICATE_POINT = (17, 19)
 
 
 def gram_rank_certify(algebra, n, spec=None):
@@ -256,19 +187,33 @@ def gram_rank_certify(algebra, n, spec=None):
     dimension, radical dimension).
 
     Over a symbolic ``spec`` or none, full rank may be proved at one rational
-    point (``CERTIFICATE_POINTS``): if the determinant is nonzero there, it
-    is nonzero as a rational function.  Every other case, and every rank
-    drop, is decided by exact elimination of the specialized matrix."""
-    points = _certificate_specs(algebra, spec)
+    point (``CERTIFICATE_POINT``): evaluation there is a ring homomorphism on
+    the local ring holding every Gram entry without a pole at it, so a
+    nonzero determinant there is nonzero as a rational function.  Every other
+    case, and every rank drop, is decided by the exact rank of the
+    specialized matrix."""
+    vars = _ops(algebra).vars
+    source = Specialization(vars, {}, vars) if spec is None else spec
+    point = None
+    if source.target_vars:
+        at = {v: CoeffFraction.const(c, ())
+              for v, c in zip(source.target_vars, CERTIFICATE_POINT)}
+        try:
+            point = Specialization(vars, {name: img.substitute(at) for name, img
+                                          in source.assignment.items()})
+        except (ValueError, PoleError):  # refused, or a pole of the spec
+            pass
     drops = []
     report = []
     for lam in layer_shapes(n):
         g = gram_matrix(algebra, lam, n)
         dim = len(g)
-        if _full_rank_at_a_point(g, points):
-            r = dim
-        else:
-            r = rank(g if spec is None else spec.apply_matrix(g))
+        try:
+            full = point is not None and rank(point.apply_matrix(g)) == dim
+        except PoleError:
+            full = False
+        r = dim if full else rank(g if spec is None
+                                  else spec.apply_matrix(g))
         report.append((lam, r, dim))
         if r < dim:
             drops.append((lam, r, dim, dim - r))

@@ -29,9 +29,8 @@ from cellalg.exactring import (
     poly_gcd,
     poly_mul,
     ring,
-    specialize,
 )
-from cellalg.specsim import CERTIFICATE_POINTS, _certificate_specs
+from cellalg.specsim import CERTIFICATE_POINT
 
 
 def test_self_division_is_one():
@@ -53,38 +52,43 @@ def test_cubic_expansion_in_z():
 
 def test_specialize_variable():
     s = Specialization.parse("z=4", BRAUER_VARS)
-    assert specialize(brauer_frac("z"), s).as_rational() == 4
+    assert s.apply(brauer_frac("z")).as_rational() == 4
 
 
 def test_specialize_polynomial_value():
     s = Specialization.parse("z=4", BRAUER_VARS)
-    val = specialize(brauer_frac("(z-1)^2(z+2)"), s)
+    val = s.apply(brauer_frac("(z-1)^2(z+2)"))
     assert val.as_rational() == 54
 
 
 def test_symbolic_substitution_into_determinant():
     det = bmw_frac("(r-1)^2(r+1)^2(q^3+r)(q^3*r-1)/(r^3(q-1)^3(q+1)^3)")
     s = Specialization.parse("r=-q^-3", BMW_VARS)
-    val = specialize(det, s)
+    val = s.apply(det)
     assert val.vars == ("q",)
     assert not val.is_zero()
     # the factor q^3*r - 1 becomes -2 under the substitution
-    factor = specialize(bmw_frac("q^3*r-1"), s)
+    factor = s.apply(bmw_frac("q^3*r-1"))
     assert factor == parse_fraction("-2", ("q",))
 
 
 def test_pole_detection():
     s = Specialization.parse("z=1", BRAUER_VARS)
     with pytest.raises(PoleError):
-        specialize(brauer_frac("z/(z-1)"), s)
+        s.apply(brauer_frac("z/(z-1)"))
 
 
 def test_unit_check_bmw_specialization():
-    with pytest.raises(ValueError):
-        Specialization.parse("q=1,r=2", BMW_VARS)
-    with pytest.raises(ValueError):
-        Specialization.parse("q=2,r=0", BMW_VARS)
+    for text, label in (("q=1,r=2", "q-q^-1"), ("q=-1,r=2", "q-q^-1"),
+                        ("q=0,r=2", "q"), ("q=2,r=0", "r"), ("q=1", "q-q^-1"),
+                        ("q=-1", "q-q^-1"), ("q=0", "q"), ("r=0", "r"),
+                        ("r=q-q", "r")):
+        with pytest.raises(ValueError) as refused:
+            Specialization.parse(text, BMW_VARS)
+        assert str(refused.value) == \
+            "specialization does not invert " + label
     Specialization.parse("q=2,r=3", BMW_VARS)  # fine
+    Specialization.parse("q=-1/2,r=1", BMW_VARS)
 
 
 def _random_fraction(rng, vars):
@@ -120,9 +124,9 @@ def test_specialize_is_homomorphism():
         a = _random_fraction(rng, BMW_VARS)
         b = _random_fraction(rng, BMW_VARS)
         try:
-            sa, sb = specialize(a, s), specialize(b, s)
-            sab = specialize(a * b, s)
-            s_sum = specialize(a + b, s)
+            sa, sb = s.apply(a), s.apply(b)
+            sab = s.apply(a * b)
+            s_sum = s.apply(a + b)
         except PoleError:
             continue
         assert sab == sa * sb
@@ -144,7 +148,7 @@ def test_string_form_examples():
 
 def test_rational_specialization_values():
     s = Specialization.parse("q=2,r=3", BMW_VARS)
-    assert specialize(bmw_z(), s).as_rational() == Fraction(25, 9)
+    assert s.apply(bmw_z()).as_rational() == Fraction(25, 9)
 
 
 # -- properties ----------------------------------------------------------------------
@@ -254,6 +258,19 @@ def test_inverse_and_subtraction(vars, data):
         assert _same(a * a.inverse(), CoeffFraction.const(1, vars))
 
 
+@pytest.mark.parametrize("vars", FIELD_VARS)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_inverse_matches_reducing_constructor(vars, data):
+    # the swap with a sign fix gives the form the reducing constructor gives
+    x = data.draw(fractions_over(vars, degree=3))
+    assume(not x.is_zero())
+    expected = CoeffFraction(x.vars, x.den, x.num)
+    got = x.inverse()
+    assert (got.vars, got.num, got.den) == \
+        (expected.vars, expected.num, expected.den)
+
+
 @st.composite
 def _operands(draw, vars):
     """Zero, one, a polynomial (denominator 1) or a general fraction: the
@@ -327,21 +344,24 @@ def specializations(draw, vars):
     return Specialization.parse(text, vars)
 
 
-# Specs that specsim._certificate_specs composes with each certificate point
+# Specs that specsim.gram_rank_certify composes with a certificate point
 # (its coordinates go, in order, to the variables the spec leaves free):
 # none, partial and symbolic ones, and r = 1/(q-3), which has a pole at q = 3.
 COMPOSED = {
     BMW_VARS: ["", "q=2", "r=13", "r=-q^3", "r=q^-2", "r=1/(q-3)"],
     BRAUER_VARS: [""],
 }
-ALGEBRA = {BMW_VARS: "bmw", BRAUER_VARS: "brauer"}
 
 
 @st.composite
 def point_specializations(draw, vars):
-    """The numeric specializations that gram_rank_certify evaluates at."""
+    """The numeric specializations that gram_rank_certify evaluates at: a
+    spec of COMPOSED at CERTIFICATE_POINT."""
     spec = Specialization.parse(draw(st.sampled_from(COMPOSED[vars])), vars)
-    return draw(st.sampled_from(_certificate_specs(ALGEBRA[vars], spec)))
+    at = {v: CoeffFraction.const(c, ())
+          for v, c in zip(spec.target_vars, CERTIFICATE_POINT)}
+    return Specialization(vars, {name: img.substitute(at)
+                                 for name, img in spec.assignment.items()})
 
 
 @pytest.mark.parametrize("vars", [BMW_VARS, BRAUER_VARS])
@@ -362,10 +382,11 @@ def test_substitute_matches_termwise_evaluation(vars, data):
         (expected.vars, expected.num, expected.den)
 
 
-@pytest.mark.parametrize("point", CERTIFICATE_POINTS + ((3, 5), (2, 13)))
+@pytest.mark.parametrize("point", [CERTIFICATE_POINT, (23, 29), (31, 37),
+                                   (3, 5), (2, 13)])
 @pytest.mark.parametrize("text", COMPOSED[BMW_VARS])
 def test_point_composition_matches_termwise_evaluation(text, point):
-    # the step of _certificate_specs: each image goes to a rational point
+    # the step of gram_rank_certify: each image goes to a rational point
     spec = Specialization.parse(text, BMW_VARS)
     at = {v: CoeffFraction.const(c, ())
           for v, c in zip(spec.target_vars, point)}
@@ -405,18 +426,17 @@ def test_substitute_poles_match_termwise_evaluation():
 
 @st.composite
 def single_term_assignments(draw, vars):
-    """Images c*x^k/d of every source variable, with x the first source
-    variable, or rationals (the empty target tuple): 0, +-1 and others."""
-    target = draw(st.sampled_from([(), vars[:1]]))
+    """Laurent-monomial images c*x^k/d of every source variable, with x the
+    first source variable and c among 0, +-1 and others.  (At a rational
+    point every image takes the polynomial pass.)"""
+    target = vars[:1]
     out = {}
     for name in vars:
         c = draw(st.sampled_from([0, 1, -1, 2, -3, 5, 12]))
         d = draw(st.sampled_from([1, 1, 2, 3, 7]))
-        out[name] = CoeffFraction.const(Fraction(c, d), target)
-        if target:
-            k = draw(st.integers(-4, 4))
-            out[name] = out[name] * CoeffFraction.monomial(
-                target, **{target[0]: k})
+        k = draw(st.integers(-4, 4))
+        out[name] = (CoeffFraction.const(Fraction(c, d), target)
+                     * CoeffFraction.monomial(target, **{target[0]: k}))
     return out
 
 

@@ -22,8 +22,6 @@ from cellalg.specsim import (
     CERTIFIED_SEMISIMPLE,
     INCONCLUSIVE,
     Verdict,
-    _certificate_specs,
-    _rational_power_exponent,
     _rational_reconstruction,
     certify,
     conjecture_evidence,
@@ -339,6 +337,9 @@ def _gram_certify_specs(algebra, n):
         texts = ["r={}q^{}".format(sign, k) for sign in ("", "-")
                  for k in range(-6, 7)]
         texts += ["q=1/2,r=2", "q=2,r=8", "q=-1/2,r=3"]
+        # the certificate point is on a locus r = +-q^k, a pole of the
+        # spec, or refused (r = 0), so every shape takes the exact rank
+        texts += ["r=17", "q=17", "r=q-16", "r=1/(q-17)", "r=q-17"]
     vars = BMW_VARS if algebra == "bmw" else BRAUER_VARS
     return [None] + [Specialization.parse(t, vars) for t in texts]
 
@@ -376,22 +377,25 @@ def _ranks_seen(monkeypatch):
     return seen
 
 
-# (algebra, n, spec, certificate points, whether some shape falls back to
-# exact elimination): the first point is a root of a Gram determinant, a
-# pole of the specialization, or on a locus r = +-q^k that the spec is not on
+# (algebra, n, spec, certificate point, whether some shape falls back to
+# exact elimination).  A case falls back when its point is a root of a Gram
+# determinant, a pole of the specialization, refused, or on a locus
+# r = +-q^k that the spec is not on; each BMW spec also appears at a point
+# that is none of these, where every shape is certified.
 FALLBACK_CASES = [
-    ("brauer", 3, None, ((1,), (17,)), True),      # z = 1: (1) drops
-    ("brauer", 4, None, ((2,),), True),            # z = 2, no other point
-    ("bmw", 2, None, ((2, -2),), True),            # r = -q skipped, no other
-    ("bmw", 3, "r=q-2", ((3,),), True),            # r = q^0 at q = 3 skipped
-    ("bmw", 3, "q=2", ((-8,),), True),             # r = -q^3 skipped
-    ("bmw", 3, "r=1/(q-3)", ((3,), (17,)), False),  # pole: next point
-    ("bmw", 3, "r=1/(q-3)", ((3,),), True),        # no usable point
-    ("bmw", 3, "r=q-3", ((3,), (17,)), False),     # r = 0 is refused
-    ("bmw", 2, None, ((2, -2), (17, 19)), False),  # r = -q skipped: next point
-    ("bmw", 3, "r=q-2", ((3,), (17,)), False),     # r = q^0 skipped: next point
-    ("bmw", 3, "q=2", ((-8,), (17,)), False),      # r = -q^3 skipped: next
-    ("bmw", 4, "r=17", ((17,), (23,)), False),     # r = q skipped: q = 23
+    ("brauer", 3, None, (1,), True),            # z = 1: (1) drops
+    ("brauer", 4, None, (2,), True),            # z = 2
+    ("bmw", 2, None, (2, -2), True),            # r = -q
+    ("bmw", 3, "r=q-2", (3,), True),            # r = q^0 at q = 3
+    ("bmw", 3, "q=2", (-8,), True),             # r = -q^3
+    ("bmw", 3, "r=1/(q-3)", (17,), False),
+    ("bmw", 3, "r=1/(q-3)", (3,), True),        # pole
+    ("bmw", 3, "r=q-3", (17,), False),
+    ("bmw", 2, None, (17, 19), False),
+    ("bmw", 3, "r=q-2", (17,), False),
+    ("bmw", 3, "q=2", (17,), False),
+    ("bmw", 4, "r=17", (23,), False),
+    ("bmw", 3, "r=q-3", (3,), True),            # r = 0 is refused
 ]
 
 
@@ -402,9 +406,10 @@ def test_gram_rank_certify_forced_fallback(monkeypatch, algebra, n, text,
     spec = None if text is None else Specialization.parse(text, vars)
     expected = _exact_gram_rank_certify(algebra, n, spec)
     seen = _ranks_seen(monkeypatch)
-    got = gram_rank_certify(algebra, n, spec)
-    assert seen == [()] * len(layer_shapes(n))  # every shape certified
-    monkeypatch.setattr(specsim, "CERTIFICATE_POINTS", points)
+    gram_rank_certify(algebra, n, spec)
+    # at CERTIFICATE_POINT, only "r=17" (on r = q there) falls back
+    assert any(vars != () for vars in seen) == (text == "r=17")
+    monkeypatch.setattr(specsim, "CERTIFICATE_POINT", points)
     seen.clear()
     got = gram_rank_certify(algebra, n, spec)
     assert (got.outcome, got.evidence) == (expected.outcome,
@@ -412,37 +417,18 @@ def test_gram_rank_certify_forced_fallback(monkeypatch, algebra, n, text,
     assert any(vars != () for vars in seen) == falls_back
 
 
-def test_certificate_points_skip_a_power_locus_off_the_spec():
-    # "r=17" meets r = q at the first point only; "r=-q^3" lies on its own
-    # locus at every point, and none of its points is skipped
-    q = [s.assignment["q"].as_rational() for s in
-         _certificate_specs("bmw", Specialization.parse("r=17", BMW_VARS))]
-    assert q == [23, 31]
-    spec = Specialization.parse("r=-q^3", BMW_VARS)
-    q = [s.assignment["q"].as_rational()
-         for s in _certificate_specs("bmw", spec)]
-    assert q == [17, 23, 31]
-    # both free: no point of CERTIFICATE_POINTS is on a locus
-    assert len(_certificate_specs("bmw", None)) == 3
-
-
 @pytest.mark.parametrize("algebra,text", [
     ("bmw", "r=13"), ("bmw", "r=17"), ("bmw", "r=-q^3"), ("bmw", "q=2"),
     ("bmw", None), ("brauer", None)])
 def test_equal_specs_share_certificate_points(algebra, text):
-    # Specialization hashes by identity; the composed points are memoised
-    # on its images, so a spec parsed again reuses them, with equal verdicts
+    # a spec parsed again gets the verdict of the first parse
     vars = BMW_VARS if algebra == "bmw" else BRAUER_VARS
 
     def parse():
         return None if text is None else Specialization.parse(text, vars)
 
-    specsim._composed_points.cache_clear()
     first, again = parse(), parse()
     fresh = gram_rank_certify(algebra, 3, first)
-    points = _certificate_specs(algebra, first)
-    assert _certificate_specs(algebra, again) is points
-    assert specsim._composed_points.cache_info().misses == 1
     reused = gram_rank_certify(algebra, 3, again)
     expected = _exact_gram_rank_certify(algebra, 3, first)
     assert ((fresh.outcome, fresh.evidence)
@@ -450,21 +436,8 @@ def test_equal_specs_share_certificate_points(algebra, text):
             == (expected.outcome, expected.evidence))
 
 
-@settings(max_examples=200, deadline=None)
-@given(q=st.fractions(max_denominator=30).filter(lambda x: abs(x) not in (0, 1)),
-       k=st.integers(-8, 8), sign=st.sampled_from([1, -1]),
-       other=st.fractions(max_denominator=30).filter(bool))
-def test_rational_power_exponent_matches_direct_powers(q, k, sign, other):
-    assert _rational_power_exponent(q, sign * q ** k) == k
-    # |q|^j has a numerator or denominator of at least 2^|j|, so a j with
-    # |q|^j = |other| is bounded by the bit lengths of other
-    bound = abs(other.numerator).bit_length() + other.denominator.bit_length()
-    direct = [j for j in range(-bound, bound + 1) if abs(other) == abs(q) ** j]
-    assert _rational_power_exponent(q, other) == (direct[0] if direct else None)
-
-
 def test_gram_rank_certify_pole_still_raises():
-    # as in test_certify_pole_still_raises: r = 0 set by hand, so every
+    # as in test_certify_pole_still_raises: r = 0 set by hand, so the
     # certificate point is refused and exact elimination meets the pole
     spec = Specialization.parse("r=q", BMW_VARS)
     spec.assignment["r"] = CoeffFraction.const(0, spec.target_vars)
@@ -475,8 +448,8 @@ def test_gram_rank_certify_pole_still_raises():
 
 
 def test_gram_rank_certify_pole_at_the_point_still_raises(monkeypatch):
-    # an entry with a pole on r = -q: the certificate skips every point, and
-    # exact elimination raises
+    # an entry with a pole on r = -q: the certificate point is a pole too,
+    # and exact elimination raises
     trap = (CoeffFraction.var("q", BMW_VARS)
             + CoeffFraction.var("r", BMW_VARS)).inverse()
     monkeypatch.setattr(specsim, "gram_matrix", lambda a, lam, n: [[trap]])
