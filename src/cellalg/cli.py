@@ -653,6 +653,9 @@ _READS_CACHE = {"basis", "gram", "transition", "jm", "filtration",
 # needs 660 MB at n = 12.
 # The tests use n <= 4 and the benchmark n <= 6.
 MAX_N = 8
+# Largest --n for conjecture, whose exact Gram determinant grows much faster:
+# n = 6 answers in about 0.3 s, while n = 7 ran past 900 s in linalg.det.
+MAX_CONJECTURE_N = 6
 
 
 _HELP = """\
@@ -669,7 +672,7 @@ commands:
 flags:
   -h, --help             show this help and exit
   --algebra {bmw,brauer}
-  --n N                  the level, 1 to 8
+  --n N                  the level, 1 to 8 (2 to 6 for conjecture)
   --lambda LAMBDA        partition as comma-separated parts, e.g. 2,1
   --mu MU                target partition (hom only)
   --spec SPEC            specialization, e.g. "z=4" or "r=-q^-3"
@@ -813,6 +816,9 @@ def _validate(args):
             raise CliError("{} requires --n".format(cmd))
         if not 1 <= args.n <= MAX_N or (cmd == "conjecture" and args.n < 2):
             raise CliError("--n out of range")
+        if cmd == "conjecture" and args.n > MAX_CONJECTURE_N:
+            raise CliError("--n out of range: conjecture takes n up to {}"
+                           .format(MAX_CONJECTURE_N))
     args.shape = None
     if "lambda" in reads:
         args.shape = _parse_shape(args.shape_text)

@@ -1,4 +1,7 @@
-"""Partitions, tableaux, permutations, coset representatives and up-down paths.
+"""Partitions, tableaux, permutations, coset representatives, and the
+dominance order and Bratteli neighbors of up-down paths.  The paths
+themselves are enumerated in one place, ``towers.ordered_paths``, in the
+order in which the path basis lifts them.
 
 Conventions
 -----------
@@ -119,13 +122,6 @@ def remove_node(lam, node):
 def content_sum(lam) -> int:
     """Sum of j - i over the nodes of the diagram."""
     return sum(p * (p - 1) // 2 - i * p for i, p in enumerate(lam))
-
-
-def conjugate(lam) -> tuple:
-    lam = tuple(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -445,42 +441,6 @@ def cell_index(lam, n: int):
 # Up-down (Bratteli) paths
 # ---------------------------------------------------------------------------
 
-def enumerate_paths(lam, n: int):
-    """All up-down paths () -> lam of length n (each step adds or removes
-    one node)."""
-    lam = check_partition(lam)
-    if (n - sum(lam)) % 2 or n < sum(lam):
-        raise ValueError(f"no paths: |lam|={sum(lam)}, n={n}")
-    paths = [((),)]
-    for k in range(1, n + 1):
-        nxt = []
-        for p in paths:
-            cur = p[-1]
-            addable, removable = box_steps(cur)
-            for node in addable:
-                mu = add_node(cur, node)
-                if _reachable(mu, lam, n - k):
-                    nxt.append(p + (mu,))
-            for node in removable:
-                mu = remove_node(cur, node)
-                if _reachable(mu, lam, n - k):
-                    nxt.append(p + (mu,))
-        paths = nxt
-    return paths
-
-
-def _reachable(mu, lam, steps: int) -> bool:
-    """Can mu reach lam in exactly `steps` single-box moves?  Needs at
-    least one step per box of the rowwise symmetric difference, and the
-    slack must be even (each spare step pairs an add with a remove)."""
-    need = 0
-    for i in range(max(len(mu), len(lam))):
-        a = mu[i] if i < len(mu) else 0
-        b = lam[i] if i < len(lam) else 0
-        need += abs(a - b)
-    return steps >= need and (steps - need) % 2 == 0
-
-
 def path_dominance(s, t) -> str:
     """Componentwise dominance of two paths of equal length."""
     if len(s) != len(t):
@@ -508,16 +468,6 @@ def path_dominance(s, t) -> str:
 def path_key(t) -> tuple:
     """Deterministic sort key placing more dominant paths first."""
     return tuple(dominance_key(mu) for mu in t)
-
-
-def maximal_path(lam, n: int):
-    """The unique dominance-maximal path in T_n(lam)."""
-    paths = enumerate_paths(lam, n)
-    best = min(paths, key=path_key)
-    for p in paths:
-        if p is not best and path_dominance(best, p) != "dominates":
-            raise AssertionError("linear extension failed to find the maximum")
-    return best
 
 
 def path_of_tableau(t: StdTableau):
@@ -607,17 +557,6 @@ def semistandard_set(lam, mu):
 # ---------------------------------------------------------------------------
 # Distinguished permutations for the restriction machinery
 # ---------------------------------------------------------------------------
-
-def word_perm(word, n: int) -> Permutation:
-    return Permutation.from_word(word, n)
-
-
-def wp_word(f: int, n: int) -> tuple:
-    """w_p = s_{n-2} s_{n-3} ... s_{2f-1} s_{n-1} s_{n-2} ... s_{2f}."""
-    if f < 1:
-        raise ValueError("w_p needs f >= 1")
-    return tuple(range(n - 2, 2 * f - 2, -1)) + tuple(range(n - 1, 2 * f - 1, -1))
-
 
 def up_neighbor_data(lam, n: int):
     """For each up-neighbor mu of lam (a node added), the data

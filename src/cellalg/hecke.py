@@ -4,9 +4,10 @@ Elements are ``exactring.Combination``s on the word basis {X_w : w in S_n};
 ``HeckeElement`` adds only its constructors and product.  The module provides
 the cellular (Murphy) basis c_{uv} = X_{d(u)}* c_lambda X_{d(v)}, the change
 of basis to it (``to_murphy``), cell ("Specht") modules as quotient
-coordinates, the Murphy-layer projection ``cell_row`` shared by both towers
-and the Specht modules, Jucys-Murphy elements D_i, and the permutation-module
-elements attached to semistandard tableaux.
+coordinates on the standard tableaux of ``combin.enumerate_std``, the
+Murphy-layer projection ``cell_row`` shared by both towers and the Specht
+modules, Jucys-Murphy elements D_i, and the permutation-module elements
+attached to semistandard tableaux.
 
 The Murphy rows c_{uv} and the change of basis live on the operations of
 ``exactring.ring``: Laurent polynomials in ring(1) at generic q (the BMW
@@ -21,7 +22,8 @@ coefficients that share a denominator, so it forms one fraction per
 
 Coefficients live in the two-variable fraction field on ("q", "r") so that
 these elements embed directly into the tangle-algebra computations; the
-variable r never occurs in anything produced here.
+variable r never occurs in anything produced here.  Powers of q are formed
+directly as ``CoeffFraction.monomial``.
 """
 
 from functools import lru_cache
@@ -51,19 +53,10 @@ def _const(c) -> CoeffFraction:
     return CoeffFraction.const(c, HK_VARS)
 
 
-def _q() -> CoeffFraction:
-    return CoeffFraction.var("q", HK_VARS)
-
-
 @lru_cache(maxsize=None)
 def _delta() -> CoeffFraction:
-    q = _q()
-    return q - q.inverse()
-
-
-@lru_cache(maxsize=None)
-def _q_power(k: int) -> CoeffFraction:
-    return _q() ** k
+    return (CoeffFraction.monomial(HK_VARS, q=1)
+            - CoeffFraction.monomial(HK_VARS, q=-1))
 
 
 class HeckeElement(Combination):
@@ -157,10 +150,8 @@ def row_stabilizer(mu, n: int) -> tuple:
 
 def hk_c_mu(mu, n: int) -> HeckeElement:
     """c_mu = sum over the row stabilizer of q^{l(w)} X_w."""
-    terms = {}
-    for w in row_stabilizer(mu, n):
-        terms[w] = _q_power(w.length())
-    return HeckeElement(n, terms)
+    return HeckeElement(n, {w: CoeffFraction.monomial(HK_VARS, q=w.length())
+                            for w in row_stabilizer(mu, n)})
 
 
 # -- Murphy basis ------------------------------------------------------------
@@ -471,21 +462,17 @@ def cell_row(upper: dict, lam, n: int, zero) -> list:
 
 # -- Specht (cell) modules ----------------------------------------------------
 
-def specht_basis(lam, n: int):
-    return enumerate_std(lam, n)
-
-
 def specht_action_matrix(lam, n: int, h: HeckeElement):
     """Matrix of h acting on the cell module C^lambda (rows = images).
 
     Row s expresses (c_lambda X_{d(s)}) h in the Murphy basis of C^lambda,
-    indexed like specht_basis(lam, n): the f = 0 ``cell_row``, whose only
+    indexed like enumerate_std(lam, n): the f = 0 ``cell_row``, whose only
     coset representative is the identity.
     """
     lam = check_partition(lam)
     c_lam, one = hk_c_mu(lam, n), Permutation.identity(n)
     rows = []
-    for s in specht_basis(lam, n):
+    for s in enumerate_std(lam, n):
         elt = c_lam * HeckeElement.x(tab_perm(s)) * h
         rows.append(cell_row({(w, one): c for w, c in elt.terms.items()},
                              lam, n, _const(0)))
@@ -518,7 +505,7 @@ def hk_jm_sum(i: int, n: int) -> HeckeElement:
 def hk_content(t: StdTableau, k: int) -> CoeffFraction:
     """The eigenvalue q^{2(j-i)} where k sits in box (i,j) of t."""
     i, j = t.position_of(k)
-    return _q_power(2 * (j - i))
+    return CoeffFraction.monomial(HK_VARS, q=2 * (j - i))
 
 
 def tab_dominance(s: StdTableau, t: StdTableau) -> str:
@@ -539,6 +526,6 @@ def hk_semistd_elt(S, t: StdTableau, mu) -> HeckeElement:
     out = HeckeElement.zero(n)
     for s in enumerate_std(nu, n):
         if type_map(s, mu) == S:
-            coeff = _q_power(tab_perm(s).length())
+            coeff = CoeffFraction.monomial(HK_VARS, q=tab_perm(s).length())
             out = out + murphy_element(nu, s, t).scale(coeff)
     return out

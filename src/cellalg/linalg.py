@@ -7,7 +7,11 @@ takes its operations from ``exactring.ring`` of the variable count:
 polynomial dicts in general, and Python ints (``*``, ``-`` and an exact
 ``//``) for values at a rational point.  ``rank`` always runs it on ints:
 polynomial rows are first evaluated at a power of two at which no minor
-vanishes (``_kronecker``).
+vanishes (``_kronecker``).  There is one solver, ``TallSolver``: it picks
+independent rows of a tall system of full column rank and checks the
+residual on every solve.  ``ColumnSolver`` is the same class under a
+second name, and ``LinearSolver`` applies it to the columns of a square
+matrix.
 Sizes in this package stay small (a few hundred rows at most), so the
 elimination works on dense rows; ``mat_mul`` skips zero entries, since the
 generator matrices it multiplies have about one nonzero entry per row.
@@ -236,32 +240,6 @@ def _bareiss_forward(rows, nv):
     return pivots, sign, prev
 
 
-class ColumnSolver:
-    """Solve A x = b for a (tall) matrix A with full column rank.
-
-    Factors the normal-equation matrix once; every solve verifies the
-    residual, so an inconsistent right-hand side raises instead of silently
-    returning a least-squares artefact.
-    """
-
-    def __init__(self, columns):
-        # columns: list of k column vectors, each of length m
-        self._cols = columns
-        k = len(columns)
-        gram = [[_dot(columns[i], columns[j]) for j in range(k)]
-                for i in range(k)]
-        try:
-            self._gram_inv = invert_fraction_free(gram)
-        except SingularMatrixError:
-            raise SingularMatrixError("columns are linearly dependent")
-
-    def solve_vector(self, rhs):
-        proj = [_dot(col, rhs) for col in self._cols]
-        x = [_dot(row, proj) for row in self._gram_inv]
-        _check_residual(self._cols, x, rhs)
-        return x
-
-
 class TallSolver:
     """Solve A x = b for a tall m x k matrix A with full column rank.
 
@@ -293,6 +271,11 @@ class TallSolver:
         return x
 
 
+class ColumnSolver(TallSolver):
+    """``TallSolver`` under a second name, which ``cellbench/tracing.py``
+    spans."""
+
+
 def _check_residual(columns, x, rhs):
     """Raise unless sum_j x_j columns[j] == rhs: the system is consistent."""
     for i, target in enumerate(rhs):
@@ -313,18 +296,15 @@ def _dot(a, b):
     return acc
 
 
-class LinearSolver:
-    """Factor a square regular matrix once; solve many right-hand sides."""
+class LinearSolver(TallSolver):
+    """Solve M x = b for a square regular matrix M, whose columns are the
+    tall system; the right-hand side must have length n."""
 
     def __init__(self, matrix):
-        self._n = len(matrix)
-        self._inv = invert_fraction_free(matrix)
-
-    @property
-    def n(self) -> int:
-        return self._n
+        self.n = len(matrix)
+        super().__init__([list(col) for col in zip(*matrix)])
 
     def solve_vector(self, rhs):
-        if len(rhs) != self._n:
+        if len(rhs) != self.n:
             raise ValueError("bad right-hand side length")
-        return [_dot(row, rhs) for row in self._inv]
+        return super().solve_vector(rhs)

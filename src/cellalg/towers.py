@@ -5,6 +5,10 @@ whose subquotients are the cell modules S^mu over the one-box neighbors
 mu of lambda.  Iterating the construction produces a basis of S^lambda
 indexed by the up-down (Bratteli) paths of shape lambda, on which the
 Jucys-Murphy operators act triangularly with explicit diagonal values.
+``ordered_paths`` is the one enumerator of those paths, in the order in
+which ``build_path_basis`` lifts them, most dominant first; its first path
+is ``maximal_path``.  ``y_element`` gives the lifted vector y^lambda_mu as a
+tuple of cell-basis coordinates.
 
 Both towers run through the same routines here; ``_BmwOps`` and
 ``_BrauerOps`` hold what differs: the generator matrices, the letters of a
@@ -25,7 +29,6 @@ from .combin import (
     cell_index,
     check_partition,
     layer_shapes,
-    maximal_path,
     neighbors,
     path_dominance,
     superstandard,
@@ -34,8 +37,6 @@ from .combin import (
 )
 from .exactring import BMW_VARS, BRAUER_VARS, CoeffFraction
 from .linalg import identity_matrix, invert_fraction_free, mat_mul
-
-ALGEBRAS = ("bmw", "brauer")
 
 
 class _BmwOps:
@@ -59,15 +60,15 @@ class _BmwOps:
 
     @staticmethod
     def step_coeff(i):
-        return _qr_power(i, 0)
+        return CoeffFraction.monomial(BMW_VARS, q=i)
 
     @staticmethod
     def content(prev, cur):
         node, added = _changed_node(prev, cur)
         i, j = node
         if added:
-            return _qr_power(2 * (j - i), 0)
-        return _qr_power(2 * (i - j), -2)
+            return CoeffFraction.monomial(BMW_VARS, q=2 * (j - i))
+        return CoeffFraction.monomial(BMW_VARS, q=2 * (i - j), r=-2)
 
     # L_1 = 1 and L_k = T_{k-1} L_{k-1} T_{k-1}; the central combination
     # is the product of the L_k
@@ -123,13 +124,6 @@ def _ops(algebra: str):
     raise ValueError("unknown algebra {!r}".format(algebra))
 
 
-@lru_cache(maxsize=None)
-def _qr_power(a: int, b: int) -> CoeffFraction:
-    q = CoeffFraction.var("q", BMW_VARS)
-    r = CoeffFraction.var("r", BMW_VARS)
-    return q ** a * r ** b
-
-
 def _changed_node(prev, cur):
     """The box by which cur differs from prev: ((row, col), added?)."""
     prev, cur = check_partition(prev), check_partition(cur)
@@ -174,24 +168,16 @@ def ordered_paths(lam, n: int):
     return tuple(out)
 
 
+def maximal_path(lam, n: int):
+    """The unique dominance-maximal path of shape lam: the first of
+    ``ordered_paths``, checked to dominate every other one."""
+    paths = ordered_paths(check_partition(lam), n)
+    if any(path_dominance(paths[0], p) != "dominates" for p in paths[1:]):
+        raise AssertionError("the first ordered path is not the maximum")
+    return paths[0]
+
+
 # -- y-elements ----------------------------------------------------------------------
-
-class YElement:
-    """The vector y^lambda_mu in S^lambda attached to a neighbor mu."""
-
-    __slots__ = ("algebra", "n", "lam", "mu", "vector")
-
-    def __init__(self, algebra, n, lam, mu, vector):
-        self.algebra = algebra
-        self.n = n
-        self.lam = lam
-        self.mu = mu
-        self.vector = tuple(vector)
-
-    def __repr__(self):
-        return "YElement({}, n={}, lam={}, mu={})".format(
-            self.algebra, self.n, self.lam, self.mu)
-
 
 def down_tableau(lam, mu, n: int) -> StdTableau:
     """The standard tableau s of shape lam whose restriction to n-1 is the
@@ -240,8 +226,9 @@ def _coset_sum(ops, rows, lam, n, top, length):
     return acc
 
 
-def y_element(algebra: str, lam, mu, n: int) -> YElement:
-    """The generator y^lambda_mu of the restriction filtration layer N^mu."""
+def y_element(algebra: str, lam, mu, n: int) -> tuple:
+    """The generator y^lambda_mu of the restriction filtration layer N^mu,
+    as its coordinates on the cell basis of S^lambda."""
     ops = _ops(algebra)
     lam, mu = check_partition(lam), check_partition(mu)
     if mu not in neighbors(lam, n):
@@ -251,8 +238,7 @@ def y_element(algebra: str, lam, mu, n: int) -> YElement:
     one = Permutation.identity(n)
     if sum(mu) == sum(lam) - 1:
         s = down_tableau(lam, mu, n)
-        vec = _unit_vector(ops, lam, n, (s, one))
-        return YElement(algebra, n, lam, mu, vec)
+        return tuple(_unit_vector(ops, lam, n, (s, one)))
     # one box added: act on m_lambda by the inverse of the distinguished
     # permutation, then by the telescoping sum over the new row
     for entry, a, w_word in up_neighbor_data(lam, n):
@@ -267,8 +253,7 @@ def y_element(algebra: str, lam, mu, n: int) -> YElement:
     base = _apply_letters(ops, [seed], lam, n,
                           ops.inverse_letters(w_word))[0]
     depth = lam[row - 1] if row - 1 < len(lam) else 0
-    acc = _coset_sum(ops, [base], lam, n, a - 1, depth)[0]
-    return YElement(algebra, n, lam, mu, acc)
+    return tuple(_coset_sum(ops, [base], lam, n, a - 1, depth)[0])
 
 
 # -- the recursive path basis --------------------------------------------------------
@@ -326,7 +311,7 @@ def build_path_basis(algebra: str, lam, n: int) -> PathBasis:
     vectors = {}
     b_words = {}
     for mu in neighbors(lam, n):
-        y = y_element(algebra, lam, mu, n).vector
+        y = y_element(algebra, lam, mu, n)
         sub = build_path_basis(algebra, mu, n - 1)
         for u in sub.paths:
             t = u + (lam,)

@@ -26,7 +26,7 @@ from cellalg.brauer import (
 )
 from cellalg.combin import cell_index, check_partition, dominance, layer_shapes
 from cellalg.exactring import BRAUER_VARS, CoeffFraction
-from cellalg.linalg import ColumnSolver
+from cellalg.linalg import TallSolver
 
 
 def _const(c):
@@ -107,7 +107,7 @@ def _layer_data(lam, n: int):
             col[dpos[d]] = c
         return col
 
-    solver = ColumnSolver([vec(e) for e in columns_elements])
+    solver = TallSolver([vec(e) for e in columns_elements])
     return index, diagrams, dpos, solver
 
 
@@ -167,7 +167,7 @@ def _full_solver(n: int):
                 columns.append(col)
     if len(index) != len(diagrams):
         raise AssertionError("cellular count must equal diagram count")
-    solver = ColumnSolver(columns)
+    solver = TallSolver(columns)
     return index, diagrams, dpos, solver
 
 

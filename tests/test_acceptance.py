@@ -40,7 +40,6 @@ from cellalg.hecke import (
     hk_to_murphy,
     murphy_to_hk,
     specht_action_matrix,
-    specht_basis,
     tab_dominance,
 )
 from cellalg.linalg import mat_mul
@@ -394,7 +393,7 @@ def test_murphy_straightening_and_jm_diagonals():
                 assert murphy_to_hk(hk_to_murphy(h), n) == h
         for n in (2, 3, 4):
             for lam in partitions_of(n):
-                tabs = specht_basis(lam, n)
+                tabs = enumerate_std(lam, n)
                 for k in range(1, n + 1):
                     mat = specht_action_matrix(lam, n, hk_jm(k, n))
                     for a, s in enumerate(tabs):

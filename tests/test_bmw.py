@@ -466,19 +466,19 @@ def _row_scan_content(t, k):
     """The BMW step content as first written: the changed box is found by
     scanning the row lengths of steps k-1 and k."""
     from cellalg.bmw import _r_power
-    from cellalg.hecke import _q_power
     path = path_of_tableau(t)
     prev, cur = path[k - 1], path[k]
     if sum(cur) > sum(prev):
         rows = list(prev) + [0] * (len(cur) - len(prev))
         for i, (a, b) in enumerate(zip(rows, cur)):
             if b > a:
-                return _q_power(2 * (b - 1 - i))
+                return CoeffFraction.monomial(BMW_VARS, q=2 * (b - 1 - i))
         raise AssertionError
     rows = list(cur) + [0] * (len(prev) - len(cur))
     for i, (a, b) in enumerate(zip(rows, prev)):
         if b > a:
-            return _q_power(2 * (i + 1 - b)) * _r_power(-2, BMW_VARS)
+            return (CoeffFraction.monomial(BMW_VARS, q=2 * (i + 1 - b))
+                    * _r_power(-2, BMW_VARS))
     raise AssertionError
 
 

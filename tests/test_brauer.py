@@ -10,7 +10,6 @@ from cellalg.combin import (
     cell_index,
     coset_reps,
     layer_shapes,
-    maximal_path,
     partitions_of,
     superstandard,
 )
@@ -37,7 +36,7 @@ from cellalg.brauer import (
     perm_diagram,
     s_diagram,
 )
-from cellalg.towers import gram_matrix
+from cellalg.towers import gram_matrix, maximal_path
 
 from brauer_reference import (
     br_to_cell_coords,

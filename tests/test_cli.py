@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -281,6 +282,23 @@ def test_exit_2_on_missing_required(capsys):
     assert cli.run(["dim", "--algebra", "brauer",
                     "--n", str(cli.MAX_N)]) == 0
     capsys.readouterr()
+
+
+def test_conjecture_level_is_bounded(capsys):
+    # the exact Gram determinant behind conjecture ran past 900 s at n = 7,
+    # so every level past the limit is refused before any work
+    for n in (cli.MAX_CONJECTURE_N + 1, cli.MAX_N):
+        start = time.monotonic()
+        assert cli.run(["conjecture", "--n", str(n)]) == 2
+        assert time.monotonic() - start < 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --n out of range: conjecture takes n up to " \
+            "{}\n".format(cli.MAX_CONJECTURE_N)
+    assert cli.run(["conjecture", "--n", str(cli.MAX_CONJECTURE_N)]) == 0
+    assert capsys.readouterr().out.startswith(
+        "Gram-determinant root evidence at n={} ".format(
+            cli.MAX_CONJECTURE_N))
 
 
 def test_exit_2_on_bad_specialization(capsys):

@@ -12,10 +12,8 @@ from cellalg.combin import (
     coset_reps,
     dominance,
     dominance_key,
-    enumerate_paths,
     enumerate_std,
     is_coset_rep,
-    maximal_path,
     neighbors,
     partitions_of,
     path_dominance,
@@ -25,8 +23,8 @@ from cellalg.combin import (
     tab_perm,
     type_map,
     up_neighbor_data,
-    wp_word,
 )
+from cellalg.towers import maximal_path, ordered_paths
 
 
 def double_factorial(n):
@@ -187,7 +185,7 @@ def test_path_counts_equal_tableau_times_coset():
     for n in range(1, 7):
         for f in range(n // 2 + 1):
             for lam in partitions_of(n - 2 * f):
-                paths = enumerate_paths(lam, n)
+                paths = ordered_paths(lam, n)
                 expected = (len(enumerate_std(lam, n))
                             * len(coset_reps(f, n)))
                 assert len(paths) == expected, (lam, n)
@@ -198,7 +196,7 @@ def test_sum_of_squares_is_double_factorial():
         total = 0
         for f in range(n // 2 + 1):
             for lam in partitions_of(n - 2 * f):
-                total += len(enumerate_paths(lam, n)) ** 2
+                total += len(ordered_paths(lam, n)) ** 2
         assert total == double_factorial(2 * n - 1)
 
 
@@ -210,23 +208,23 @@ def test_maximal_path_321_n10():
 
 def test_single_path_for_full_row():
     for n in range(1, 6):
-        assert len(enumerate_paths((n,), n)) == 1
+        assert len(ordered_paths((n,), n)) == 1
 
 
 def test_three_paths_lambda1_n3():
-    assert len(enumerate_paths((1,), 3)) == 3
+    assert len(ordered_paths((1,), 3)) == 3
 
 
 def test_path_dominance_has_unique_max():
     for lam, n in [((1,), 3), ((2,), 4), ((1, 1), 4), ((2, 1), 5)]:
         top = maximal_path(lam, n)
-        for p in enumerate_paths(lam, n):
+        for p in ordered_paths(lam, n):
             assert path_dominance(top, p) in ("dominates", "equal")
 
 
 def test_path_key_refines_path_dominance():
     for lam, n in [((1,), 5), ((2,), 4)]:
-        paths = sorted(enumerate_paths(lam, n), key=path_key)
+        paths = sorted(ordered_paths(lam, n), key=path_key)
         for i, s in enumerate(paths):
             for t in paths[i + 1:]:
                 assert path_dominance(t, s) != "dominates"
@@ -250,9 +248,19 @@ def test_type_map_of_superstandard_is_identity_filling():
 
 
 # -- distinguished permutations -------------------------------------------------
+#
+# w_p = s_{n-2} s_{n-3} ... s_{2f-1} s_{n-1} s_{n-2} ... s_{2f} is the word of
+# the up-neighbor that adds a box in a new row, the last one in dominance
+# order: there a = n - 1.
+
+def wp_word(lam, n):
+    mu, a, w_word = up_neighbor_data(lam, n)[-1]
+    assert len(mu) == len(lam) + 1 and a == n - 1
+    return w_word
+
 
 def test_wp_word_n10_f2():
-    assert wp_word(2, 10) == (8, 7, 6, 5, 4, 3, 9, 8, 7, 6, 5, 4)
+    assert wp_word((3, 2, 1), 10) == (8, 7, 6, 5, 4, 3, 9, 8, 7, 6, 5, 4)
 
 
 def test_wp_word_minimal_case():
@@ -260,12 +268,12 @@ def test_wp_word_minimal_case():
     # identity.  (Consistency anchor: the one-dimensional module at n=2 over
     # the empty partition has basis element E_1 itself, which forces the
     # degenerate prefix to act trivially.)
-    assert wp_word(1, 2) == ()
+    assert wp_word((), 2) == ()
 
 
 def test_wp_word_n3_f1():
     # n=3, f=1: word s_1 s_2, whose inverse gives the prefix T_2^{-1}T_1^{-1}
-    assert wp_word(1, 3) == (1, 2)
+    assert wp_word((1,), 3) == (1, 2)
 
 
 def test_up_neighbor_data_ordering_and_words():

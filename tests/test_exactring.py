@@ -198,6 +198,19 @@ def test_oversize_power_is_rejected():
         parse_fraction("q^171", BMW_VARS)
 
 
+def test_monomial_matches_powers_of_the_variables():
+    # the q^a r^b of the tower contents and coset sums are formed directly
+    # as monomials: same canonical num, den and text as the product of powers
+    q = CoeffFraction.var("q", BMW_VARS)
+    r = CoeffFraction.var("r", BMW_VARS)
+    for a in range(-8, 9):
+        for b in range(-4, 5):
+            got = CoeffFraction.monomial(BMW_VARS, q=a, r=b)
+            expected = q ** a * r ** b
+            assert (got.num, got.den, str(got)) == \
+                (expected.num, expected.den, str(expected))
+
+
 @pytest.mark.parametrize("vars", [BMW_VARS, BRAUER_VARS])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())

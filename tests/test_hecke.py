@@ -39,7 +39,6 @@ from cellalg.hecke import (
     murphy_to_hk,
     row_stabilizer,
     specht_action_matrix,
-    specht_basis,
     tab_dominance,
     to_murphy,
 )
@@ -385,7 +384,7 @@ def test_jm_commute_with_distant_generators():
 
 def test_cell_dimensions_sum_of_squares():
     for n in (2, 3, 4):
-        total = sum(len(specht_basis(lam, n)) ** 2
+        total = sum(len(enumerate_std(lam, n)) ** 2
                     for lam in partitions_of(n))
         assert total == factorial(n)
 
@@ -393,7 +392,7 @@ def test_cell_dimensions_sum_of_squares():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_jm_triangular_on_cell_modules(n):
     for lam in partitions_of(n):
-        tabs = specht_basis(lam, n)
+        tabs = enumerate_std(lam, n)
         for k in range(1, n + 1):
             mat = specht_action_matrix(lam, n, hk_jm(k, n))
             for a, s in enumerate(tabs):
@@ -409,7 +408,7 @@ def _layer_projection(lam, n, h):
     """The reference for specht_action_matrix, without cell_row: row s holds
     the lambda-layer Murphy coordinates of c_lambda X_{d(s)} h, read off
     hk_to_murphy, and every other layer must dominate lambda."""
-    tabs = specht_basis(lam, n)
+    tabs = enumerate_std(lam, n)
     col_of = {t: j for j, t in enumerate(tabs)}
     t_lam = superstandard(lam, n)
     rows = []
@@ -442,7 +441,7 @@ def test_action_matrix_matches_layer_projection(n):
 def test_restriction_filtration(n):
     # the span filtration by SHAPE(v|_{n-1}) is stable under X_1..X_{n-2}
     for lam in partitions_of(n):
-        tabs = specht_basis(lam, n)
+        tabs = enumerate_std(lam, n)
         for i in range(1, n - 1):
             mat = specht_action_matrix(lam, n, HeckeElement.gen(i, n))
             for a, s in enumerate(tabs):

@@ -313,11 +313,7 @@ def test_solvers_recover_a_known_solution(m, data):
     zero = CoeffFraction.const(0, vars)
     rhs = [sum((col[i] * xi for col, xi in zip(cols, x)), zero)
            for i in range(len(m))]
-    solvers = [TallSolver]
-    if vars == BRAUER_VARS:
-        # normal equations square the degrees; ColumnSolver is the dense
-        # diagram reference over Q(z) only
-        solvers.append(ColumnSolver)
+    solvers = [TallSolver, ColumnSolver]
     if len(m) == len(cols):
         solvers.append(LinearSolver)
     for solver in solvers:
@@ -335,3 +331,16 @@ def test_tall_solver_skips_dependent_rows():
     cols = [[one, one + one, z - z], [z, z + z, one]]
     rhs = [one + z, one + one + z + z, one]
     assert TallSolver(cols).solve_vector(rhs) == [one, one]
+
+
+@pytest.mark.parametrize("solver", [TallSolver, ColumnSolver])
+def test_tall_solver_rejects_a_right_hand_side_outside_the_span(solver):
+    # rows 0 and 1 determine x; row 2 of the right-hand side disagrees, and
+    # only the residual check on all rows can see it
+    z, one = (parse_fraction(t, BRAUER_VARS) for t in ("z", "1"))
+    cols = [[one, z - z, one], [z - z, one, one]]
+    built = solver(cols)
+    assert built.solve_vector([one, z, one + z]) == [one, z]
+    with pytest.raises(SingularMatrixError,
+                       match="right-hand side outside the column span"):
+        built.solve_vector([one, z, z])

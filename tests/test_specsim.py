@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellalg import specsim
-from cellalg.combin import dominance, layer_shapes, maximal_path, path_key
+from cellalg.combin import dominance, layer_shapes, path_key
 from cellalg.exactring import (
     BMW_VARS,
     BRAUER_VARS,
@@ -33,7 +33,7 @@ from cellalg.specsim import (
     necessary_condition_note,
 )
 from cellalg.linalg import rank
-from cellalg.towers import _ops, gram_matrix, ordered_paths
+from cellalg.towers import _ops, gram_matrix, maximal_path, ordered_paths
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "cellbench"))
 import catalog  # noqa: E402

@@ -5,18 +5,15 @@ from cellalg.combin import (
     Permutation,
     cell_index,
     dominance,
-    enumerate_paths,
     enumerate_std,
     coset_reps,
     layer_shapes,
-    maximal_path,
     neighbors,
     partitions_of,
     path_dominance,
     superstandard,
     tab_perm,
     up_neighbor_data,
-    word_perm,
 )
 from cellalg.exactring import BMW_VARS, BRAUER_VARS, CoeffFraction, parse_fraction
 from cellalg.bmw import (
@@ -40,7 +37,6 @@ from cellalg.linalg import identity_matrix, mat_mul
 from cellalg.towers import (
     _BmwOps,
     PathBasis,
-    YElement,
     build_path_basis,
     central_scalar,
     down_tableau,
@@ -48,6 +44,7 @@ from cellalg.towers import (
     gram_matrix,
     jm_matrix,
     jm_triangularity,
+    maximal_path,
     ordered_paths,
     path_content,
     restriction_filtration_check,
@@ -261,13 +258,39 @@ def test_fast_engine_defining_relations_n5():
 
 # -- path enumeration ----------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def brute_force_paths(n):
+    """{shape: set of paths}: every sequence of n single-box additions and
+    removals from () that stays a partition, grouped by where it ends."""
+    walks = [((),)]
+    for _ in range(n):
+        walks = [w + (mu,) for w in walks
+                 for mu in _one_box_moves(w[-1])]
+    out = {}
+    for w in walks:
+        out.setdefault(w[-1], set()).add(w)
+    return out
+
+
+def _one_box_moves(lam):
+    rows = list(lam) + [0]
+    for i in range(len(rows)):
+        for d in (1, -1):
+            moved = rows[:i] + [rows[i] + d] + rows[i + 1:]
+            if moved[i] >= 0 and all(a >= b for a, b in zip(moved, moved[1:])):
+                yield tuple(x for x in moved if x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_ordered_paths_enumeration(n):
+    oracle = brute_force_paths(n)
+    assert set(oracle) == set(layer_shapes(n))
     for lam in layer_shapes(n):
         ps = ordered_paths(lam, n)
-        assert set(ps) == set(enumerate_paths(lam, n))
+        assert set(ps) == oracle[lam]
         assert len(ps) == len(set(ps))
-        assert ps[0] == maximal_path(lam, n)
+        top = maximal_path(lam, n)
+        assert ps[0] == top
+        assert all(path_dominance(top, p) == "dominates" for p in ps[1:])
         f = (n - sum(lam)) // 2
         assert len(ps) == len(enumerate_std(lam, n)) * len(coset_reps(f, n))
 
@@ -317,7 +340,7 @@ def test_y_down_greatest_neighbor_is_seed():
                 idx = cell_index(lam, n)
                 key = (superstandard(lam, n), Permutation.identity(n))
                 one = bqr("1") if algebra == "bmw" else bz("1")
-                for tu, c in zip(idx, y.vector):
+                for tu, c in zip(idx, y):
                     if tu == key:
                         assert c == one
                     else:
@@ -345,7 +368,7 @@ def test_y_up_two_box_column_example():
     shifted = [sum((vec[a] * t1[a][j] for a in range(len(vec))), bqr("0"))
                for j in range(len(vec))]
     expected = [a + b * bqr("q") for a, b in zip(vec, shifted)]
-    assert list(y_element("bmw", lam, (2, 1), n).vector) == expected
+    assert list(y_element("bmw", lam, (2, 1), n)) == expected
 
 
 def _rho_m_mu_level_down(mu, n):
@@ -392,11 +415,11 @@ def test_y_up_matches_defining_product_bmw(n):
             for (nu, sv, tu), c in coords.items():
                 if nu == lam:
                     assert sv == seed_left
-                    assert c == y.vector[idx.index(tu)]
+                    assert c == y[idx.index(tu)]
                 else:
                     assert dominance(nu, lam) == "dominates"
             got = {tu for (nu, sv, tu) in coords if nu == lam}
-            for j, c in enumerate(y.vector):
+            for j, c in enumerate(y):
                 assert (idx[j] in got) == (not c.is_zero())
 
 
@@ -423,7 +446,7 @@ def test_y_up_matches_defining_product_brauer(n):
         if f == 0:
             continue
         for mu, a, w_word in up_neighbor_data(lam, n):
-            w = word_perm(w_word, n)
+            w = Permutation.from_word(w_word, n)
             winv = BrauerElement.perm(w.inverse())
             m_mu = _br_m_mu_level_down(mu, n)
             lhs = BrauerElement.e(2 * f - 1, n) * winv * m_mu
@@ -457,11 +480,12 @@ def test_first_path_row_is_seed():
 @pytest.mark.parametrize("algebra,nmax", [("bmw", 4), ("brauer", 5)])
 def test_path_basis_complete_and_invertible(algebra, nmax):
     for n in range(1, nmax + 1):
+        oracle = brute_force_paths(n)
         for lam in layer_shapes(n):
             pb = build_path_basis(algebra, lam, n)
             # invert_fraction_free inside the build certifies independence
             assert len(pb.paths) == len(pb.index)
-            assert set(pb.paths) == set(enumerate_paths(lam, n))
+            assert set(pb.paths) == oracle[lam]
 
 
 def test_transition_matrix_single_box_n3():
@@ -711,7 +735,7 @@ def test_restriction_dimensions_add_up():
     lam, n = (2,), 4
     report = restriction_filtration_check("brauer", lam, n)
     assert report["dimension_match"]
-    total = sum(len(enumerate_paths(mu, n - 1)) for mu in neighbors(lam, n))
+    total = sum(len(ordered_paths(mu, n - 1)) for mu in neighbors(lam, n))
     assert total == len(cell_index(lam, n))
 
 
