@@ -13,8 +13,10 @@ The engine runs over a variable tuple.  Over ``BMW_VARS`` it is B_n(q,r)
 with loop value ``bmw_z()``.  Over ``BRAUER_VARS`` it has q = r = 1, so
 q - q^{-1} = 0 and T_i = T_i^{-1} is the transposition s_i, and loop
 value z: every relation it uses is then a relation of the Brauer algebra
-B_n(z), which is how ``brauer`` gets its cell modules.  The matrix of
-T_i^{-1} = T_i - (q - q^{-1})(1 - E_i) is derived from those of T_i and E_i.
+B_n(z), which is how ``brauer`` gets its cell modules.  ``bmw_gen_matrix``
+is the one table of generator matrices for both towers, keyed by the
+variable tuple: the matrix of T_i^{-1} = T_i - (q - q^{-1})(1 - E_i) is
+derived from those of T_i and E_i, and at q = 1 it is the matrix of T_i.
 
 ``BmwElement`` is the ``exactring.Combination`` on the cellular basis
 monomials.  Products go through the faithful direct sum of all cell-module
@@ -43,14 +45,11 @@ from .exactring import BMW_VARS, CoeffFraction, Combination, bmw_z
 from .hecke import cell_row, row_stabilizer
 
 
-def _const(c) -> CoeffFraction:
-    return CoeffFraction.const(c, BMW_VARS)
-
-
 class _Params(NamedTuple):
     one: CoeffFraction
     q: CoeffFraction
     r: CoeffFraction
+    rinv: CoeffFraction
     delta: CoeffFraction  # q - q^{-1}
     z: CoeffFraction  # the loop value
 
@@ -61,18 +60,8 @@ def _params(vars: tuple) -> _Params:
     one = CoeffFraction.const(1, vars)
     if vars == BMW_VARS:
         q, r = CoeffFraction.var("q", vars), CoeffFraction.var("r", vars)
-        return _Params(one, q, r, q - q.inverse(), bmw_z())
-    return _Params(one, one, one, one - one, CoeffFraction.var("z", vars))
-
-
-@lru_cache(maxsize=None)
-def _q_power(k: int, vars: tuple) -> CoeffFraction:
-    return _params(vars).q ** k
-
-
-@lru_cache(maxsize=None)
-def _r_power(k: int, vars: tuple) -> CoeffFraction:
-    return _params(vars).r ** k
+        return _Params(one, q, r, r.inverse(), q - q.inverse(), bmw_z())
+    return _Params(one, one, one, one, one - one, CoeffFraction.var("z", vars))
 
 
 # -- the chain-word engine -------------------------------------------------------
@@ -124,7 +113,7 @@ def _lstr(s, x: Permutation, n: int, f: int, vars: tuple):
     if sign == 1:
         out.extend(_scaled(_lstr(rest, x, n, f, vars), delta))
         out.extend(_scaled(_lstr_e(rest, j, sx, n, f, vars),
-                           -delta * _r_power(-1, vars)))
+                           -delta * _params(vars).rinv))
     else:  # T_j^{-1} = T_j - (q - q^{-1})(1 - E_j)
         out.extend(_scaled(_lstr(rest, x, n, f, vars), -delta))
         out.extend(_scaled(_lstr_e(rest, j, x, n, f, vars), delta))
@@ -149,7 +138,9 @@ def _lstr_e(s, j: int, y: Permutation, n: int, f: int, vars: tuple):
             return ((y, _params(vars).z),)
         j1, e1 = s[-1]
         if j1 == j + 1:
-            return _scaled(_lstr(s[:-1], y, n, f, vars), _r_power(e1, vars))
+            p = _params(vars)
+            return _scaled(_lstr(s[:-1], y, n, f, vars),
+                           p.r if e1 == 1 else p.rinv)
         # every string letter commutes with E_j
         return _scaled(_lstr(s, y, n, f, vars), _params(vars).z)
     # j even, j <= 2f
@@ -162,7 +153,7 @@ def _emul(x: Permutation, i: int, n: int, f: int, vars: tuple):
     xi = x.inverse()
     k, l = xi(i), xi(i + 1)
     if l < k:
-        return _scaled(_emul(x.rmul_s(i), i, n, f, vars), _r_power(-1, vars))
+        return _scaled(_emul(x.rmul_s(i), i, n, f, vars), _params(vars).rinv)
     if l == k + 1:
         if k % 2 == 1 and k <= 2 * f - 1:
             return ((x, _params(vars).z),)
@@ -189,7 +180,7 @@ def _rmul(x: Permutation, i: int, n: int, f: int, vars: tuple):
     if _longer_right(x, i):
         return ((sx, one),)
     out = [(sx, one), (x, delta)]
-    out.extend(_scaled(_emul(sx, i, n, f, vars), -delta * _r_power(-1, vars)))
+    out.extend(_scaled(_emul(sx, i, n, f, vars), -delta * _params(vars).rinv))
     return _merge(out)
 
 
@@ -200,7 +191,7 @@ def _normalize(x: Permutation, n: int, f: int, vars: tuple):
 
     Returns a tuple of ((u, v), coefficient) pairs.
     """
-    delta, rinv = _params(vars).delta, _r_power(-1, vars)
+    delta, rinv = _params(vars).delta, _params(vars).rinv
     done = []
     work = [(Permutation.identity(n), x, _params(vars).one)]
     while work:
@@ -278,8 +269,8 @@ def _normalize(x: Permutation, n: int, f: int, vars: tuple):
 @lru_cache(maxsize=None)
 def _seed_terms(lam, n: int, t: StdTableau, u: Permutation, vars: tuple):
     """m_lambda T_{d(t)} T_u as chain words (lengths are additive)."""
-    d = tab_perm(t)
-    return tuple((w * d * u, _q_power(w.length(), vars))
+    d, q = tab_perm(t), _params(vars).q
+    return tuple((w * d * u, q ** w.length())
                  for w in row_stabilizer(lam, n))
 
 
@@ -335,34 +326,37 @@ def cell_rows(lam, n: int, vars: tuple, element) -> list:
 
 
 # precomputed action matrices may be installed here (keyed by
-# (lam, n, kind, i)), e.g. from an on-disk structure-constant cache
+# (vars, lam, n, kind, i)), e.g. from an on-disk structure-constant cache
 _gen_matrix_overrides: dict = {}
 
 
-def bmw_gen_matrix(lam, n: int, kind: str, i: int):
-    """Matrix of a generator on the cell module S^lambda (rows = images)."""
+def bmw_gen_matrix(lam, n: int, kind: str, i: int, vars: tuple = BMW_VARS):
+    """Matrix of the generator T_i, T_i^{-1} or E_i (kind "T", "Tinv" or
+    "E") on the cell module S^lambda over vars (rows = images)."""
     lam = check_partition(lam)
     if not 1 <= i < n:
         raise ValueError("generator index out of range")
-    cached = _gen_matrix_overrides.get((lam, n, kind, i))
+    if kind == "Tinv" and _params(vars).delta.is_zero():
+        kind = "T"  # T_i^{-1} = T_i at q = 1
+    cached = _gen_matrix_overrides.get((vars, lam, n, kind, i))
     if cached is not None:
         return cached
-    return _bmw_gen_matrix_compute(lam, n, kind, i)
+    return _gen_matrix_compute(lam, n, kind, i, vars)
 
 
 @lru_cache(maxsize=None)
-def _bmw_gen_matrix_compute(lam, n: int, kind: str, i: int):
+def _gen_matrix_compute(lam, n: int, kind: str, i: int, vars: tuple):
     if kind == "Tinv":
         # T_i^{-1} = T_i - (q - q^{-1})(1 - E_i), from T_i and E_i as
         # bmw_gen_matrix gives them, so cache overrides are used
-        delta = _params(BMW_VARS).delta
+        delta = _params(vars).delta
         rows = [[x + delta * y for x, y in zip(t_row, e_row)]
-                for t_row, e_row in zip(bmw_gen_matrix(lam, n, "T", i),
-                                        bmw_gen_matrix(lam, n, "E", i))]
+                for t_row, e_row in zip(bmw_gen_matrix(lam, n, "T", i, vars),
+                                        bmw_gen_matrix(lam, n, "E", i, vars))]
         for a, row in enumerate(rows):
             row[a] = row[a] - delta
         return rows
-    return cell_rows(lam, n, BMW_VARS, [(((kind, i),), _const(1))])
+    return cell_rows(lam, n, vars, [(((kind, i),), _params(vars).one)])
 
 
 # -- the full algebra on cellular coordinates ------------------------------------------
@@ -429,7 +423,7 @@ def bmw_m_lambda(lam, n: int) -> BmwElement:
     lam = check_partition(lam)
     t = superstandard(lam, n)
     one = Permutation.identity(n)
-    return BmwElement(n, {(lam, (t, one), (t, one)): _const(1)})
+    return BmwElement(n, {(lam, (t, one), (t, one)): _params(BMW_VARS).one})
 
 
 def bmw_jm(i: int, n: int) -> BmwElement:

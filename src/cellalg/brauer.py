@@ -6,7 +6,9 @@ closed loop into a factor of z; ``BrauerElement`` is the
 ``exactring.Combination`` on diagrams with that product.  An element acts
 on each cell module S^lambda through the chain-word engine of ``bmw`` at
 q = r = 1 (``bmw.cell_rows`` over BRAUER_VARS), applied to the word that
-``diagram_word`` gives for each of its diagrams.  The coordinates of an
+``diagram_word`` gives for each of its diagrams; the generator matrices
+come from the same engine's table (``bmw.bmw_gen_matrix`` over
+BRAUER_VARS, where s_i is the letter T_i).  The coordinates of an
 element on the cellular basis (d(s)v)^{-1} m_lambda d(t)u are read back
 from those cell-module matrices by ``towers.cellular_terms``, the
 straightening shared with the BMW tower.
@@ -25,15 +27,13 @@ from .combin import (
 from .exactring import BRAUER_VARS, CoeffFraction, Combination
 from .hecke import row_stabilizer
 
-BR_VARS = BRAUER_VARS
-
 
 def _const(c) -> CoeffFraction:
-    return CoeffFraction.const(c, BR_VARS)
+    return CoeffFraction.const(c, BRAUER_VARS)
 
 
 def _z() -> CoeffFraction:
-    return CoeffFraction.var("z", BR_VARS)
+    return CoeffFraction.var("z", BRAUER_VARS)
 
 
 # -- diagrams -------------------------------------------------------------------
@@ -133,7 +133,7 @@ class BrauerElement(Combination):
     """Finitely supported map diagram -> coefficient in Q(z)."""
 
     __slots__ = ()
-    VARS = BR_VARS
+    VARS = BRAUER_VARS
 
     @classmethod
     def one(cls, n: int) -> "BrauerElement":
@@ -262,7 +262,8 @@ def br_jm(i: int, n: int) -> BrauerElement:
 # -- cell modules ----------------------------------------------------------------------
 #
 # The chain-word engine of ``bmw`` over BRAUER_VARS (q = r = 1, loop value
-# z) is the Brauer algebra, with s_i acting as its letter T_i.
+# z) is the Brauer algebra, with s_i acting as its letter T_i; diagram words
+# spell s_i, so they are translated here.
 
 _ENGINE_LETTER = {"s": "T", "E": "E"}
 
@@ -292,34 +293,10 @@ def diagram_word(d, n: int) -> tuple:
             + tuple(("s", i) for i in w2.reduced_word()))
 
 
-# precomputed action matrices may be installed here (keyed by
-# (lam, n, kind, i)), e.g. from an on-disk structure-constant cache
-_gen_matrix_overrides: dict = {}
-
-
-def br_cell_matrix(lam, n: int, kind: str, i: int):
-    """Matrix of a generator on S^lambda (rows = images)."""
-    lam = check_partition(lam)
-    if not 1 <= i < n:
-        raise ValueError("generator index out of range")
-    if kind not in _ENGINE_LETTER:
-        raise ValueError("unknown generator kind {!r}".format(kind))
-    cached = _gen_matrix_overrides.get((lam, n, kind, i))
-    if cached is not None:
-        return cached
-    return _br_cell_matrix_compute(lam, n, kind, i)
-
-
-@lru_cache(maxsize=None)
-def _br_cell_matrix_compute(lam, n: int, kind: str, i: int):
-    return cell_rows(lam, n, BR_VARS,
-                     [(((_ENGINE_LETTER[kind], i),), _const(1))])
-
-
 def br_module_matrix(lam, n: int, b: BrauerElement):
     """Matrix of any element b on S^lambda (rows = images), from the word
     of each diagram of b."""
-    return cell_rows(lam, n, BR_VARS, [
+    return cell_rows(lam, n, BRAUER_VARS, [
         ([(_ENGINE_LETTER[kind], i) for kind, i in diagram_word(d, n)], c)
         for d, c in b.terms.items()])
 

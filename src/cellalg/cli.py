@@ -3,9 +3,11 @@ cache of generator action matrices.
 
 The cache (``--cache-dir``, format version 3) stores one file per algebra and
 n with the primary generators of each layer only: T_i and E_i for BMW, s_i
-and E_i for Brauer.  T_i^{-1} is derived from T_i and E_i, so it is never
-stored.  Only basis, gram, transition, jm, filtration and gram-certify load
-the cache, and ``cache`` writes it; the other commands ignore the flag.
+and E_i for Brauer.  T_i^{-1} is derived from T_i and E_i (at q = 1 it is
+s_i), so it is never stored.  A loaded file fills the one generator-matrix
+table of ``bmw``, where s_i is the engine letter T_i.  Only basis, gram,
+transition, jm, filtration and gram-certify load the cache, and ``cache``
+writes it; the other commands ignore the flag.
 
 Exit codes: 0 success, 2 input error, 3 pole at the requested specialization.
 JSON output is deterministic across runs with equal inputs, except for the
@@ -21,6 +23,7 @@ import tempfile
 import time
 from json.encoder import encode_basestring_ascii
 
+from .bmw import _gen_matrix_overrides, bmw_gen_matrix
 from .combin import cell_index, check_partition, layer_shapes
 from .exactring import PoleError, Specialization, parse_fraction
 from .specsim import (
@@ -229,15 +232,20 @@ def _parse_matrix_key(key):
     return lam, kind, int(i)
 
 
+# the engine letter of each generator name a cache file stores: Brauer files
+# name T_i = s_i "s"
+_CACHE_LETTERS = {"bmw": {"T": "T", "E": "E"}, "brauer": {"s": "T", "E": "E"}}
+
+
 def _compute_cache_body(algebra, n):
-    ops = _ops(algebra)
+    vars = _ops(algebra).vars
     text = _Text()
     body = {}
     for lam in layer_shapes(n):
-        for kind in ops.gen_kinds:
+        for name, letter in _CACHE_LETTERS[algebra].items():
             for i in range(1, n):
-                body[_matrix_key(lam, kind, i)] = _fmt_matrix(
-                    ops.gen_matrix(lam, n, kind, i), text)
+                body[_matrix_key(lam, name, i)] = _fmt_matrix(
+                    bmw_gen_matrix(lam, n, letter, i, vars), text)
     return body
 
 
@@ -278,8 +286,8 @@ def _load_cache(path, algebra, n):
     try:
         with open(path) as handle:
             data = json.load(handle)
-        ops = _ops(algebra)
-        vars = ops.vars
+        vars = _ops(algebra).vars
+        letters = _CACHE_LETTERS[algebra]
         if (data.get("version") != CACHE_VERSION
                 or data.get("algebra") != algebra
                 or data.get("n") != n
@@ -298,17 +306,16 @@ def _load_cache(path, algebra, n):
             return parsed[text]
 
         for key, rows in sorted(data["matrices"].items()):
-            lam, kind, i = _parse_matrix_key(key)
-            if (lam not in shapes or kind not in ops.gen_kinds
-                    or not 1 <= i < n):
+            lam, name, i = _parse_matrix_key(key)
+            if lam not in shapes or name not in letters or not 1 <= i < n:
                 raise ValueError("invalid matrix key {!r}".format(key))
             dim = len(cell_index(lam, n))
             if len(rows) != dim or any(len(row) != dim for row in rows):
                 raise ValueError("matrix for {} is not {} x {}".format(
                     key, dim, dim))
             _feed_digest(digest, key, rows)
-            overrides[(lam, n, kind, i)] = [[value(x) for x in row]
-                                            for row in rows]
+            overrides[(vars, lam, n, letters[name], i)] = [
+                [value(x) for x in row] for row in rows]
         if digest.hexdigest() != data.get("sha256"):
             raise ValueError("matrix digest mismatch")
         return overrides
@@ -338,7 +345,7 @@ def ensure_cache(cache_dir, algebra, n):
             raise AssertionError("freshly written cache failed to load")
     else:
         status = "reused"
-    _ops(algebra).gen_matrix_overrides.update(overrides)
+    _gen_matrix_overrides.update(overrides)
     return {"path": path, "status": status, "entries": len(overrides)}
 
 

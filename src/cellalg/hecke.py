@@ -46,24 +46,22 @@ from .combin import (
 from .exactring import (BMW_VARS, BRAUER_VARS, CoeffFraction, Combination,
                         Ring, poly_add, poly_mul, ring)
 
-HK_VARS = BMW_VARS
-
 
 def _const(c) -> CoeffFraction:
-    return CoeffFraction.const(c, HK_VARS)
+    return CoeffFraction.const(c, BMW_VARS)
 
 
 @lru_cache(maxsize=None)
 def _delta() -> CoeffFraction:
-    return (CoeffFraction.monomial(HK_VARS, q=1)
-            - CoeffFraction.monomial(HK_VARS, q=-1))
+    return (CoeffFraction.monomial(BMW_VARS, q=1)
+            - CoeffFraction.monomial(BMW_VARS, q=-1))
 
 
 class HeckeElement(Combination):
     """Finitely supported map Permutation -> coefficient, fixed rank n."""
 
     __slots__ = ()
-    VARS = HK_VARS
+    VARS = BMW_VARS
 
     @classmethod
     def one(cls, n: int) -> "HeckeElement":
@@ -150,7 +148,7 @@ def row_stabilizer(mu, n: int) -> tuple:
 
 def hk_c_mu(mu, n: int) -> HeckeElement:
     """c_mu = sum over the row stabilizer of q^{l(w)} X_w."""
-    return HeckeElement(n, {w: CoeffFraction.monomial(HK_VARS, q=w.length())
+    return HeckeElement(n, {w: CoeffFraction.monomial(BMW_VARS, q=w.length())
                             for w in row_stabilizer(mu, n)})
 
 
@@ -172,7 +170,7 @@ def murphy_element(lam, u: StdTableau, v: StdTableau) -> HeckeElement:
     """c_{uv} = X_{d(u)}* c_lambda X_{d(v)}, the CoeffFraction view of its
     Laurent row (``_murphy_row`` in ring(1))."""
     return HeckeElement(u.n, {
-        Permutation(img): _fraction(x, HK_VARS)
+        Permutation(img): _fraction(x, BMW_VARS)
         for img, x in _murphy_row(lam, u, v, ring(1)).items()})
 
 
@@ -203,9 +201,9 @@ def _perm_order(n: int):
 
 
 def _murphy_ring(vars: tuple) -> Ring:
-    """ring(1) at generic q over HK_VARS (the BMW tower), ring(0) at q = 1
+    """ring(1) at generic q over BMW_VARS (the BMW tower), ring(0) at q = 1
     over BRAUER_VARS."""
-    if vars == HK_VARS:
+    if vars == BMW_VARS:
         return ring(1)
     if vars == BRAUER_VARS:
         return ring(0)
@@ -364,7 +362,7 @@ def _murphy_column(m: int, vars: tuple, u: Permutation) -> dict:
 
 def to_murphy(m: int, part: dict, vars: tuple) -> dict:
     """Murphy coordinates {(lambda, s, t): c} of sum c * X_u over the
-    permutations u of 1..m, at generic q over HK_VARS and at q = 1 (the
+    permutations u of 1..m, at generic q over BMW_VARS and at q = 1 (the
     symmetric group) over BRAUER_VARS.
 
     The ring columns of the u that share a coefficient are added first.
@@ -399,7 +397,7 @@ def to_murphy(m: int, part: dict, vars: tuple) -> dict:
 
 def hk_to_murphy(h: HeckeElement) -> dict:
     """Coordinates of h in the cellular basis: (lambda, u, v) -> coeff."""
-    return to_murphy(h.n, h.terms, HK_VARS)
+    return to_murphy(h.n, h.terms, BMW_VARS)
 
 
 def murphy_to_hk(coords: dict, n: int) -> HeckeElement:
@@ -505,7 +503,7 @@ def hk_jm_sum(i: int, n: int) -> HeckeElement:
 def hk_content(t: StdTableau, k: int) -> CoeffFraction:
     """The eigenvalue q^{2(j-i)} where k sits in box (i,j) of t."""
     i, j = t.position_of(k)
-    return CoeffFraction.monomial(HK_VARS, q=2 * (j - i))
+    return CoeffFraction.monomial(BMW_VARS, q=2 * (j - i))
 
 
 def tab_dominance(s: StdTableau, t: StdTableau) -> str:
@@ -526,6 +524,6 @@ def hk_semistd_elt(S, t: StdTableau, mu) -> HeckeElement:
     out = HeckeElement.zero(n)
     for s in enumerate_std(nu, n):
         if type_map(s, mu) == S:
-            coeff = CoeffFraction.monomial(HK_VARS, q=tab_perm(s).length())
+            coeff = CoeffFraction.monomial(BMW_VARS, q=tab_perm(s).length())
             out = out + murphy_element(nu, s, t).scale(coeff)
     return out

@@ -10,10 +10,13 @@ which ``build_path_basis`` lifts them, most dominant first; its first path
 is ``maximal_path``.  ``y_element`` gives the lifted vector y^lambda_mu as a
 tuple of cell-basis coordinates.
 
-Both towers run through the same routines here; ``_BmwOps`` and
-``_BrauerOps`` hold what differs: the generator matrices, the letters of a
-permutation, the coset-sum coefficients, the step contents and the
-Jucys-Murphy recurrence (``jm_matrix``).  The cell-module matrices of a
+Both towers run through the same routines here.  Their generator matrices
+come from one table, ``bmw.bmw_gen_matrix`` over the tower's variable
+tuple, and both spell words in the letters T, Tinv and E: at q = 1 the
+letter T_i is s_i, T_i^{-1} = T_i and the coset-sum coefficient q^i is 1.
+``_BmwOps`` and ``_BrauerOps`` hold only what differs mathematically: the
+variable tuple, the step contents and the Jucys-Murphy recurrence
+(``jm_matrix``) with its central combination.  The cell-module matrices of a
 generator word (``word_matrix``, ``rho_of_word``) and of an element on the
 cellular basis (``element_rho``), and the way back from such matrices to
 cellular coordinates (``cellular_terms``), serve both towers.
@@ -21,8 +24,7 @@ cellular coordinates (``cellular_terms``), serve both towers.
 
 from functools import lru_cache
 
-from . import bmw as _bmw
-from . import brauer as _brauer
+from .bmw import _params, bmw_gen_matrix
 from .combin import (
     Permutation,
     StdTableau,
@@ -40,27 +42,9 @@ from .linalg import identity_matrix, invert_fraction_free, mat_mul
 
 
 class _BmwOps:
-    """Cell-module operations of the two-parameter tower."""
+    """What the two-parameter tower does differently."""
 
     vars = BMW_VARS
-    gen_kinds = ("T", "E")
-    gen_matrix_overrides = _bmw._gen_matrix_overrides
-
-    @staticmethod
-    def gen_matrix(lam, n, kind, i):
-        return _bmw.bmw_gen_matrix(lam, n, kind, i)
-
-    @staticmethod
-    def perm_letters(w):
-        return [("T", i) for i in w.reduced_word()]
-
-    @staticmethod
-    def inverse_letters(word):
-        return [("Tinv", i) for i in reversed(word)]
-
-    @staticmethod
-    def step_coeff(i):
-        return CoeffFraction.monomial(BMW_VARS, q=i)
 
     @staticmethod
     def content(prev, cur):
@@ -78,27 +62,9 @@ class _BmwOps:
 
 
 class _BrauerOps:
-    """Cell-module operations of the one-parameter tower."""
+    """What the one-parameter tower does differently."""
 
     vars = BRAUER_VARS
-    gen_kinds = ("s", "E")
-    gen_matrix_overrides = _brauer._gen_matrix_overrides
-
-    @staticmethod
-    def gen_matrix(lam, n, kind, i):
-        return _brauer.br_cell_matrix(lam, n, kind, i)
-
-    @staticmethod
-    def perm_letters(w):
-        return [("s", i) for i in w.reduced_word()]
-
-    @staticmethod
-    def inverse_letters(word):
-        return [("s", i) for i in reversed(word)]
-
-    @staticmethod
-    def step_coeff(i):
-        return CoeffFraction.const(1, BRAUER_VARS)
 
     @staticmethod
     def content(prev, cur):
@@ -198,29 +164,34 @@ def down_tableau(lam, mu, n: int) -> StdTableau:
     return s
 
 
-def _unit_vector(ops, lam, n, key):
+def _unit_vector(vars, lam, n, key):
     index = cell_index(lam, n)
-    zero = CoeffFraction.const(0, ops.vars)
-    one = CoeffFraction.const(1, ops.vars)
+    zero = CoeffFraction.const(0, vars)
+    one = CoeffFraction.const(1, vars)
     return [one if tu == key else zero for tu in index]
 
 
-def _apply_letters(ops, rows, lam, n, letters):
+def _perm_letters(w):
+    """The letters T_i of a reduced word of the permutation w."""
+    return [("T", i) for i in w.reduced_word()]
+
+
+def _apply_letters(vars, rows, lam, n, letters):
     """Right action of a generator word on each row vector of S^lambda."""
     for kind, i in letters:
-        rows = mat_mul(rows, ops.gen_matrix(lam, n, kind, i))
+        rows = mat_mul(rows, bmw_gen_matrix(lam, n, kind, i, vars))
     return rows
 
 
-def _coset_sum(ops, rows, lam, n, top, length):
+def _coset_sum(vars, rows, lam, n, top, length):
     """Each row vector of S^lambda times the coset sum
-    sum_{i=0..length} c(i) s_top s_{top-1} ... s_{top-i+1}, with c(0) = 1,
-    c(i) = ``ops.step_coeff(i)`` and s the first generator kind."""
-    kind = ops.gen_kinds[0]
+    sum_{i=0..length} q^i T_top T_{top-1} ... T_{top-i+1} (q = 1 in the
+    one-parameter tower)."""
+    q = _params(vars).q
     cur = acc = rows
     for i in range(1, length + 1):
-        cur = _apply_letters(ops, cur, lam, n, [(kind, top - i + 1)])
-        coeff = ops.step_coeff(i)
+        cur = _apply_letters(vars, cur, lam, n, [("T", top - i + 1)])
+        coeff = q ** i
         acc = [[x + y * coeff for x, y in zip(ra, rc)]
                for ra, rc in zip(acc, cur)]
     return acc
@@ -229,7 +200,7 @@ def _coset_sum(ops, rows, lam, n, top, length):
 def y_element(algebra: str, lam, mu, n: int) -> tuple:
     """The generator y^lambda_mu of the restriction filtration layer N^mu,
     as its coordinates on the cell basis of S^lambda."""
-    ops = _ops(algebra)
+    vars = _ops(algebra).vars
     lam, mu = check_partition(lam), check_partition(mu)
     if mu not in neighbors(lam, n):
         raise ValueError(
@@ -238,7 +209,7 @@ def y_element(algebra: str, lam, mu, n: int) -> tuple:
     one = Permutation.identity(n)
     if sum(mu) == sum(lam) - 1:
         s = down_tableau(lam, mu, n)
-        return tuple(_unit_vector(ops, lam, n, (s, one)))
+        return tuple(_unit_vector(vars, lam, n, (s, one)))
     # one box added: act on m_lambda by the inverse of the distinguished
     # permutation, then by the telescoping sum over the new row
     for entry, a, w_word in up_neighbor_data(lam, n):
@@ -249,11 +220,11 @@ def y_element(algebra: str, lam, mu, n: int) -> tuple:
     (row, _col), added = _changed_node(lam, mu)
     if not added:
         raise AssertionError("expected an added box")
-    seed = _unit_vector(ops, lam, n, (superstandard(lam, n), one))
-    base = _apply_letters(ops, [seed], lam, n,
-                          ops.inverse_letters(w_word))[0]
+    seed = _unit_vector(vars, lam, n, (superstandard(lam, n), one))
+    base = _apply_letters(vars, [seed], lam, n,
+                          [("Tinv", i) for i in reversed(w_word)])[0]
     depth = lam[row - 1] if row - 1 < len(lam) else 0
-    return tuple(_coset_sum(ops, [base], lam, n, a - 1, depth)[0])
+    return tuple(_coset_sum(vars, [base], lam, n, a - 1, depth)[0])
 
 
 # -- the recursive path basis --------------------------------------------------------
@@ -297,16 +268,16 @@ class PathBasis:
 @lru_cache(maxsize=None)
 def build_path_basis(algebra: str, lam, n: int) -> PathBasis:
     """Lift bases through the tower: m_t = y^lambda_mu b_u for t|_{n-1} = u."""
-    ops = _ops(algebra)
+    vars = _ops(algebra).vars
     lam = check_partition(lam)
     index = cell_index(lam, n)
-    one_c = CoeffFraction.const(1, ops.vars)
+    one_c = CoeffFraction.const(1, vars)
     if n == 1:
         path = ((), lam)
         vectors = {path: (one_c,)}
         b_words = {path: {Permutation.identity(1): one_c}}
         return PathBasis(algebra, n, lam, (path,), index, vectors, b_words,
-                         identity_matrix(1, ops.vars))
+                         identity_matrix(1, vars))
     paths = ordered_paths(lam, n)
     vectors = {}
     b_words = {}
@@ -318,8 +289,8 @@ def build_path_basis(algebra: str, lam, n: int) -> PathBasis:
             acc = None
             for w, c in sub.b_words[u].items():
                 lifted = Permutation(w.img + (n,))
-                piece = _apply_letters(ops, [list(y)], lam, n,
-                                       ops.perm_letters(lifted))[0]
+                piece = _apply_letters(vars, [list(y)], lam, n,
+                                       _perm_letters(lifted))[0]
                 piece = [x * c for x in piece]
                 acc = piece if acc is None else \
                     [x + yv for x, yv in zip(acc, piece)]
@@ -350,16 +321,16 @@ def m_lambda_matrix(algebra: str, lam, n: int, target):
     words, with l(w) = l(w') + l(d).  So a row takes k(k-1)/2 letter
     products instead of one per letter of every w.
     """
-    ops = _ops(algebra)
+    vars = _ops(algebra).vars
     lam, target = check_partition(lam), check_partition(target)
     f = (n - sum(lam)) // 2
-    units = identity_matrix(len(cell_index(target, n)), ops.vars)
-    acc = _apply_letters(ops, units, target, n,
+    units = identity_matrix(len(cell_index(target, n)), vars)
+    acc = _apply_letters(vars, units, target, n,
                          [("E", i) for i in range(1, 2 * f, 2)])
     for row in superstandard(lam, n).rows:
         a = row[0] - 1
         for j in range(2, len(row) + 1):
-            acc = _coset_sum(ops, acc, target, n, a + j - 1, j - 1)
+            acc = _coset_sum(vars, acc, target, n, a + j - 1, j - 1)
     return acc
 
 
@@ -371,7 +342,7 @@ def gram_matrix(algebra: str, lam, n: int):
     phi m_lambda in S^lambda, where m_b = m_lambda d(t)u; the star of a
     permutation word is the reversed word.
     """
-    ops = _ops(algebra)
+    vars = _ops(algebra).vars
     lam = check_partition(lam)
     index = cell_index(lam, n)
     e1 = index.index((superstandard(lam, n), Permutation.identity(n)))
@@ -387,8 +358,8 @@ def gram_matrix(algebra: str, lam, n: int):
     columns = []
     for t, u in index:
         col = m_col
-        for kind, i in ops.perm_letters(tab_perm(t)) + ops.perm_letters(u):
-            col = mat_mul(ops.gen_matrix(lam, n, kind, i), col)
+        for kind, i in _perm_letters(tab_perm(t)) + _perm_letters(u):
+            col = mat_mul(bmw_gen_matrix(lam, n, kind, i, vars), col)
         columns.append([x for x, in col])
     return [list(row) for row in zip(*columns)]
 
@@ -416,10 +387,10 @@ def _rho_add(a, b):
 
 def word_matrix(algebra: str, lam, n: int, word):
     """Matrix of a product of generators on S^lambda."""
-    ops = _ops(algebra)
+    vars = _ops(algebra).vars
     lam = check_partition(lam)
-    units = identity_matrix(len(cell_index(lam, n)), ops.vars)
-    return _apply_letters(ops, units, lam, n, word)
+    units = identity_matrix(len(cell_index(lam, n)), vars)
+    return _apply_letters(vars, units, lam, n, word)
 
 
 def rho_of_word(algebra: str, n: int, word):
@@ -432,14 +403,13 @@ def rho_of_word(algebra: str, n: int, word):
 def _monomial_rho(algebra: str, n: int, monomial):
     """Cell-module matrices of the cellular basis element
     (d(s)v)^* m_lambda d(t)u indexed by (lambda, (s, v), (t, u))."""
-    ops = _ops(algebra)
     lam, (s, v), (t, u) = monomial
-    rho = rho_of_word(algebra, n, ops.perm_letters(v)[::-1]
-                      + ops.perm_letters(tab_perm(s))[::-1])
+    rho = rho_of_word(algebra, n, _perm_letters(v)[::-1]
+                      + _perm_letters(tab_perm(s))[::-1])
     rho = _rho_mul(rho, {mu: m_lambda_matrix(algebra, lam, n, mu)
                          for mu in layer_shapes(n)})
-    return _rho_mul(rho, rho_of_word(algebra, n, ops.perm_letters(tab_perm(t))
-                                     + ops.perm_letters(u)))
+    return _rho_mul(rho, rho_of_word(algebra, n, _perm_letters(tab_perm(t))
+                                     + _perm_letters(u)))
 
 
 @lru_cache(maxsize=None)
@@ -516,7 +486,7 @@ def restriction_filtration_check(algebra: str, lam, n: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _restriction_filtration_check(algebra, lam, n):
-    ops = _ops(algebra)
+    vars = _ops(algebra).vars
     pb = build_path_basis(algebra, lam, n)
     report = {
         "algebra": algebra, "n": n, "lam": lam, "ok": True,
@@ -537,11 +507,12 @@ def _restriction_filtration_check(algebra, lam, n):
     if not report["dimension_match"]:
         report["ok"] = False
         report["failures"].append(("dimension", start, len(pb.index)))
-    gens = [(kind, i) for i in range(1, n - 1) for kind in ops.gen_kinds]
+    gens = [(kind, i) for i in range(1, n - 1) for kind in ("T", "E")]
     subs = {mu: build_path_basis(algebra, mu, n - 1) for mu in mus}
     for kind, i in gens:
-        acted = pb.conjugate(ops.gen_matrix(lam, n, kind, i))
-        expected = {mu: subs[mu].conjugate(ops.gen_matrix(mu, n - 1, kind, i))
+        acted = pb.conjugate(bmw_gen_matrix(lam, n, kind, i, vars))
+        expected = {mu: subs[mu].conjugate(
+                        bmw_gen_matrix(mu, n - 1, kind, i, vars))
                     for mu in mus}
         for mu, lo, hi in blocks:
             for a in range(lo, hi):
@@ -568,9 +539,9 @@ def _restriction_filtration_check(algebra, lam, n):
 def jm_matrix(algebra: str, lam, n: int, k: int):
     """Matrix of the Jucys-Murphy operator L_k on S^lambda.
 
-    L_1 = ``ops.jm_start`` and L_k = g L_{k-1} g for the first generator
-    g of index k - 1 (T_{k-1} or s_{k-1}), plus s_{k-1} - E_{k-1} where
-    ``ops.jm_adds_s_minus_e`` (the one-parameter tower).
+    L_1 = ``ops.jm_start`` and L_k = T_{k-1} L_{k-1} T_{k-1} (T_{k-1} is
+    s_{k-1} in the one-parameter tower), plus s_{k-1} - E_{k-1} where
+    ``ops.jm_adds_s_minus_e``.
     """
     ops = _ops(algebra)
     lam = check_partition(lam)
@@ -582,10 +553,10 @@ def jm_matrix(algebra: str, lam, n: int, k: int):
         zero = CoeffFraction.const(0, ops.vars)
         return [[start if a == b else zero for b in range(dim)]
                 for a in range(dim)]
-    g = ops.gen_matrix(lam, n, ops.gen_kinds[0], k - 1)
+    g = bmw_gen_matrix(lam, n, "T", k - 1, ops.vars)
     out = mat_mul(mat_mul(g, jm_matrix(algebra, lam, n, k - 1)), g)
     if ops.jm_adds_s_minus_e:
-        e = ops.gen_matrix(lam, n, "E", k - 1)
+        e = bmw_gen_matrix(lam, n, "E", k - 1, ops.vars)
         out = [[x + y - z for x, y, z in zip(ro, rg, re)]
                for ro, rg, re in zip(out, g, e)]
     return out

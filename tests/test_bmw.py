@@ -465,7 +465,6 @@ def test_jm_eigenvector_property(n):
 def _row_scan_content(t, k):
     """The BMW step content as first written: the changed box is found by
     scanning the row lengths of steps k-1 and k."""
-    from cellalg.bmw import _r_power
     path = path_of_tableau(t)
     prev, cur = path[k - 1], path[k]
     if sum(cur) > sum(prev):
@@ -478,7 +477,7 @@ def _row_scan_content(t, k):
     for i, (a, b) in enumerate(zip(rows, prev)):
         if b > a:
             return (CoeffFraction.monomial(BMW_VARS, q=2 * (i + 1 - b))
-                    * _r_power(-2, BMW_VARS))
+                    * CoeffFraction.monomial(BMW_VARS, r=-2))
     raise AssertionError
 
 

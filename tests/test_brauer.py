@@ -1,6 +1,7 @@
 """Tests for the Brauer algebra: diagrams, cellular basis, Gram forms, JM."""
 
 import random
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -13,8 +14,9 @@ from cellalg.combin import (
     partitions_of,
     superstandard,
 )
-from cellalg.exactring import BRAUER_VARS, CoeffFraction, brauer_frac
-from cellalg import bmw, brauer
+from cellalg.exactring import (BMW_VARS, BRAUER_VARS, CoeffFraction,
+                               brauer_frac)
+from cellalg import bmw
 from cellalg.bmw import bmw_gen_matrix
 from cellalg.brauer import (
     BrauerElement,
@@ -27,7 +29,6 @@ from cellalg.brauer import (
     br_to_cellular,
     br_from_cellular,
     br_basis_element,
-    br_cell_matrix,
     br_word,
     diagram_arcs,
     diagram_word,
@@ -36,6 +37,7 @@ from cellalg.brauer import (
     perm_diagram,
     s_diagram,
 )
+from cellalg.linalg import mat_mul
 from cellalg.towers import gram_matrix, maximal_path
 
 from brauer_reference import (
@@ -283,18 +285,17 @@ def test_module_matrix_matches_dense_solver(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("first", ["module", "generator"])
 def test_shared_seed_gives_one_answer_in_either_order(n, first, monkeypatch):
-    # br_module_matrix and br_cell_matrix read the same memoised seeds and
-    # engine memos; a reader that changed one would make the other depend
-    # on call order
-    monkeypatch.setattr(brauer, "_gen_matrix_overrides", {})
+    # br_module_matrix and the generator-matrix table read the same
+    # memoised seeds and engine memos; a reader that changed one would make
+    # the other depend on call order
+    monkeypatch.setattr(bmw, "_gen_matrix_overrides", {})
     for memo in (bmw._seed_terms, bmw._rmul, bmw._emul, bmw._lstr,
-                 bmw._lstr_e, bmw._normalize,
-                 brauer._br_cell_matrix_compute):
+                 bmw._lstr_e, bmw._normalize, bmw._gen_matrix_compute):
         memo.cache_clear()
     for lam in layer_shapes(n):
         for i in range(1, n):
             calls = [lambda: br_module_matrix(lam, n, BrauerElement.s(i, n)),
-                     lambda: br_cell_matrix(lam, n, "s", i)]
+                     lambda: bmw_gen_matrix(lam, n, "T", i, BRAUER_VARS)]
             if first == "generator":
                 calls.reverse()
             a, b = (call() for call in calls)
@@ -312,21 +313,50 @@ def test_diagram_word_round_trip(n):
         assert k == diagram_arcs(d)
 
 
-def test_each_tower_keeps_its_letter_names():
+def test_one_table_reads_engine_letters_in_both_towers():
     lam, n = (1,), 3
-    for kind in ("T", "Tinv", "e", "x"):
-        with pytest.raises(ValueError, match="unknown generator kind"):
-            br_cell_matrix(lam, n, kind, 1)
-    for kind in ("s", "e", "x"):
-        with pytest.raises(ValueError, match="unknown generator kind"):
-            bmw_gen_matrix(lam, n, kind, 1)
+    # the table's letters are T, Tinv and E over both variable tuples
+    for vars in (BMW_VARS, BRAUER_VARS):
+        for kind in ("s", "e", "x"):
+            with pytest.raises(ValueError, match="unknown generator kind"):
+                bmw_gen_matrix(lam, n, kind, 1, vars)
+    # diagram words spell s_i, which the engine reads as T_i
     with pytest.raises(ValueError, match="unknown generator kind"):
         br_word([("T", 1)], n)
-    # the shared engine's letters are T and E, whatever the tower calls them
     with pytest.raises(ValueError, match="unknown generator kind"):
         bmw.cell_rows(lam, n, BRAUER_VARS, [((("s", 1),), const(1))])
-    assert br_cell_matrix(lam, n, "s", 1) == bmw.cell_rows(
+    assert bmw_gen_matrix(lam, n, "T", 1, BRAUER_VARS) == bmw.cell_rows(
         lam, n, BRAUER_VARS, [((("T", 1),), const(1))])
+    assert bmw_gen_matrix(lam, n, "T", 1, BRAUER_VARS) == \
+        br_module_matrix(lam, n, BrauerElement.s(1, n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_inverse_at_q_one_is_the_transposition(n, monkeypatch):
+    # T_i^{-1} = T_i - (q - q^{-1})(1 - E_i) is T_i at q = 1, read with no
+    # E_i matrix; a fresh memo, so that every Tinv is requested anew
+    monkeypatch.setattr(bmw, "_gen_matrix_overrides", {})
+    monkeypatch.setattr(bmw, "_gen_matrix_compute", lru_cache(maxsize=None)(
+        bmw._gen_matrix_compute.__wrapped__))
+    requested = []
+    gen_matrix = bmw.bmw_gen_matrix
+
+    def spy(lam, n, kind, i, vars=BMW_VARS):
+        requested.append(kind)
+        return gen_matrix(lam, n, kind, i, vars)
+
+    monkeypatch.setattr(bmw, "bmw_gen_matrix", spy)
+    for lam in layer_shapes(n):
+        dim = len(cell_index(lam, n))
+        ident = [[const(int(a == b)) for b in range(dim)] for a in range(dim)]
+        for i in range(1, n):
+            requested.clear()
+            inv = bmw.bmw_gen_matrix(lam, n, "Tinv", i, BRAUER_VARS)
+            assert requested == ["Tinv"]
+            t = bmw.bmw_gen_matrix(lam, n, "T", i, BRAUER_VARS)
+            assert [[str(x) for x in row] for row in inv] == \
+                [[str(x) for x in row] for row in t]
+            assert mat_mul(t, t) == ident
 
 
 # -- Jucys-Murphy ---------------------------------------------------------------------

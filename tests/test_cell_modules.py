@@ -8,8 +8,7 @@ import sys
 
 import pytest
 
-from cellalg.bmw import _bmw_gen_matrix_compute
-from cellalg.brauer import _br_cell_matrix_compute
+from cellalg.bmw import _gen_matrix_compute
 from cellalg.combin import (
     Permutation,
     StdTableau,
@@ -18,7 +17,7 @@ from cellalg.combin import (
     partitions_of,
     superstandard,
 )
-from cellalg.exactring import BRAUER_VARS, CoeffFraction
+from cellalg.exactring import BMW_VARS, BRAUER_VARS, CoeffFraction
 from cellalg import hecke
 from cellalg.hecke import cell_row
 
@@ -37,22 +36,25 @@ PINNED = {
 # towers ran the chain-word engine of bmw
 BRAUER_N6 = "edc39507837a0ab2e178741ef24ad32550f9bb85fe5d037b8341d5dba62779d7"
 
-ENGINES = {"bmw": (_bmw_gen_matrix_compute, ("T", "Tinv", "E")),
-           "brauer": (_br_cell_matrix_compute, ("s", "E"))}
+# each tower's variable tuple, and its generator names as the pins hash
+# them, with the letter of the generator-matrix table that each name reads
+# (the Brauer s_i is the letter T_i)
+ENGINES = {"bmw": (BMW_VARS, {"T": "T", "Tinv": "Tinv", "E": "E"}),
+           "brauer": (BRAUER_VARS, {"s": "T", "E": "E"})}
 
 
 def generator_digest(algebra, n):
     """Layers in partitions_of order (f = 0 first), then generator kinds,
     then indices; each matrix as repr((lam, kind, i)) and one line per row
     of '|'-joined canonical strings."""
-    compute, kinds = ENGINES[algebra]
+    vars, letters = ENGINES[algebra]
     digest = hashlib.sha256()
     for f in range(n // 2 + 1):
         for lam in partitions_of(n - 2 * f):
-            for kind in kinds:
+            for kind, letter in letters.items():
                 for i in range(1, n):
                     digest.update(repr((lam, kind, i)).encode())
-                    for row in compute(lam, n, kind, i):
+                    for row in _gen_matrix_compute(lam, n, letter, i, vars):
                         digest.update(
                             ("|".join(str(x) for x in row) + "\n").encode())
     return digest.hexdigest()

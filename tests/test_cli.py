@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from cellalg import cli, specsim, towers
 from cellalg import bmw as _bmw
-from cellalg import brauer as _brauer
 from cellalg.combin import layer_shapes
 from cellalg.exactring import (
     BMW_VARS,
@@ -44,7 +43,6 @@ def without_timing(report):
 def clean_overrides():
     yield
     _bmw._gen_matrix_overrides.clear()
-    _brauer._gen_matrix_overrides.clear()
 
 
 # -- documented example invocations --------------------------------------------------
@@ -753,18 +751,49 @@ def test_cache_with_wrong_dimension_warns_and_recomputes(tmp_path, capsys):
     data["matrices"]["1|s|1"] = [["1", "0"], ["0", "1"]]  # square, but 2 x 2
     with open(path, "w") as handle:
         json.dump(data, handle)
-    _brauer._gen_matrix_overrides.clear()
+    _bmw._gen_matrix_overrides.clear()
     towers.gram_matrix.cache_clear()
     code = cli.run(argv + ["--cache-dir", cache_dir])
     captured = capsys.readouterr()
     assert code == 0
     assert "warning" in captured.err and "1|s|1" in captured.err
     cached = without_timing(json.loads(captured.out))
-    _brauer._gen_matrix_overrides.clear()
+    _bmw._gen_matrix_overrides.clear()
     towers.gram_matrix.cache_clear()
     assert cached == without_timing(run_json(capsys, argv))
     assert json.loads(Path(path).read_text())["matrices"]["1|s|1"] != \
         data["matrices"]["1|s|1"]
+
+
+@pytest.mark.parametrize("algebra,name,foreign", [("brauer", "s", "T"),
+                                                   ("bmw", "T", "s")])
+def test_cache_with_the_other_towers_name_warns_and_recomputes(
+        tmp_path, capsys, algebra, name, foreign):
+    # Brauer files name T_i = s_i "s" and BMW files "T"; the engine letter
+    # is T in both, but a file spelling the other tower's name is refused
+    argv = ["gram", "--algebra", algebra, "--n", "3", "--lambda", "1",
+            "--json"]
+    plain = without_timing(run_json(capsys, argv))
+    cache_dir = str(tmp_path)
+    run_json(capsys, ["cache", "--algebra", algebra, "--n", "3",
+                      "--cache-dir", cache_dir, "--json"])
+    path = cli._cache_path(cache_dir, algebra, 3)
+    text = Path(path).read_text()
+    data = json.loads(text)
+    data["matrices"]["1|{}|1".format(foreign)] = \
+        data["matrices"].pop("1|{}|1".format(name))
+    with open(path, "w") as handle:
+        json.dump(data, handle)
+    assert cli._load_cache(path, algebra, 3) is None
+    assert "invalid matrix key" in capsys.readouterr().err
+    _bmw._gen_matrix_overrides.clear()
+    towers.gram_matrix.cache_clear()
+    code = cli.run(argv + ["--cache-dir", cache_dir])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "warning" in captured.err and "invalid matrix key" in captured.err
+    assert without_timing(json.loads(captured.out)) == plain
+    assert Path(path).read_text() == text
 
 
 def test_cache_with_changed_cell_warns_and_recomputes(tmp_path, capsys):
@@ -807,9 +836,10 @@ def test_cache_presence_never_changes_output(tmp_path, capsys, algebra, n):
     for sub in ("gram", "transition", "jm", "filtration"):
         cached = run_json(capsys, [sub] + base + ["--cache-dir", cache_dir])
         assert without_timing(cached) == plain[sub]
-    # the cache really was loaded into the override tables
-    assert any(key[1] == n for key in
-               (_bmw if algebra == "bmw" else _brauer)._gen_matrix_overrides)
+    # the cache really was loaded into the one override table
+    vars = towers._ops(algebra).vars
+    assert any(key[0] == vars and key[2] == n
+               for key in _bmw._gen_matrix_overrides)
 
 
 def test_cached_matrices_match_computed(tmp_path, capsys):
@@ -818,8 +848,9 @@ def test_cached_matrices_match_computed(tmp_path, capsys):
     overrides = cli._load_cache(cli._cache_path(str(tmp_path), "bmw", 3),
                                 "bmw", 3)
     assert overrides
-    for (lam, n, kind, i), rows in overrides.items():
-        assert rows == _bmw._bmw_gen_matrix_compute(lam, n, kind, i)
+    for (vars, lam, n, kind, i), rows in overrides.items():
+        assert vars == BMW_VARS
+        assert rows == _bmw._gen_matrix_compute(lam, n, kind, i, vars)
 
 
 def test_bmw_cache_holds_primary_generators_only(tmp_path, capsys):
@@ -834,7 +865,7 @@ def test_bmw_cache_holds_primary_generators_only(tmp_path, capsys):
 
 def _clear_memos():
     _bmw._gen_matrix_overrides.clear()
-    for memo in (_bmw._bmw_gen_matrix_compute, towers.jm_matrix,
+    for memo in (_bmw._gen_matrix_compute, towers.jm_matrix,
                  towers.build_path_basis, towers.gram_matrix,
                  towers.m_lambda_matrix, towers._jm_triangularity,
                  towers._restriction_filtration_check,
@@ -842,24 +873,25 @@ def _clear_memos():
         memo.cache_clear()
 
 
+@pytest.mark.parametrize("algebra", ["bmw", "brauer"])
 def test_cached_process_derives_tinv_without_the_engine(tmp_path, capsys,
-                                                        monkeypatch):
-    # the y-elements of (1) at n = 3 act by T^{-1}
-    argv = ["transition", "--algebra", "bmw", "--n", "3", "--lambda", "1",
+                                                        monkeypatch, algebra):
+    # the y-elements of (1) at n = 3 act by T^{-1} in both towers
+    argv = ["transition", "--algebra", algebra, "--n", "3", "--lambda", "1",
             "--json"]
     _clear_memos()
     plain = without_timing(run_json(capsys, argv))
-    run_json(capsys, ["cache", "--algebra", "bmw", "--n", "3",
+    run_json(capsys, ["cache", "--algebra", algebra, "--n", "3",
                       "--cache-dir", str(tmp_path), "--json"])
     _clear_memos()
     requested, engine_kinds = set(), []
     gen_matrix = _bmw.bmw_gen_matrix
     apply_gen_terms = _bmw._apply_gen_terms
 
-    def gen_matrix_spy(lam, n, kind, i):
+    def gen_matrix_spy(lam, n, kind, i, vars=BMW_VARS):
         if n == 3:
             requested.add(kind)
-        return gen_matrix(lam, n, kind, i)
+        return gen_matrix(lam, n, kind, i, vars)
 
     def engine_spy(terms, gen, n, f, vars):
         if n == 3:
@@ -867,6 +899,7 @@ def test_cached_process_derives_tinv_without_the_engine(tmp_path, capsys,
         return apply_gen_terms(terms, gen, n, f, vars)
 
     monkeypatch.setattr(_bmw, "bmw_gen_matrix", gen_matrix_spy)
+    monkeypatch.setattr(towers, "bmw_gen_matrix", gen_matrix_spy)
     monkeypatch.setattr(_bmw, "_apply_gen_terms", engine_spy)
     cached = without_timing(run_json(capsys, argv
                                      + ["--cache-dir", str(tmp_path)]))

@@ -61,3 +61,31 @@ def test_every_top_level_name_is_used():
             if words[name] <= own:
                 unused.append("{}.{}".format(module.stem, name))
     assert unused == []
+
+
+def imported_names(tree):
+    """(name, line) of each name an import binds, at any depth; a
+    ``__future__`` import binds no name the module reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "*":
+                    yield name, node.lineno
+
+
+def test_every_import_is_used():
+    """Each name bound by an import in a module, at module or function
+    level, occurs in that module as a name or as the base of an
+    attribute."""
+    unused = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for name, lineno in imported_names(tree):
+            if name not in used:
+                unused.append("{}:{} {}".format(module.stem, lineno, name))
+    assert unused == []

@@ -17,13 +17,13 @@ from cellalg.combin import (
 )
 from cellalg.exactring import BMW_VARS, BRAUER_VARS, CoeffFraction, parse_fraction
 from cellalg.bmw import (
+    _params,
     bmw_gen_matrix,
     bmw_m_lambda,
     bmw_to_cellular,
 )
 from cellalg.brauer import (
     BrauerElement,
-    br_cell_matrix,
     br_jm,
     br_m_lambda,
     br_module_matrix,
@@ -35,7 +35,6 @@ from cellalg.brauer import (
 from cellalg.hecke import row_stabilizer
 from cellalg.linalg import identity_matrix, mat_mul
 from cellalg.towers import (
-    _BmwOps,
     PathBasis,
     build_path_basis,
     central_scalar,
@@ -50,6 +49,7 @@ from cellalg.towers import (
     restriction_filtration_check,
     rho_of_word,
     y_element,
+    _perm_letters,
     _rho_add,
     _rho_mul,
     _rho_scale,
@@ -76,8 +76,8 @@ def bz(s):
 def test_fast_engine_matches_solver_route(n):
     for lam in layer_shapes(n):
         for i in range(1, n):
-            for kind in ("s", "E"):
-                assert br_cell_matrix(lam, n, kind, i) == \
+            for kind, letter in (("s", "T"), ("E", "E")):
+                assert bmw_gen_matrix(lam, n, letter, i, BRAUER_VARS) == \
                     dense_gen_matrix(lam, n, kind, i)
 
 
@@ -138,9 +138,9 @@ def _dense_gram(algebra, lam, n):
     rows = [[None] * k for _ in range(k)]
     for b, (t, u) in enumerate(index):
         mat = identity_matrix(k, ops.vars)
-        for kind, i in (ops.perm_letters(u)[::-1]
-                        + ops.perm_letters(tab_perm(t))[::-1]):
-            mat = mat_mul(mat, ops.gen_matrix(lam, n, kind, i))
+        for kind, i in (_perm_letters(u)[::-1]
+                        + _perm_letters(tab_perm(t))[::-1]):
+            mat = mat_mul(mat, bmw_gen_matrix(lam, n, kind, i, ops.vars))
         mat = mat_mul(mat, m_mat)
         for a in range(k):
             assert all(mat[a][j].is_zero() for j in range(k) if j != e1)
@@ -160,17 +160,17 @@ def test_gram_columns_match_dense_word_products(algebra, nmax):
 def _per_w_m_lambda(algebra, lam, n, target):
     """m_lambda on S^target as it was built before the coset factorisation:
     the E-chain, then one letter word per w in the row stabilizer, scaled by
-    c(l(w)) and summed."""
-    ops = towers._ops(algebra)
+    q^l(w) (1 at q = 1) and summed."""
+    vars = towers._ops(algebra).vars
     f = (n - sum(lam)) // 2
-    units = identity_matrix(len(cell_index(target, n)), ops.vars)
-    chain = towers._apply_letters(ops, units, target, n,
+    units = identity_matrix(len(cell_index(target, n)), vars)
+    chain = towers._apply_letters(vars, units, target, n,
                                   [("E", i) for i in range(1, 2 * f, 2)])
     acc = None
     for w in row_stabilizer(lam, n):
-        coeff = ops.step_coeff(w.length())
+        coeff = _params(vars).q ** w.length()
         piece = [[x * coeff for x in row] for row in towers._apply_letters(
-            ops, chain, target, n, ops.perm_letters(w))]
+            vars, chain, target, n, _perm_letters(w))]
         acc = piece if acc is None else \
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(acc, piece)]
     return acc
@@ -212,7 +212,8 @@ def test_gram_rejects_m_lambda_outside_its_seed_column(monkeypatch, algebra,
 def _word_matrix(lam, n, word):
     out = None
     for kind, i in word:
-        m = br_cell_matrix(lam, n, kind, i)
+        m = bmw_gen_matrix(lam, n, "T" if kind == "s" else kind, i,
+                           BRAUER_VARS)
         out = m if out is None else [
             [sum((x * m[a][j] for a, x in enumerate(row) if not x.is_zero()),
                  bz("0")) for j in range(len(row))] for row in out]
@@ -379,7 +380,7 @@ def _rho_m_mu_level_down(mu, n):
     acc = None
     for w in row_stabilizer(mu, n - 1):
         lifted = Permutation(w.img + (n,))
-        piece = _rho_scale(rho_of_word("bmw", n, _BmwOps.perm_letters(lifted)),
+        piece = _rho_scale(rho_of_word("bmw", n, _perm_letters(lifted)),
                            bqr("q^{}".format(lifted.length())))
         acc = piece if acc is None else _rho_add(acc, piece)
     return _rho_mul(chain, acc)
@@ -389,7 +390,7 @@ def _bmw_rho_element(n, terms):
     """Block matrices of sum_w a_w T_w given {Permutation: coeff}."""
     acc = None
     for w, c in terms.items():
-        piece = _rho_scale(rho_of_word("bmw", n, _BmwOps.perm_letters(w)), c)
+        piece = _rho_scale(rho_of_word("bmw", n, _perm_letters(w)), c)
         acc = piece if acc is None else _rho_add(acc, piece)
     return acc
 
@@ -553,7 +554,7 @@ def test_lifted_basis_cellular_bmw(n):
         for s in pb.paths:
             star = None
             for w, c in pb.b_words[s].items():
-                word = _BmwOps.perm_letters(w)[::-1]
+                word = _perm_letters(w)[::-1]
                 piece = _rho_scale(rho_of_word("bmw", n, word), c)
                 star = piece if star is None else _rho_add(star, piece)
             left = _rho_mul(star, rho_m)
